@@ -28,8 +28,7 @@ from .instance import (
     conclusion_satisfied,
     enumerate_matches,
     eval_term,
-    pinned_order,
-    values_equal,
+    solve_premise,
 )
 from .schema import (
     Constraint,
@@ -45,14 +44,13 @@ from .schema import (
     constraint_pinned_vars,
     term_sort,
 )
-from .typeside import BaseType, apply_predicate
+from .typeside import BaseType
 
 
 @dataclass
 class ChaseConfig:
     max_rounds: int = 10000
     require_weak_acyclicity: bool = True
-    deterministic_order: bool = True  # fixed; kept for the configuration surface
 
     def __post_init__(self) -> None:
         if self.max_rounds < 1:
@@ -310,7 +308,9 @@ def fire_once(
     elements for existentials and for unset foreign keys along conclusion
     paths.
     """
-    live_env = _revalidate(inst, c, env)
+    pinned = constraint_pinned_vars(c)
+    live = {name: inst.find(env[name]) for name, _ in c.universals if name not in pinned}
+    live_env = solve_premise(inst, c, pinned, live)
     if live_env is None:
         return None
     if conclusion_satisfied(inst, c, live_env):
@@ -347,36 +347,6 @@ def _value_name(inst: Instance, value: Value) -> str:
     if isinstance(value, VirtualElem):
         return f"{value.base.name}.{'.'.join(value.steps)}"
     return str(value)
-
-
-def _revalidate(inst: Instance, c: Constraint, env: dict[str, Value]) -> Optional[dict[str, Value]]:
-    """Re-bind pinned variables and re-check the premise on the live instance."""
-    pinned = constraint_pinned_vars(c)
-    live: dict[str, Value] = {}
-    for name, _ in c.universals:
-        if name not in pinned:
-            value = env[name]
-            assert isinstance(value, ElementId)
-            live[name] = inst.find(value)
-    for name in pinned_order(c, pinned):
-        atom = pinned[name]
-        other = atom.right if isinstance(atom.left, Var) and atom.left.name == name else atom.left
-        value = eval_term(inst, live, other, virtual=True)
-        if not isinstance(value, (ElementId, VirtualElem)):
-            return None
-        live[name] = value
-    for atom in c.premise:
-        lv = eval_term(inst, live, atom.left, virtual=True)
-        rv = eval_term(inst, live, atom.right, virtual=True)
-        if isinstance(atom, Eq):
-            if not values_equal(inst, lv, rv):
-                return None
-        else:
-            if not (isinstance(lv, Const) and isinstance(rv, Const)):
-                return None
-            if not apply_predicate(atom.op, lv.value, rv.value):
-                return None
-    return live
 
 
 def _is_entity_eq(eq: Eq, c: Constraint, schema: Schema) -> bool:

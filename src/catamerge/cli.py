@@ -11,7 +11,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .chase import EXHAUSTED, FAILED, ChaseConfig, ChaseResult, chase
 from .errors import CatamergeError
@@ -59,18 +59,38 @@ def _load(files: list[str]) -> Optional[Document]:
     return env
 
 
-def _default_max_rounds() -> int:
+def _max_rounds(text: str) -> int:
+    """argparse type of ``--max-rounds``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _default_max_rounds() -> Optional[int]:
+    """The round budget from the environment, or None (after printing an
+    error) when it is set below 1."""
     raw = os.environ.get(MAX_ROUNDS_ENV)
     if raw is None:
         return 10000
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         print(f"warning: ignoring non-numeric {MAX_ROUNDS_ENV}={raw!r}", file=sys.stderr)
         return 10000
+    if value < 1:
+        print(f"error: {MAX_ROUNDS_ENV} must be >= 1, got {value}", file=sys.stderr)
+        return None
+    return value
 
 
 def _build_manifest(args: argparse.Namespace) -> Optional[RunManifest]:
+    max_rounds = args.max_rounds if args.max_rounds is not None else _default_max_rounds()
+    if max_rounds is None:
+        return None
     env = _load(args.files)
     if env is None or not env.ok:
         return None
@@ -111,17 +131,35 @@ def _build_manifest(args: argparse.Namespace) -> Optional[RunManifest]:
         sources=sources,
         out_dir=Path(args.out),
         trace=getattr(args, "trace", False),
-        max_rounds=args.max_rounds,
+        max_rounds=max_rounds,
         env=env,
     )
 
 
-def _run_chase(manifest: RunManifest) -> ChaseResult:
+def _run_chase(manifest: RunManifest) -> tuple[int, Optional[ChaseResult]]:
+    """Insert the sources and chase; returns the exit code with the result.
+
+    Failures are reported on stderr here; ``trace.log`` is written, when
+    asked for, whatever the outcome of a chase that ran.
+    """
     from .integrate import sigma_insert
 
-    pre = sigma_insert(manifest.combined, manifest.sources)
-    cfg = ChaseConfig(max_rounds=manifest.max_rounds)
-    return chase(pre, list(manifest.combined.schema.constraints), cfg)
+    try:
+        pre = sigma_insert(manifest.combined, manifest.sources)
+        cfg = ChaseConfig(max_rounds=manifest.max_rounds)
+        result = chase(pre, list(manifest.combined.schema.constraints), cfg)
+    except CatamergeError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return USAGE, None
+    if manifest.trace:
+        _write(manifest.out_dir / "trace.log", result.trace.render())
+    if result.status == FAILED:
+        print(f"unsatisfiable: {result.clash}", file=sys.stderr)
+        return UNSATISFIABLE, result
+    if result.status == EXHAUSTED:
+        print(f"exhausted: no fixpoint after {result.rounds} round(s)", file=sys.stderr)
+        return EXHAUSTED_CODE, result
+    return OK, result
 
 
 def _write(path: Path, text: str) -> None:
@@ -147,22 +185,11 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     manifest = _build_manifest(args)
     if manifest is None:
         return USAGE
-    try:
-        result = _run_chase(manifest)
-    except CatamergeError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE
+    code, result = _run_chase(manifest)
+    if code != OK:
+        return code
+    assert result is not None and result.instance is not None
     out = manifest.out_dir
-    if manifest.trace:
-        _write(out / "trace.log", result.trace.render())
-    if result.status == FAILED:
-        assert result.clash is not None
-        print(f"unsatisfiable: {result.clash}", file=sys.stderr)
-        return UNSATISFIABLE
-    if result.status == EXHAUSTED:
-        print(f"exhausted: no fixpoint after {result.rounds} round(s)", file=sys.stderr)
-        return EXHAUSTED_CODE
-    assert result.instance is not None
     _write(out / "combined.cmg", print_canonical(manifest.combined))
     _write(out / "saturated.cmg", print_canonical(result.instance))
     for entity, text in instance_csvs(result.instance).items():
@@ -186,18 +213,10 @@ def cmd_query(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return USAGE
-    try:
-        result = _run_chase(manifest)
-    except CatamergeError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE
-    if result.status == FAILED:
-        print(f"unsatisfiable: {result.clash}", file=sys.stderr)
-        return UNSATISFIABLE
-    if result.status == EXHAUSTED:
-        print(f"exhausted: no fixpoint after {result.rounds} round(s)", file=sys.stderr)
-        return EXHAUSTED_CODE
-    assert result.instance is not None
+    code, result = _run_chase(manifest)
+    if code != OK:
+        return code
+    assert result is not None and result.instance is not None
     table = evaluate(spec, result.instance)
     _write(manifest.out_dir / f"query_{spec.name}.csv", result_table_csv(table))
     sys.stdout.write(aligned_table(table))
@@ -219,18 +238,10 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return USAGE
-    try:
-        result = _run_chase(manifest)
-    except CatamergeError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE
-    if result.status == FAILED:
-        print(f"unsatisfiable: {result.clash}", file=sys.stderr)
-        return UNSATISFIABLE
-    if result.status == EXHAUSTED:
-        print(f"exhausted: no fixpoint after {result.rounds} round(s)", file=sys.stderr)
-        return EXHAUSTED_CODE
-    assert result.instance is not None
+    code, result = _run_chase(manifest)
+    if code != OK:
+        return code
+    assert result is not None and result.instance is not None
     recovered = delta_project(manifest.combined, result.instance, target)
     report = roundtrip_report(manifest.sources[target.name], recovered)
     text = report.render()
@@ -239,8 +250,14 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
     return OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        """Usage errors are one line on stderr, like every other failure."""
+        self.exit(2, f"error: {message}\n")
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="catamerge",
         description="Merge schemas declared as multi-sorted theories, saturate "
         "their data with a chase, and query the integrated result.",
@@ -253,9 +270,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory (default: ./out)")
         p.add_argument(
             "--max-rounds",
-            type=int,
-            default=_default_max_rounds(),
-            help="chase round budget (env CATAMERGE_MAX_ROUNDS overrides the default)",
+            type=_max_rounds,
+            help="chase round budget, at least 1 (env CATAMERGE_MAX_ROUNDS overrides "
+            "the default of 10000)",
         )
         if with_trace:
             p.add_argument("--trace", action="store_true", help="write trace.log")
@@ -286,8 +303,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code else OK
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as err:
+        print(f"error: cannot write output: {err}", file=sys.stderr)
+        return USAGE
 
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

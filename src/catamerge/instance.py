@@ -394,15 +394,6 @@ def eval_path(inst: Instance, elem: ElementId, path: Path) -> Value:
     return inst.get_attr(current, path.attr)
 
 
-def virtual_entity(schema: Schema, v: VirtualElem) -> str:
-    entity = v.base.entity
-    for fk_name in v.steps:
-        fk = schema.fk(entity, fk_name)
-        assert fk is not None
-        entity = fk.target
-    return entity
-
-
 def eval_term(
     inst: Instance,
     env: dict[str, Value],
@@ -486,93 +477,69 @@ def render_value(inst: Instance, v: Value) -> str:
 # ---------------------------------------------------------------------------
 # Premise matching
 
-def pinned_order(c: Constraint, pinned: dict[str, Eq]) -> list[str]:
-    """Order derived variables so each one's defining term is evaluable."""
-    from .schema import _term_vars
+def solve_premise(
+    inst: Instance, c: Constraint, pinned: dict[str, Eq], env: dict[str, Value]
+) -> Optional[dict[str, Value]]:
+    """Extend ``env`` with the pinned variables and check the premise.
 
-    remaining = dict(pinned)
-    order: list[str] = []
-    while remaining:
-        progressed = False
-        for name, atom in list(remaining.items()):
-            other = atom.right if isinstance(atom.left, Var) and atom.left.name == name else atom.left
-            deps = _term_vars(other)
-            if all(d not in remaining for d in deps):
-                order.append(name)
-                del remaining[name]
-                progressed = True
-        if not progressed:  # cycle already demoted upstream; be safe anyway
-            order.extend(remaining)
-            break
-    return order
+    ``env`` binds the enumerated universals to class representatives.
+    ``pinned`` is ``constraint_pinned_vars(c)``, whose order is an evaluation
+    order: each defining term mentions only pins before it. Returns ``env``,
+    or None when a pin is not an element or a premise atom fails.
+    """
+    for name, atom in pinned.items():
+        other = atom.right if isinstance(atom.left, Var) and atom.left.name == name else atom.left
+        value = eval_term(inst, env, other, virtual=True)
+        if not isinstance(value, (ElementId, VirtualElem)):
+            return None
+        env[name] = value
+    for atom in c.premise:
+        if not _atom_holds(inst, env, atom):
+            return None
+    return env
+
+
+def _atom_holds(inst: Instance, env: dict[str, Value], atom: Union[Eq, Cmp]) -> bool:
+    """Does a premise or conclusion atom hold under ``env``? An equation needs
+    two equal values; a predicate needs two constants; undefined never holds."""
+    lv = eval_term(inst, env, atom.left, virtual=True)
+    rv = eval_term(inst, env, atom.right, virtual=True)
+    if isinstance(atom, Eq):
+        return values_equal(inst, lv, rv)
+    if not (isinstance(lv, Const) and isinstance(rv, Const)):
+        return False
+    return apply_predicate(atom.op, lv.value, rv.value)
 
 
 def enumerate_matches(inst: Instance, c: Constraint) -> Iterator[dict[str, Value]]:
     """All premise matches, in lexicographic assignment order.
 
     Universal variables pinned by a premise atom ``v = term`` are solved
-    rather than enumerated; remaining atoms act as filters. Filters touching
-    labelled nulls or undefined values never match.
+    rather than enumerated; remaining atoms act as filters.
     """
     pinned = constraint_pinned_vars(c)
-    order = pinned_order(c, pinned)
     enumerated = [(n, e) for n, e in c.universals if n not in pinned]
+    names = [n for n, _ in enumerated]
     carriers = [inst.carrier(entity) for _, entity in enumerated]
     for combo in itertools.product(*carriers):
-        env: dict[str, Value] = {name: elem for (name, _), elem in zip(enumerated, combo)}
-        ok = True
-        for name in order:
-            atom = pinned[name]
-            other = atom.right if isinstance(atom.left, Var) and atom.left.name == name else atom.left
-            value = eval_term(inst, env, other, virtual=True)
-            if not isinstance(value, (ElementId, VirtualElem)):
-                ok = False
-                break
-            env[name] = value
-        if not ok:
-            continue
-        for atom in c.premise:
-            if isinstance(atom, Eq):
-                lv = eval_term(inst, env, atom.left, virtual=True)
-                rv = eval_term(inst, env, atom.right, virtual=True)
-                if not values_equal(inst, lv, rv):
-                    ok = False
-                    break
-            else:
-                assert isinstance(atom, Cmp)
-                lv = eval_term(inst, env, atom.left, virtual=True)
-                rv = eval_term(inst, env, atom.right, virtual=True)
-                if not (isinstance(lv, Const) and isinstance(rv, Const)):
-                    ok = False
-                    break
-                if not apply_predicate(atom.op, lv.value, rv.value):
-                    ok = False
-                    break
-        if ok:
+        env = solve_premise(inst, c, pinned, dict(zip(names, combo)))
+        if env is not None:
             yield env
 
 
 def conclusion_satisfied(inst: Instance, c: Constraint, env: dict[str, Value]) -> bool:
     """Is the conclusion already witnessed under the given premise match?"""
-    if not c.existentials:
-        return _equations_hold(inst, c.conclusion, env)
-    carriers = [inst.carrier(entity) for _, entity in c.existentials]
     names = [n for n, _ in c.existentials]
+    carriers = [inst.carrier(entity) for _, entity in c.existentials]
     for combo in itertools.product(*carriers):
         attempt = dict(env)
         attempt.update(zip(names, combo))
-        if _equations_hold(inst, c.conclusion, attempt):
+        for eq in c.conclusion:
+            if not _atom_holds(inst, attempt, eq):
+                break
+        else:
             return True
     return False
-
-
-def _equations_hold(inst: Instance, eqs: Iterable[Eq], env: dict[str, Value]) -> bool:
-    for eq in eqs:
-        lv = eval_term(inst, env, eq.left, virtual=True)
-        rv = eval_term(inst, env, eq.right, virtual=True)
-        if not values_equal(inst, lv, rv):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
+from typing import Callable
+
 from .errors import QueryError
 from .instance import (
     Const,
@@ -50,34 +52,51 @@ def evaluate(q: QuerySpec, sat: Instance) -> ResultTable:
     """Filtered cross product of the from-bindings, in deterministic order.
 
     Rows come out lexicographically over the canonical ids of the bound
-    tuple; labelled nulls render as "-". Atoms are applied as soon as their
-    variables are bound, so the full product is never materialized.
+    tuple; labelled nulls render as "-".
     """
     table = ResultTable(columns=tuple(name for name, _ in q.projections))
+
+    def emit(env: dict[str, Value]) -> None:
+        row = tuple(_render_cell(sat, eval_term(sat, env, term)) for _, term in q.projections)
+        table.rows.append(row)
+
+    _descend(q, sat, emit)
+    return table
+
+
+def _descend(
+    q: QuerySpec, sat: Instance, emit: Callable[[dict[str, Value]], None]
+) -> list[tuple[Eq, int]]:
+    """Bind the from-variables in order and call ``emit`` on every full tuple
+    that passes the where-atoms.
+
+    Each atom is applied as soon as its variables are bound, so the full
+    product is never materialized. Returns the atoms in the order they are
+    applied, each with the number of partial tuples that passed it.
+    """
     carriers = [sat.carrier(entity) for _, entity in q.bindings]
     names = [name for name, _ in q.bindings]
 
     # Pre-compute, per binding position, which atoms become checkable there.
-    stage: list[list[Eq]] = [[] for _ in q.bindings]
-    for atom in q.wheres:
+    stage: list[list[int]] = [[] for _ in q.bindings]
+    for k, atom in enumerate(q.wheres):
         needed = _atom_vars(atom)
         last = 0
         for i, name in enumerate(names):
             if name in needed:
                 last = i
-        stage[last].append(atom)
+        stage[last].append(k)
+    passed = [0] * len(q.wheres)
 
     def descend(depth: int, env: dict[str, Value]) -> None:
         if depth == len(carriers):
-            row = []
-            for _, term in q.projections:
-                row.append(_render_cell(sat, eval_term(sat, env, term)))
-            table.rows.append(tuple(row))
+            emit(env)
             return
         for elem in carriers[depth]:
             env[names[depth]] = elem
             ok = True
-            for atom in stage[depth]:
+            for k in stage[depth]:
+                atom = q.wheres[k]
                 lv = eval_term(sat, env, atom.left)
                 rv = eval_term(sat, env, atom.right)
                 if lv is UNDEFINED or rv is UNDEFINED:
@@ -87,12 +106,13 @@ def evaluate(q: QuerySpec, sat: Instance) -> ResultTable:
                 if not values_equal(sat, lv, rv):
                     ok = False
                     break
+                passed[k] += 1
             if ok:
                 descend(depth + 1, env)
         env.pop(names[depth], None)
 
     descend(0, {})
-    return table
+    return [(q.wheres[k], passed[k]) for ks in stage for k in ks]
 
 
 def _atom_vars(atom: Eq) -> set[str]:
@@ -106,10 +126,14 @@ def _atom_vars(atom: Eq) -> set[str]:
 
 @dataclass
 class JoinPlan:
+    """How ``evaluate`` runs a query. Each filter count is the number of
+    partial tuples that passed the atom; filters are listed in the order the
+    descent applies them."""
+
     query: str
     bindings: list[tuple[str, str, int]]  # (variable, entity, carrier size)
     product_size: int
-    filters: list[tuple[str, int]]  # (rendered atom, rows surviving)
+    filters: list[tuple[str, int]]  # (rendered atom, partial tuples passed)
     result_rows: int
 
     @property
@@ -133,32 +157,18 @@ def explain(q: QuerySpec, sat: Instance) -> JoinPlan:
     """Describe the evaluation: binding order, filters, and cardinalities."""
     from .printer import render_term
 
-    carriers = [sat.carrier(entity) for _, entity in q.bindings]
-    names = [name for name, _ in q.bindings]
-    bindings = [
-        (name, entity, len(carrier))
-        for (name, entity), carrier in zip(q.bindings, carriers)
-    ]
-    product = 1
-    for c in carriers:
-        product *= len(c)
-    tuples: list[dict[str, Value]] = [
-        dict(zip(names, combo)) for combo in itertools.product(*carriers)
-    ]
-    filters: list[tuple[str, int]] = []
-    for atom in q.wheres:
-        survivors = []
-        for env in tuples:
-            lv = eval_term(sat, env, atom.left)
-            rv = eval_term(sat, env, atom.right)
-            if values_equal(sat, lv, rv):
-                survivors.append(env)
-        tuples = survivors
-        filters.append((f"{render_term(atom.left)} = {render_term(atom.right)}", len(tuples)))
+    bindings = [(name, entity, len(sat.carrier(entity))) for name, entity in q.bindings]
+    rows = 0
+
+    def count(env: dict[str, Value]) -> None:
+        nonlocal rows
+        rows += 1
+
+    filters = _descend(q, sat, count)
     return JoinPlan(
         query=q.name,
         bindings=bindings,
-        product_size=product,
-        filters=filters,
-        result_rows=len(tuples),
+        product_size=math.prod(size for _, _, size in bindings),
+        filters=[(f"{render_term(a.left)} = {render_term(a.right)}", n) for a, n in filters],
+        result_rows=rows,
     )

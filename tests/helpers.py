@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the engine's own evaluation paths: the
 query oracle materializes the full cross product with its own term walker,
-the cycle oracle is a plain DFS over hand-reachable edges, and the random
+the matcher oracle is the engine's first premise matcher kept verbatim, the
+cycle oracle is a plain DFS over hand-reachable edges, and the random
 constraint-set generator builds inputs from primitive templates only.
 """
 
@@ -23,11 +24,19 @@ from catamerge import (
     new_instance,
     sigma_insert,
 )
-from catamerge.instance import UNDEFINED, ElementId, NullRef
+from catamerge.instance import (
+    UNDEFINED,
+    ElementId,
+    NullRef,
+    VirtualElem,
+    eval_term,
+    values_equal,
+)
 from catamerge.parser import Document, SourceDocument, parse_document
 from catamerge.query import QuerySpec
 from catamerge.schema import (
     Attribute,
+    Cmp,
     Eq,
     ForeignKey,
     PathApp,
@@ -35,8 +44,10 @@ from catamerge.schema import (
     Term,
     Var,
     Path,
+    _term_vars,
+    constraint_pinned_vars,
 )
-from catamerge.typeside import BaseType
+from catamerge.typeside import BaseType, apply_predicate
 
 FIXTURES = FsPath(__file__).parent / "fixtures"
 
@@ -150,6 +161,66 @@ def oracle_evaluate(q: QuerySpec, sat: Instance) -> list[tuple[str, ...]]:
         if keep:
             rows.append(tuple(_oracle_render(sat, _oracle_eval(sat, env, t)) for _, t in q.projections))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# Matcher oracle: the naive premise matcher, which derives its own evaluation
+# order for the pinned variables
+
+def _oracle_pinned_order(pinned: dict[str, Eq]) -> list[str]:
+    remaining = dict(pinned)
+    order: list[str] = []
+    while remaining:
+        progressed = False
+        for name, atom in list(remaining.items()):
+            other = atom.right if isinstance(atom.left, Var) and atom.left.name == name else atom.left
+            if all(d not in remaining for d in _term_vars(other)):
+                order.append(name)
+                del remaining[name]
+                progressed = True
+        if not progressed:
+            order.extend(remaining)
+            break
+    return order
+
+
+def oracle_matches(inst: Instance, c: Constraint) -> list[dict]:
+    """All premise matches, in lexicographic assignment order."""
+    pinned = constraint_pinned_vars(c)
+    order = _oracle_pinned_order(pinned)
+    enumerated = [(n, e) for n, e in c.universals if n not in pinned]
+    carriers = [inst.carrier(entity) for _, entity in enumerated]
+    matches = []
+    for combo in itertools.product(*carriers):
+        env = {name: elem for (name, _), elem in zip(enumerated, combo)}
+        ok = True
+        for name in order:
+            atom = pinned[name]
+            other = atom.right if isinstance(atom.left, Var) and atom.left.name == name else atom.left
+            value = eval_term(inst, env, other, virtual=True)
+            if not isinstance(value, (ElementId, VirtualElem)):
+                ok = False
+                break
+            env[name] = value
+        if not ok:
+            continue
+        for atom in c.premise:
+            lv = eval_term(inst, env, atom.left, virtual=True)
+            rv = eval_term(inst, env, atom.right, virtual=True)
+            if isinstance(atom, Eq):
+                ok = values_equal(inst, lv, rv)
+            else:
+                assert isinstance(atom, Cmp)
+                ok = (
+                    isinstance(lv, Const)
+                    and isinstance(rv, Const)
+                    and apply_predicate(atom.op, lv.value, rv.value)
+                )
+            if not ok:
+                break
+        if ok:
+            matches.append(env)
+    return matches
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import helpers
 from catamerge import (
     ChaseConfig,
     ChasePreconditionError,
+    Instance,
     chase,
     check_model,
     combine_schemas,
@@ -19,7 +20,20 @@ from catamerge import (
 )
 from catamerge.chase import EXHAUSTED, FAILED, SATURATED, MergePair, replay
 from catamerge.instance import enumerate_matches
-from catamerge.schema import Const, Constraint, Eq, ForeignKey, PathApp, Path, Schema, Var
+from catamerge.schema import (
+    Attribute,
+    Cmp,
+    Const,
+    Constraint,
+    Eq,
+    ForeignKey,
+    PathApp,
+    Path,
+    Schema,
+    Var,
+    _term_vars,
+    constraint_pinned_vars,
+)
 from catamerge.typeside import BaseType
 
 
@@ -128,6 +142,81 @@ def test_chase_deterministic_traces(example2):
     b = chase(pre, cs)
     assert a.trace.render() == b.trace.render()
     assert a.trace.render() != ""
+
+
+def test_chase_traces_match_golden(example1, example2):
+    for name, (_, combined, pre) in (("example1", example1), ("example2", example2)):
+        trace = chase(pre, list(combined.schema.constraints)).trace.render()
+        assert trace.encode("utf-8") == (helpers.FIXTURES / f"{name}.trace").read_bytes()
+
+
+def _matcher_cases() -> list[tuple[Instance, Constraint]]:
+    """Premises whose pins chain, chain out of order or form a cycle, then
+    predicates over a mix of constants and labelled nulls."""
+    schema = Schema(
+        "P",
+        ("E",),
+        (ForeignKey("f", "E", "E"), ForeignKey("g", "E", "E")),
+        (Attribute("n", "E", BaseType.STRING),),
+    )
+    inst = helpers.random_instance(random.Random(5), schema, max_elements=6)
+    for elem in inst.elements("E")[::2]:
+        inst.set_attr(elem, "n", Const(BaseType.STRING, elem.name))
+
+    def f(v: str) -> PathApp:
+        return PathApp(v, Path("E", ("f",)))
+
+    def g(v: str) -> PathApp:
+        return PathApp(v, Path("E", ("g",)))
+
+    def n(v: str) -> PathApp:
+        return PathApp(v, Path("E", (), "n"))
+
+    universals = (("a", "E"), ("b", "E"), ("c", "E"))
+    premises = [
+        (Eq(Var("b"), f("a")), Eq(Var("c"), g("b"))),  # in order: both pinned
+        (Eq(Var("c"), g("b")), Eq(Var("b"), f("a"))),  # out of order: c demoted
+        (Eq(Var("a"), f("b")), Eq(Var("b"), g("a"))),  # cycle: a demoted
+        (Eq(g("c"), Var("b")), Eq(Var("a"), Var("c"))),
+        (Cmp("<", n("a"), n("b")),),
+        (Eq(Var("b"), f("a")), Cmp(">=", n("b"), Const(BaseType.STRING, "e_2"))),
+    ]
+    return [
+        (inst, Constraint(universals, premise, (), (Eq(Var("a"), Var("b")),)))
+        for premise in premises
+    ]
+
+
+def test_enumerate_matches_agrees_with_oracle(example1_saturated, example2_saturated):
+    cases = _matcher_cases()
+    for _, combined, pre, result in (example1_saturated, example2_saturated):
+        for inst in (pre, result.instance):
+            cases.extend((inst, c) for c in combined.schema.constraints)
+    rng = random.Random(31)
+    for _ in range(200):
+        _, inst, constraints = helpers.random_weakly_acyclic_case(rng)
+        saturated = chase(inst, constraints).instance
+        cases.extend((i, c) for c in constraints for i in (inst, saturated))
+    for inst, c in cases:
+        got = [list(env.items()) for env in enumerate_matches(inst, c)]
+        want = [list(env.items()) for env in helpers.oracle_matches(inst, c)]
+        assert got == want
+
+
+def test_pinned_vars_depend_only_on_earlier_pins(example1, example2):
+    constraints = [c for _, c in _matcher_cases()]
+    for _, combined, _ in (example1, example2):
+        constraints.extend(combined.schema.constraints)
+    for c in constraints:
+        earlier: set[str] = set()
+        pinned = constraint_pinned_vars(c)
+        for name, atom in pinned.items():
+            other = atom.right if isinstance(atom.left, Var) and atom.left.name == name else atom.left
+            assert _term_vars(other) & pinned.keys() <= earlier, (c, name)
+            earlier.add(name)
+    assert [list(constraint_pinned_vars(c)) for c in constraints[:4]] == [
+        ["b", "c"], ["b"], ["b"], ["b", "a"],
+    ]
 
 
 def test_chase_soundness_on_examples(example1_saturated, example2_saturated):

@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
+import pytest
+
 import helpers
 from catamerge.cli import main
 
@@ -72,6 +78,44 @@ def test_max_rounds_env_override(tmp_path, monkeypatch, capsys):
     assert main(["integrate", EX2, "--out", str(tmp_path / "o")]) == 3
     monkeypatch.delenv("CATAMERGE_MAX_ROUNDS")
     assert main(["integrate", EX2, "--out", str(tmp_path / "o2")]) == 0
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_max_rounds_below_one_exits_one(tmp_path, capsys, value):
+    code = main(["integrate", EX1, "--out", str(tmp_path / "o"), "--max-rounds", value])
+    assert code == 1
+    assert "--max-rounds" in _one_line_error(capsys)
+
+
+def test_max_rounds_env_below_one_exits_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CATAMERGE_MAX_ROUNDS", "0")
+    assert main(["integrate", EX1, "--out", str(tmp_path / "o")]) == 1
+    assert "CATAMERGE_MAX_ROUNDS" in _one_line_error(capsys)
+
+
+def test_out_naming_a_file_exits_one(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["integrate", EX1, "--out", str(taken)]) == 1
+    assert "taken" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("module", ["catamerge", "catamerge.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    src = str(helpers.FIXTURES.parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", module, "check", EX1],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("ok:")
 
 
 def test_query_tenant_billing_matches_table2(tmp_path, capsys):

@@ -135,9 +135,21 @@ def test_explain_contradictory_where_flags_empty(example2_saturated):
         q.projections,
     )
     plan = explain(contradictory, result.instance)
+    # counted in partial (lease) tuples, in the order the filters run
+    assert plan.filters == [
+        ('lease.leasee.personName = "Person B"', 1),
+        ('lease.leasee.personName = "Person C"', 0),
+    ]
     assert plan.empty
     assert "empty result" in plan.render()
     assert evaluate(contradictory, result.instance).rows == []
+
+
+def test_explain_result_rows_match_evaluate(example1_saturated, example2_saturated):
+    for env, _, _, result in (example1_saturated, example2_saturated):
+        for q in env.queries.values():
+            plan = explain(q, result.instance)
+            assert plan.result_rows == len(evaluate(q, result.instance).rows)
 
 
 def test_query_over_empty_instance(example1):
