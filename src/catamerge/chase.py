@@ -41,7 +41,6 @@ from .schema import (
     check_constraint,
     check_weak_acyclicity,
     classify_constraint,
-    constraint_pinned_vars,
     term_sort,
 )
 from .typeside import BaseType
@@ -308,7 +307,7 @@ def fire_once(
     elements for existentials and for unset foreign keys along conclusion
     paths.
     """
-    pinned = constraint_pinned_vars(c)
+    pinned = c.plan.pinned
     live = {name: inst.find(env[name]) for name, _ in c.universals if name not in pinned}
     live_env = solve_premise(inst, c, pinned, live)
     if live_env is None:

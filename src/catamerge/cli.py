@@ -72,19 +72,15 @@ def _max_rounds(text: str) -> int:
 
 def _default_max_rounds() -> Optional[int]:
     """The round budget from the environment, or None (after printing an
-    error) when it is set below 1."""
+    error) when it is not an integer of at least 1."""
     raw = os.environ.get(MAX_ROUNDS_ENV)
     if raw is None:
         return 10000
     try:
-        value = int(raw)
-    except ValueError:
-        print(f"warning: ignoring non-numeric {MAX_ROUNDS_ENV}={raw!r}", file=sys.stderr)
-        return 10000
-    if value < 1:
-        print(f"error: {MAX_ROUNDS_ENV} must be >= 1, got {value}", file=sys.stderr)
+        return _max_rounds(raw)
+    except argparse.ArgumentTypeError as err:
+        print(f"error: {MAX_ROUNDS_ENV}: {err}", file=sys.stderr)
         return None
-    return value
 
 
 def _build_manifest(args: argparse.Namespace) -> Optional[RunManifest]:

@@ -9,12 +9,13 @@ attribute; constants overwrite nulls, never other constants.
 
 from __future__ import annotations
 
-import itertools
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import ConstantClash, InstanceError
 from .schema import (
+    BindStep,
     Cmp,
     Const,
     Constraint,
@@ -25,7 +26,6 @@ from .schema import (
     Schema,
     Term,
     Var,
-    constraint_pinned_vars,
 )
 from .typeside import apply_predicate
 
@@ -335,9 +335,9 @@ class Instance:
         """Merge two element classes, propagating congruence closure eagerly."""
         self._mutable()
         report = MergeReport()
-        work: list[tuple[ElementId, ElementId]] = [(a, b)]
+        work: deque[tuple[ElementId, ElementId]] = deque([(a, b)])
         while work:
-            x, y = work.pop(0)
+            x, y = work.popleft()
             rx, ry = self.find(x), self.find(y)
             if rx == ry:
                 continue
@@ -478,7 +478,7 @@ def render_value(inst: Instance, v: Value) -> str:
 # Premise matching
 
 def solve_premise(
-    inst: Instance, c: Constraint, pinned: dict[str, Eq], env: dict[str, Value]
+    inst: Instance, c: Constraint, pinned: Mapping[str, Eq], env: dict[str, Value]
 ) -> Optional[dict[str, Value]]:
     """Extend ``env`` with the pinned variables and check the premise.
 
@@ -511,33 +511,93 @@ def _atom_holds(inst: Instance, env: dict[str, Value], atom: Union[Eq, Cmp]) -> 
     return apply_predicate(atom.op, lv.value, rv.value)
 
 
+def _join_key(inst: Instance, value: Value) -> object:
+    """A hash key such that ``values_equal(a, b)`` implies equal keys; None
+    for UNDEFINED, which equals nothing."""
+    if isinstance(value, ElementId):
+        return inst.find(value)
+    if isinstance(value, VirtualElem):
+        return (inst.find(value.base), value.steps)
+    if isinstance(value, Const):
+        return (value.type, value.value)
+    if isinstance(value, NullRef):
+        return inst.null_find(value.label)
+    return None
+
+
+class _Binder:
+    """Binds the variables of a list of plan steps, depth first, in place.
+
+    Candidates only prune: the caller still checks every atom. Carriers and
+    hash indexes are built at most once per binder, from the instance as it
+    is then, so a binder is used up before the instance changes.
+    """
+
+    def __init__(self, inst: Instance, steps: tuple[BindStep, ...]):
+        self.inst = inst
+        self.steps = steps
+        self.pools: list = [None] * len(steps)  # per step: carrier or hash index
+
+    def bind(self, env: dict[str, Value], depth: int = 0) -> Iterator[dict[str, Value]]:
+        """Yield ``env`` once per candidate combination, in candidate order."""
+        if depth == len(self.steps):
+            yield env
+            return
+        var = self.steps[depth].var
+        for elem in self._candidates(depth, env):
+            env[var] = elem
+            yield from self.bind(env, depth + 1)
+
+    def _candidates(self, depth: int, env: dict[str, Value]) -> Iterable[ElementId]:
+        inst, step = self.inst, self.steps[depth]
+        if step.pin is not None:
+            value = eval_term(inst, env, step.pin, virtual=True)
+            if isinstance(value, ElementId) and value.entity == step.entity:
+                return (inst.find(value),)
+            return ()
+        pool = self.pools[depth]
+        if pool is None:
+            pool = self.pools[depth] = self._pool(step)
+        if step.probe is None:
+            return pool
+        return pool.get(_join_key(inst, eval_term(inst, env, step.probe[1], virtual=True)), ())
+
+    def _pool(self, step: BindStep) -> Union[list[ElementId], dict[object, list[ElementId]]]:
+        """The carrier, or with a probe its hash index; buckets keep carrier order."""
+        carrier = self.inst.carrier(step.entity)
+        if step.probe is None:
+            return carrier
+        index: dict[object, list[ElementId]] = {}
+        side = step.probe[0]
+        for elem in carrier:
+            key = _join_key(self.inst, eval_term(self.inst, {step.var: elem}, side, virtual=True))
+            if key is not None:
+                index.setdefault(key, []).append(elem)
+        return index
+
+
 def enumerate_matches(inst: Instance, c: Constraint) -> Iterator[dict[str, Value]]:
     """All premise matches, in lexicographic assignment order.
 
-    Universal variables pinned by a premise atom ``v = term`` are solved
-    rather than enumerated; remaining atoms act as filters.
+    The enumerated universals are bound by index probes or carrier scans
+    (``Constraint.plan``); ``solve_premise`` then solves the pinned ones and
+    checks every premise atom.
     """
-    pinned = constraint_pinned_vars(c)
-    enumerated = [(n, e) for n, e in c.universals if n not in pinned]
-    names = [n for n, _ in enumerated]
-    carriers = [inst.carrier(entity) for _, entity in enumerated]
-    for combo in itertools.product(*carriers):
-        env = solve_premise(inst, c, pinned, dict(zip(names, combo)))
-        if env is not None:
-            yield env
+    plan = c.plan
+    for env in _Binder(inst, plan.premise).bind({}):
+        match = solve_premise(inst, c, plan.pinned, dict(env))
+        if match is not None:
+            yield match
 
 
 def conclusion_satisfied(inst: Instance, c: Constraint, env: dict[str, Value]) -> bool:
-    """Is the conclusion already witnessed under the given premise match?"""
-    names = [n for n, _ in c.existentials]
-    carriers = [inst.carrier(entity) for _, entity in c.existentials]
-    for combo in itertools.product(*carriers):
-        attempt = dict(env)
-        attempt.update(zip(names, combo))
-        for eq in c.conclusion:
-            if not _atom_holds(inst, attempt, eq):
-                break
-        else:
+    """Is the conclusion already witnessed under the given premise match?
+
+    A pinned existential has one candidate, an unpinned one its carrier;
+    each combination is checked against the whole conclusion.
+    """
+    for attempt in _Binder(inst, c.plan.conclusion).bind(dict(env)):
+        if all(_atom_holds(inst, attempt, eq) for eq in c.conclusion):
             return True
     return False
 

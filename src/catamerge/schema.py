@@ -11,7 +11,9 @@ acyclicity guard for chase termination.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import SchemaError
 from .typeside import (
@@ -119,6 +121,11 @@ class Constraint:
         out = dict(self.universals)
         out.update(self.existentials)
         return out
+
+    @cached_property
+    def plan(self) -> "BindingPlan":
+        """How the matcher binds this constraint's variables; computed once."""
+        return binding_plan(self)
 
 
 @dataclass(frozen=True)
@@ -437,6 +444,80 @@ def constraint_pinned_vars(c: Constraint) -> dict[str, Eq]:
             if changed:
                 break
     return pinned
+
+
+class BindStep(NamedTuple):
+    """How one variable gets its candidates.
+
+    With a ``pin``, a term over variables bound earlier, the only candidate
+    is the class the term evaluates to. With a ``probe``, the two sides of a
+    premise equation, the first a path on this variable and the second over
+    variables enumerated earlier, the candidates are one bucket of a hash
+    index over the carrier. With neither, the whole carrier is scanned.
+    """
+
+    var: str
+    entity: str
+    pin: Optional[Term] = None
+    probe: Optional[tuple[Term, Term]] = None
+
+
+class BindingPlan(NamedTuple):
+    pinned: Mapping[str, Eq]  # constraint_pinned_vars, read-only
+    premise: tuple[BindStep, ...]  # the enumerated universals, in declaration order
+    conclusion: tuple[BindStep, ...]  # the existentials, in solving order
+
+
+def binding_plan(c: Constraint) -> BindingPlan:
+    """Pins and probe atoms of a constraint, for ``Constraint.plan``.
+
+    The enumerated universals keep their declaration order, so matches come
+    out in lexicographic carrier order. Each probes with the first premise
+    equation joining it to the universals enumerated before it. The next
+    existential bound is the first one pinned by a conclusion equation
+    ``y = t`` with ``t`` over bound variables; when none is, the first
+    remaining one in declaration order is scanned.
+    """
+    pinned = constraint_pinned_vars(c)
+    premise: list[BindStep] = []
+    earlier: set[str] = set()
+    for name, entity in c.universals:
+        if name not in pinned:
+            premise.append(BindStep(name, entity, probe=_probe(c.premise, name, earlier)))
+            earlier.add(name)
+    bound = {name for name, _ in c.universals}
+    pending = list(c.existentials)
+    conclusion: list[BindStep] = []
+    while pending:
+        pins = [(i, _pin_term(c.conclusion, name, bound)) for i, (name, _) in enumerate(pending)]
+        at, pin = next(((i, t) for i, t in pins if t is not None), (0, None))
+        name, entity = pending.pop(at)
+        conclusion.append(BindStep(name, entity, pin=pin))
+        bound.add(name)
+    return BindingPlan(MappingProxyType(pinned), tuple(premise), tuple(conclusion))
+
+
+def _sides(atom: Atom) -> tuple[tuple[Term, Term], tuple[Term, Term]]:
+    return (atom.left, atom.right), (atom.right, atom.left)
+
+
+def _pin_term(conclusion: tuple[Eq, ...], name: str, bound: set[str]) -> Optional[Term]:
+    for eq in conclusion:
+        for side, other in _sides(eq):
+            if isinstance(side, Var) and side.name == name and _term_vars(other) <= bound:
+                return other
+    return None
+
+
+def _probe(premise: tuple[Atom, ...], name: str, earlier: set[str]) -> Optional[tuple[Term, Term]]:
+    for atom in premise:
+        if not isinstance(atom, Eq):
+            continue
+        for side, other in _sides(atom):
+            on_name = isinstance(side, (Var, PathApp)) and _term_vars(side) == {name}
+            if on_name and _term_vars(other) <= earlier:
+                return side, other
+    return None
 
 
 def check_weak_acyclicity(constraints: Iterable[Constraint], schema: Schema) -> AcyclicityResult:

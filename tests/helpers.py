@@ -3,6 +3,7 @@
 The oracles here deliberately avoid the engine's own evaluation paths: the
 query oracle materializes the full cross product with its own term walker,
 the matcher oracle is the engine's first premise matcher kept verbatim, the
+witness oracle is the engine's first carrier-scanning witness search, the
 cycle oracle is a plain DFS over hand-reachable edges, and the random
 constraint-set generator builds inputs from primitive templates only.
 """
@@ -29,6 +30,7 @@ from catamerge.instance import (
     ElementId,
     NullRef,
     VirtualElem,
+    _atom_holds,
     eval_term,
     values_equal,
 )
@@ -221,6 +223,22 @@ def oracle_matches(inst: Instance, c: Constraint) -> list[dict]:
         if ok:
             matches.append(env)
     return matches
+
+
+def oracle_conclusion_satisfied(inst: Instance, c: Constraint, env: dict) -> bool:
+    """Is the conclusion witnessed? Scans the product of the existential
+    carriers for an assignment under which every conclusion atom holds."""
+    names = [n for n, _ in c.existentials]
+    carriers = [inst.carrier(entity) for _, entity in c.existentials]
+    for combo in itertools.product(*carriers):
+        attempt = dict(env)
+        attempt.update(zip(names, combo))
+        for eq in c.conclusion:
+            if not _atom_holds(inst, attempt, eq):
+                break
+        else:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ from catamerge import (
     verify_universality,
 )
 from catamerge.chase import EXHAUSTED, FAILED, SATURATED, MergePair, replay
-from catamerge.instance import enumerate_matches
+import catamerge.instance
+from catamerge.instance import conclusion_satisfied, enumerate_matches
 from catamerge.schema import (
     Attribute,
     Cmp,
@@ -27,6 +28,7 @@ from catamerge.schema import (
     Constraint,
     Eq,
     ForeignKey,
+    FunApp,
     PathApp,
     Path,
     Schema,
@@ -187,8 +189,11 @@ def _matcher_cases() -> list[tuple[Instance, Constraint]]:
     ]
 
 
-def test_enumerate_matches_agrees_with_oracle(example1_saturated, example2_saturated):
-    cases = _matcher_cases()
+def _differential_cases(example1_saturated, example2_saturated) -> list[tuple[Instance, Constraint]]:
+    """Both fixtures' constraints over their pre-chase and saturated
+    instances, and 200 seeded random weakly acyclic cases, before and after
+    their chase."""
+    cases = []
     for _, combined, pre, result in (example1_saturated, example2_saturated):
         for inst in (pre, result.instance):
             cases.extend((inst, c) for c in combined.schema.constraints)
@@ -197,10 +202,205 @@ def test_enumerate_matches_agrees_with_oracle(example1_saturated, example2_satur
         _, inst, constraints = helpers.random_weakly_acyclic_case(rng)
         saturated = chase(inst, constraints).instance
         cases.extend((i, c) for c in constraints for i in (inst, saturated))
+    return cases
+
+
+def test_enumerate_matches_agrees_with_oracle(example1_saturated, example2_saturated):
+    cases = _matcher_cases() + _differential_cases(example1_saturated, example2_saturated)
     for inst, c in cases:
         got = [list(env.items()) for env in enumerate_matches(inst, c)]
         want = [list(env.items()) for env in helpers.oracle_matches(inst, c)]
         assert got == want
+
+
+def _join_instance() -> Instance:
+    """Elements whose attributes and foreign keys exercise each kind of join
+    key: equal constants, unified nulls, a null against a constant, Int
+    against Double, and undefined foreign keys inside one merged class."""
+    s, i, d = BaseType.STRING, BaseType.INT, BaseType.DOUBLE
+    schema = Schema(
+        "J",
+        ("E",),
+        (ForeignKey("f", "E", "E"),),
+        (Attribute("s", "E", s), Attribute("t", "E", s), Attribute("i", "E", i),
+         Attribute("d", "E", d)),
+    )
+    inst = new_instance(schema, "joins")
+    e = [inst.add_element("E", f"e{k}") for k in range(8)]
+    inst.set_attr(e[0], "s", Const(s, "a"))
+    inst.set_attr(e[1], "t", Const(s, "a"))
+    inst.union_attrs(e[2], "s", e[3], "t")
+    inst.set_attr(e[4], "s", Const(s, "b"))
+    inst.set_attr(e[0], "i", Const(i, 1))
+    inst.set_attr(e[1], "d", Const(d, 1.0))
+    inst.set_fk(e[6], "f", e[0])
+    inst.set_fk(e[7], "f", e[0])
+    inst.merge_elements(e[4], e[5])
+    return inst
+
+
+def _join_premise(universals: str, *atoms) -> Constraint:
+    return Constraint(
+        tuple((v, "E") for v in universals), tuple(atoms), (), (Eq(Var("x"), Var("x")),)
+    )
+
+
+def _attr(v: str, name: str) -> PathApp:
+    return PathApp(v, Path("E", (), name))
+
+
+def test_enumerate_matches_joins_agree_with_oracle():
+    from catamerge.typeside import resolve_function
+
+    inst = _join_instance()
+    concat = resolve_function("concat", (BaseType.STRING, BaseType.STRING))
+    empty = Const(BaseType.STRING, "")
+    fx, fy = PathApp("x", Path("E", ("f",))), PathApp("y", Path("E", ("f",)))
+    cases = [
+        # equal constants match, and so do nulls unified into one class;
+        # e4's constant "b" meets only nulls and matches nothing
+        (_join_premise("xy", Eq(_attr("x", "s"), _attr("y", "t"))),
+         [("e0", "e1"), ("e2", "e3")]),
+        # Int 1 against Double 1.0
+        (_join_premise("xy", Eq(_attr("x", "i"), _attr("y", "d"))), []),
+        # undefined foreign keys meet only within one class
+        (_join_premise("xy", Eq(fx, fy)),
+         [(x, x) for x in ("e0", "e1", "e2", "e3", "e4")]
+         + [(x, y) for x in ("e6", "e7") for y in ("e6", "e7")]),
+        # a constant, and a function application, as the other side
+        (_join_premise("x", Eq(Const(BaseType.STRING, "a"), _attr("x", "s"))), [("e0",)]),
+        (_join_premise("xy", Eq(_attr("y", "t"), FunApp(concat, (_attr("x", "s"), empty)))),
+         [("e0", "e1")]),
+        # three enumerated variables, two join atoms
+        (_join_premise("xyz", Eq(_attr("x", "s"), _attr("y", "t")),
+                       Eq(_attr("z", "s"), _attr("y", "t"))),
+         [("e0", "e1", "e0"), ("e2", "e3", "e2")]),
+    ]
+    for c, want in cases:
+        # every variable after the first probes; a lone one probes the constant
+        probes = [step.probe is not None for step in c.plan.premise]
+        assert probes == [len(probes) == 1] + [True] * (len(probes) - 1)
+        got = [list(env.items()) for env in enumerate_matches(inst, c)]
+        assert got == [list(env.items()) for env in helpers.oracle_matches(inst, c)]
+        assert [tuple(elem.name for _, elem in env) for env in got] == want, c
+
+
+def _witness_cases() -> list[tuple[Instance, Constraint]]:
+    """Conclusions whose existentials are pinned in a chain, in the chain's
+    reverse order, through undefined foreign keys and onto merged classes,
+    one existential that no equation pins, and one ill-typed pin."""
+    st = BaseType.STRING
+    schema = Schema(
+        "W",
+        ("X", "Y", "Z"),
+        (ForeignKey("f", "X", "Y"), ForeignKey("g", "Y", "Z")),
+        (Attribute("xname", "X", st), Attribute("yname", "Y", st)),
+    )
+    inst = new_instance(schema, "witness")
+    zs = [inst.add_element("Z", f"z{k}") for k in range(3)]
+    ys = [inst.add_element("Y", f"y{k}") for k in range(6)]
+    xs = [inst.add_element("X", f"x{k}") for k in range(8)]
+    for k, y in enumerate(ys[:4]):
+        inst.set_fk(y, "g", zs[k % 3])
+    for x, y in zip(xs[:6], ys):
+        inst.set_fk(x, "f", y)
+    for k, x in enumerate(xs):
+        inst.set_attr(x, "xname", Const(st, f"n{k % 4}"))
+    for k, y in enumerate(ys[:3]):
+        inst.set_attr(y, "yname", Const(st, f"n{k}"))
+    inst.merge_elements(ys[4], ys[1])
+    inst.merge_elements(ys[5], ys[3])
+
+    f, g = PathApp("x", Path("X", ("f",))), PathApp("y", Path("Y", ("g",)))
+    y, z = ("y", "Y"), ("z", "Z")
+    conclusions = [
+        ((y, z), (Eq(f, Var("y")), Eq(g, Var("z")))),
+        ((y, z), (Eq(g, Var("z")), Eq(f, Var("y")))),
+        ((z, y), (Eq(Var("z"), g), Eq(Var("y"), f))),
+        ((y,), (Eq(PathApp("y", Path("Y", (), "yname")), PathApp("x", Path("X", (), "xname"))),)),
+        ((z,), (Eq(PathApp("x", Path("X", ("f", "g"))), Var("z")),)),
+        # ill-typed: a Z pinned into a Y, which the scan never matches
+        ((y,), (Eq(PathApp("x", Path("X", ("f", "g"))), Var("y")),)),
+    ]
+    return [(inst, Constraint((("x", "X"),), (), ex, concl)) for ex, concl in conclusions]
+
+
+def test_conclusion_satisfied_agrees_with_oracle(example1_saturated, example2_saturated):
+    witness_cases = _witness_cases()
+    pins = [[step.pin is not None for step in c.plan.conclusion] for _, c in witness_cases]
+    assert pins == [[True, True]] * 3 + [[False], [True], [True]]
+    cases = witness_cases + _differential_cases(example1_saturated, example2_saturated)
+    outcomes: set[tuple[bool, bool]] = set()
+    for inst, c in cases:
+        for env in enumerate_matches(inst, c):
+            got = conclusion_satisfied(inst, c, env)
+            assert got == helpers.oracle_conclusion_satisfied(inst, c, env), (c, env)
+            outcomes.add((bool(c.existentials), got))
+    assert len(outcomes) == 4
+    seen = [{conclusion_satisfied(inst, c, env) for env in enumerate_matches(inst, c)}
+            for inst, c in witness_cases]
+    assert seen == [{False, True}] * 5 + [{False}]
+
+
+def _existential_case(n: int) -> tuple[Instance, list[Constraint]]:
+    """2n X rows, f set on every other one; n Y rows."""
+    schema = Schema("S", ("X", "Y"), (ForeignKey("f", "X", "Y"),), ())
+    inst = new_instance(schema, "existential")
+    ys = [inst.add_element("Y", f"y{k:03d}") for k in range(n)]
+    for k in range(2 * n):
+        x = inst.add_element("X", f"x{k:03d}")
+        if k % 2 == 0:
+            inst.set_fk(x, "f", ys[k // 2])
+    rule = Constraint(
+        (("x", "X"),), (), (("y", "Y"),), (Eq(PathApp("x", Path("X", ("f",))), Var("y")),)
+    )
+    return inst, [rule]
+
+
+def _name_join_case(n: int) -> tuple[Instance, list[Constraint]]:
+    """n Locations named by spaceName and n by roomName, paired by name."""
+    st = BaseType.STRING
+    schema = Schema(
+        "L", ("Location",), (),
+        (Attribute("spaceName", "Location", st), Attribute("roomName", "Location", st)),
+    )
+    inst = new_instance(schema, "locations")
+    for k in range(n):
+        for attr in ("spaceName", "roomName"):
+            elem = inst.add_element("Location", f"{attr}{k:03d}")
+            inst.set_attr(elem, attr, Const(st, f"Room {k}"))
+    rule = Constraint(
+        (("l1", "Location"), ("l2", "Location")),
+        (Eq(PathApp("l1", Path("Location", (), "spaceName")),
+            PathApp("l2", Path("Location", (), "roomName"))),),
+        (),
+        (Eq(Var("l1"), Var("l2")),),
+    )
+    return inst, [rule]
+
+
+@pytest.mark.parametrize("build", [_existential_case, _name_join_case])
+def test_matching_work_grows_linearly(monkeypatch, build):
+    """Term evaluations in chase plus check_model, counted at n and 4n: a
+    carrier scan per match would grow them about 16-fold."""
+    def evaluations(n: int) -> int:
+        calls = 0
+        original = catamerge.instance.eval_term
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+
+        pre, constraints = build(n)
+        with monkeypatch.context() as m:
+            m.setattr(catamerge.instance, "eval_term", counting)
+            result = chase(pre, constraints)
+            assert result.saturated and check_model(result.instance, constraints).ok
+        return calls
+
+    small, large = evaluations(20), evaluations(80)
+    assert large <= 5 * small, (small, large)
 
 
 def test_pinned_vars_depend_only_on_earlier_pins(example1, example2):

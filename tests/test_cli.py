@@ -99,6 +99,13 @@ def test_max_rounds_env_below_one_exits_one(tmp_path, monkeypatch, capsys):
     assert "CATAMERGE_MAX_ROUNDS" in _one_line_error(capsys)
 
 
+def test_max_rounds_env_not_an_integer_exits_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CATAMERGE_MAX_ROUNDS", "abc")
+    assert main(["integrate", EX1, "--out", str(tmp_path / "o")]) == 1
+    assert "CATAMERGE_MAX_ROUNDS" in _one_line_error(capsys)
+    assert not (tmp_path / "o").exists()
+
+
 def test_out_naming_a_file_exits_one(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("")
