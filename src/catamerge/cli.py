@@ -53,6 +53,9 @@ def _load(files: list[str]) -> Optional[Document]:
         except OSError as err:
             print(f"error: cannot read {name}: {err}", file=sys.stderr)
             return None
+        except UnicodeDecodeError as err:
+            print(f"error: cannot read {name}: not valid UTF-8 ({err})", file=sys.stderr)
+            return None
         parse_document(SourceDocument(str(path), text), env)
     for diag in env.diagnostics:
         print(str(diag), file=sys.stderr)

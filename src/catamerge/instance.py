@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .errors import ConstantClash, InstanceError
 from .schema import (
@@ -30,9 +30,9 @@ from .schema import (
 from .typeside import apply_predicate
 
 
-@dataclass(frozen=True)
-class ElementId:
-    """Identity of an element: user-declared row or chase-created fresh null."""
+class ElementId(NamedTuple):
+    """Identity of an element: user-declared row or chase-created fresh null.
+    A tuple, so hashing and equality run in C."""
 
     entity: str
     name: str
@@ -99,7 +99,8 @@ class Instance:
     def __init__(self, schema: Schema, name: str = "instance"):
         self.schema = schema
         self.name = name
-        self._elements: dict[str, list[ElementId]] = {e: [] for e in schema.entities}
+        # Per entity, name -> element in creation order.
+        self._elements: dict[str, dict[str, ElementId]] = {e: {} for e in schema.entities}
         self._parent: dict[ElementId, ElementId] = {}
         self._members: dict[ElementId, list[ElementId]] = {}
         self._fks: dict[ElementId, dict[str, ElementId]] = {}
@@ -115,7 +116,7 @@ class Instance:
 
     def copy(self) -> "Instance":
         out = Instance(self.schema, self.name)
-        out._elements = {e: list(v) for e, v in self._elements.items()}
+        out._elements = {e: dict(v) for e, v in self._elements.items()}
         out._parent = dict(self._parent)
         out._members = {k: list(v) for k, v in self._members.items()}
         out._fks = {k: dict(v) for k, v in self._fks.items()}
@@ -142,28 +143,24 @@ class Instance:
         """All raw elements of an entity, in creation order."""
         if entity not in self._elements:
             raise InstanceError(f"'{entity}' is not an entity of schema {self.schema.name}")
-        return list(self._elements[entity])
+        return list(self._elements[entity].values())
 
     def carrier(self, entity: str) -> list[ElementId]:
         """Canonical class representatives of an entity, sorted by export id."""
         roots = {self.find(e) for e in self.elements(entity)}
-        return sorted(roots, key=self.export_id)
+        return sorted(roots, key=lambda root: root.name)
 
     def members(self, elem: ElementId) -> list[ElementId]:
         return sorted(self._members[self.find(elem)], key=lambda e: e.sort_key())
 
     def export_id(self, elem: ElementId) -> str:
         """Lexicographically least user-declared id in the class, or the
-        fresh-null label when the class has no user row."""
-        root = self.find(elem)
-        user = [m.name for m in self._members[root] if not m.fresh]
-        return min(user) if user else root.name
+        fresh-null label when the class has no user row: the root's name,
+        since a merge keeps the member with the least ``(fresh, name)``."""
+        return self.find(elem).name
 
     def element_named(self, entity: str, name: str) -> Optional[ElementId]:
-        for e in self._elements.get(entity, ()):
-            if e.name == name:
-                return e
-        return None
+        return self._elements.get(entity, {}).get(name)
 
     # -- union-find over elements --------------------------------------------
 
@@ -240,7 +237,7 @@ class Instance:
         if self.element_named(entity, name) is not None:
             raise InstanceError(f"duplicate element id '{name}' in entity '{entity}'")
         elem = ElementId(entity, name, fresh)
-        self._elements[entity].append(elem)
+        self._elements[entity][name] = elem
         self._parent[elem] = elem
         self._members[elem] = [elem]
         self._fks[elem] = {}

@@ -8,8 +8,9 @@ exception. ``#`` starts a line comment.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .errors import CatamergeError, InstanceError, SchemaError
 from .instance import Instance
@@ -51,11 +52,7 @@ class SourceDocument:
     _line_starts: list[int] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
-        starts = [0]
-        for i, ch in enumerate(self.text):
-            if ch == "\n":
-                starts.append(i + 1)
-        self._line_starts = starts
+        self._line_starts = [0] + [m.end() for m in re.finditer("\n", self.text)]
 
     def position(self, offset: int) -> tuple[int, int]:
         """1-based (line, column) for a byte offset; always in range."""
@@ -68,6 +65,18 @@ class SourceDocument:
             else:
                 hi = mid - 1
         return lo + 1, offset - self._line_starts[lo] + 1
+
+    def cursor(self) -> Callable[[int], tuple[int, int]]:
+        """``position`` for offsets that never decrease, by a forward scan."""
+        starts, row = self._line_starts, 0
+
+        def position(offset: int) -> tuple[int, int]:
+            nonlocal row
+            while row + 1 < len(starts) and starts[row + 1] <= offset:
+                row += 1
+            return row + 1, offset - starts[row] + 1
+
+        return position
 
 
 @dataclass
@@ -114,13 +123,14 @@ def tokenize(doc: SourceDocument, diags: list[Diagnostic]) -> list[Token]:
     text = doc.text
     tokens: list[Token] = []
     i, n = 0, len(text)
+    position = doc.cursor()
 
     def emit(kind: str, start: int, end: int, value: object = None) -> None:
-        line, col = doc.position(start)
+        line, col = position(start)
         tokens.append(Token(kind, text[start:end], start, line, col, value))
 
     def err(start: int, message: str) -> None:
-        line, col = doc.position(start)
+        line, col = position(start)
         diags.append(Diagnostic("error", message, doc.name, line, col))
 
     while i < n:
@@ -192,7 +202,7 @@ def tokenize(doc: SourceDocument, diags: list[Diagnostic]) -> list[Token]:
             continue
         err(i, f"unexpected character {ch!r}")
         i += 1
-    line, col = doc.position(n)
+    line, col = position(n)
     tokens.append(Token("eof", "", n, line, col))
     return tokens
 

@@ -4,6 +4,7 @@ The oracles here deliberately avoid the engine's own evaluation paths: the
 query oracle materializes the full cross product with its own term walker,
 the matcher oracle is the engine's first premise matcher kept verbatim, the
 witness oracle is the engine's first carrier-scanning witness search, the
+identity oracles are the engine's first export-id rule and name scan, the
 cycle oracle is a plain DFS over hand-reachable edges, and the random
 constraint-set generator builds inputs from primitive templates only.
 """
@@ -239,6 +240,31 @@ def oracle_conclusion_satisfied(inst: Instance, c: Constraint, env: dict) -> boo
         else:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Identity oracles: the engine's first export-id rule and name lookup, which
+# read the class members and scan the element list
+
+def oracle_export_id(inst: Instance, elem: ElementId) -> str:
+    """Lexicographically least user-declared id in the class, or the root's
+    name when the class has no user row."""
+    user = [m.name for m in inst.members(elem) if not m.fresh]
+    return min(user) if user else inst.find(elem).name
+
+
+def oracle_element_named(inst: Instance, entity: str, name: str):
+    if entity not in inst.schema.entities:
+        return None
+    for e in inst.elements(entity):
+        if e.name == name:
+            return e
+    return None
+
+
+def oracle_carrier(inst: Instance, entity: str) -> list[ElementId]:
+    roots = {inst.find(e) for e in inst.elements(entity)}
+    return sorted(roots, key=lambda root: oracle_export_id(inst, root))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import helpers
 from catamerge.cli import main
@@ -203,6 +204,16 @@ def test_missing_file_exits_one(tmp_path, capsys):
     assert main(["check", str(tmp_path / "absent.cmg")]) == 1
 
 
+def test_non_utf8_file_exits_one(tmp_path, capsys):
+    binary = tmp_path / "bin.cmg"
+    binary.write_bytes(b"\xff\xfe")
+    assert main(["check", str(binary)]) == 1
+    err = _one_line_error(capsys)
+    assert err.startswith(f"error: cannot read {binary}: not valid UTF-8 (")
+    assert main(["integrate", str(binary), "--out", str(tmp_path / "o")]) == 1
+    assert "not valid UTF-8" in _one_line_error(capsys)
+
+
 def test_integrate_artifacts_reparse_cleanly(tmp_path):
     out = tmp_path / "out"
     assert main(["integrate", EX2, "--out", str(out)]) == 0
@@ -216,3 +227,63 @@ def test_integrate_artifacts_reparse_cleanly(tmp_path):
     assert "CombinedThreeWay" in env.schemas
     sat = next(iter(env.instances.values()))
     assert len(sat.carrier("Location")) == 5
+
+
+_FUZZ_NAME = st.sampled_from([None] * 6 + ["Combined", "CombinedThreeWay", "TenantBilling", "q",
+                                         "IFC", "REC", "nope", ""])
+# The flags each subcommand accepts; others reach it only through ``extra``.
+_FUZZ_ACCEPTS = {
+    "check": (),
+    "integrate": ("-e", "--max-rounds", "--trace", "--out"),
+    "query": ("-e", "--max-rounds", "-q", "--out"),
+    "roundtrip": ("-e", "--max-rounds", "-s", "--out"),
+    "bogus": (),
+}
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    command=st.sampled_from(["check", "integrate", "query", "roundtrip", "bogus"]),
+    files=st.lists(st.sampled_from(["ex1", "ex2", "clash", "missing", "dir", "binary"]),
+                   min_size=1, max_size=2),
+    extension=_FUZZ_NAME,
+    query=_FUZZ_NAME,
+    schema=_FUZZ_NAME,
+    max_rounds=st.sampled_from([None] * 6 + ["-1", "0", "1", "2", "abc", ""]),
+    env_rounds=st.sampled_from([None] * 6 + ["0", "1", "abc"]),
+    trace=st.booleans(),
+    extra=st.sampled_from([[]] * 8 + [["--bogus"], ["--help"], ["-e"], ["--"], ["-q", "q"],
+                                      ["-s", "IFC"], ["--trace"], ["--out"]]),
+)
+def test_cli_arguments_fuzz_never_traceback(tmp_path, capsys, monkeypatch, command, files,
+                                            extension, query, schema, max_rounds, env_rounds,
+                                            trace, extra):
+    """Any argument list exits 0, 1, 2 or 3 and prints no traceback."""
+    binary = tmp_path / "bin.cmg"
+    binary.write_bytes(b"\xff\xfe")
+    clash = tmp_path / "clash.cmg"
+    clash.write_text(helpers.clash_fixture_text(), encoding="utf-8")
+    paths = {"ex1": EX1, "ex2": EX2, "clash": str(clash), "missing": str(tmp_path / "absent.cmg"),
+             "dir": str(tmp_path), "binary": str(binary)}
+    values = {"-e": extension, "--max-rounds": max_rounds, "-q": query, "-s": schema,
+              "--out": str(tmp_path / "out")}
+    argv = [command] + [paths[f] for f in files]
+    for flag in _FUZZ_ACCEPTS[command]:
+        if flag == "--trace":
+            argv += ["--trace"] if trace else []
+        elif values[flag] is not None:
+            argv += [flag, values[flag]]
+    argv += extra
+    if env_rounds is None:
+        monkeypatch.delenv("CATAMERGE_MAX_ROUNDS", raising=False)
+    else:
+        monkeypatch.setenv("CATAMERGE_MAX_ROUNDS", env_rounds)
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in {0, 1, 2, 3}, argv
+    assert "Traceback" not in err, argv

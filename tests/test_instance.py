@@ -5,16 +5,18 @@ import random
 
 import pytest
 
+import helpers
 from catamerge import (
     ConstantClash,
     InstanceError,
     UNDEFINED,
+    chase,
     check_model,
     eval_path,
     new_instance,
 )
-from catamerge.instance import NullRef, instances_same_data
-from catamerge.schema import Const, Path, Schema
+from catamerge.instance import ElementId, NullRef, VirtualElem, _join_key, instances_same_data
+from catamerge.schema import Attribute, Const, Path, Schema
 from catamerge.typeside import BaseType
 
 
@@ -282,3 +284,70 @@ def test_copy_is_detached(example2):
     inst.merge_elements(a, b)
     assert not pre.same(a, b)
     assert instances_same_data(pre, pre.copy())
+
+
+def _identity_instances(example1_saturated, example2_saturated):
+    """Both fixtures before and after saturation, and 200 seeded random
+    weakly acyclic cases before and after their chase."""
+    out = []
+    for _, _, pre, result in (example1_saturated, example2_saturated):
+        out += [pre, result.instance]
+    rng = random.Random(31)
+    for _ in range(200):
+        _, inst, constraints = helpers.random_weakly_acyclic_case(rng)
+        out += [inst, chase(inst, constraints).instance]
+    return out
+
+
+def test_identity_agrees_with_oracles(example1_saturated, example2_saturated):
+    """export_id is the root's name, element_named a dict lookup and carrier
+    sorted by root name; each must agree with the scanning oracles."""
+    shapes = set()
+    for inst in _identity_instances(example1_saturated, example2_saturated):
+        for entity in inst.schema.entities:
+            for elem in inst.elements(entity):
+                assert inst.export_id(elem) == helpers.oracle_export_id(inst, elem)
+                found = inst.element_named(entity, elem.name)
+                assert found is helpers.oracle_element_named(inst, entity, elem.name) is elem
+                members = inst.members(elem)
+                if len(members) > 1:
+                    shapes.add((any(m.fresh for m in members), all(m.fresh for m in members)))
+            assert inst.carrier(entity) == helpers.oracle_carrier(inst, entity)
+            assert inst.element_named(entity, "no such row") is None
+            assert helpers.oracle_element_named(inst, entity, "no such row") is None
+        assert inst.element_named("NoSuchEntity", "x") is None
+    # Merged classes of user rows only, and of user rows with fresh ones.
+    assert {(False, False), (True, False)} <= shapes
+
+
+def test_copy_has_its_own_name_index(example2):
+    _, _, pre = example2
+    before = pre.elements("Location")
+    inst = pre.copy()
+    added = inst.add_element("Location", "copy_only")
+    assert inst.element_named("Location", "copy_only") is added
+    assert pre.element_named("Location", "copy_only") is None
+    assert pre.elements("Location") == before
+    assert [inst.element_named("Location", e.name) for e in before] == before
+
+
+def test_element_id_equals_no_other_value_kind():
+    """Join keys of different value kinds stay apart, so an element never
+    lands in the bucket of a virtual element, constant or null."""
+    inst = new_instance(Schema("S", ("E",), (), (Attribute("a", "E", BaseType.STRING),)), "ids")
+    elem = inst.add_element("E", "a")
+    others = [
+        VirtualElem(elem, ()),
+        VirtualElem(elem, ("a",)),
+        Const("E", "a"),
+        Const(BaseType.STRING, "a"),
+        NullRef("a"),
+        NullRef("E:a"),
+    ]
+    for other in others:
+        assert elem != other and other != elem
+    values = [elem] + others[:4] + [inst.get_attr(elem, "a")]
+    keys = [_join_key(inst, v) for v in values]
+    assert all(a != b for a, b in itertools.combinations(keys, 2))
+    assert ElementId("E", "a") == elem and hash(ElementId("E", "a")) == hash(elem)
+    assert ElementId("E", "a", True) != elem

@@ -14,7 +14,7 @@ from catamerge import (
     parse_schema,
     print_canonical,
 )
-from catamerge.parser import SourceDocument, parse_document
+from catamerge.parser import SourceDocument, parse_document, tokenize
 from catamerge.schema import Cmp, Schema
 from catamerge.typeside import BaseType
 
@@ -296,3 +296,54 @@ instance i : S {
 
     rt, diags = parse_instance(SourceDocument("rt", print_canonical(inst)), env.schemas["S"])
     assert not errors(diags) and instances_same_data(rt, inst)
+
+
+def _assert_token_positions(text: str) -> list:
+    doc = SourceDocument("t.cmg", text)
+    tokens = tokenize(doc, [])
+    for tok in tokens:
+        assert (tok.line, tok.column) == doc.position(tok.pos), (text, tok)
+    return tokens
+
+
+def test_token_positions_match_random_access_position():
+    for name in ("example1.cmg", "example2.cmg"):
+        tokens = _assert_token_positions((helpers.FIXTURES / name).read_text(encoding="utf-8"))
+        assert tokens[-1].line > 50
+    hand_made = [
+        "",
+        "x",
+        "schema S {}",
+        "schema S {\r\n  entities A\r\n}\r\n",
+        "\tschema\tS\t{\n\t\tentities\tA\n\t}",
+        "\n\n\n",
+        "a\n\nb # comment\n  c",
+        '"open\nx "closed" @ -1.5 -> <=',
+    ]
+    for text in hand_made:
+        tokens = _assert_token_positions(text)
+        assert tokens[-1].kind == "eof" and tokens[-1].pos == len(text)
+    assert [(t.pos, t.line, t.column) for t in _assert_token_positions("x\r\ny")] == [
+        (0, 1, 1), (3, 2, 1), (4, 2, 2)
+    ]
+
+
+def test_cursor_diagnostics_equal_binary_search(monkeypatch):
+    """The inputs of the acceptance fuzz give the same diagnostics whether
+    the tokenizer scans forward or binary-searches every position."""
+    rng = random.Random(0xC0FFEE)
+    texts = [
+        bytes(rng.randrange(256) for _ in range(rng.randrange(0, 64))).decode("latin-1")
+        for _ in range(2000)
+    ]
+
+    def diagnostics() -> list[list[str]]:
+        return [
+            [str(d) for d in parse_document(SourceDocument(f"fuzz{i}", t)).diagnostics]
+            for i, t in enumerate(texts)
+        ]
+
+    cursor = diagnostics()
+    monkeypatch.setattr(SourceDocument, "cursor", lambda doc: doc.position)
+    assert cursor == diagnostics()
+    assert any(":2:" in d for ds in cursor for d in ds)
