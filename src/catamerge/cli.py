@@ -216,7 +216,11 @@ def cmd_query(args: argparse.Namespace) -> int:
     if code != OK:
         return code
     assert result is not None and result.instance is not None
-    table = evaluate(spec, result.instance)
+    try:
+        table = evaluate(spec, result.instance)
+    except CatamergeError as err:
+        print(f"error: query '{spec.name}': {err}", file=sys.stderr)
+        return USAGE
     _write(manifest.out_dir / f"query_{spec.name}.csv", result_table_csv(table))
     sys.stdout.write(aligned_table(table))
     return OK

@@ -4,19 +4,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable, Optional
 
 from .errors import QueryError
 from .instance import (
     Const,
+    ElementId,
     Instance,
     NullRef,
     UNDEFINED,
     Value,
+    _join_key,
     eval_term,
     values_equal,
 )
-from .schema import Eq, Term
+from .schema import Eq, Term, _probe
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,7 @@ def _render_cell(inst: Instance, value: Value) -> str:
     from .printer import render_constant
 
     if value is UNDEFINED:
-        raise QueryError("internal error: path evaluation hit an undefined foreign key")
+        raise QueryError("path evaluation hit an undefined foreign key")
     if isinstance(value, NullRef):
         return "-"
     if isinstance(value, Const):
@@ -49,10 +51,10 @@ def _render_cell(inst: Instance, value: Value) -> str:
 
 
 def evaluate(q: QuerySpec, sat: Instance) -> ResultTable:
-    """Filtered cross product of the from-bindings, in deterministic order.
+    """Rows of the from-bindings that satisfy the where-atoms, projected.
 
-    Rows come out lexicographically over the canonical ids of the bound
-    tuple; labelled nulls render as "-".
+    The bindings are joined by ``_descend``. Rows come out lexicographically
+    over the canonical ids of the bound tuple; labelled nulls render as "-".
     """
     table = ResultTable(columns=tuple(name for name, _ in q.projections))
 
@@ -68,10 +70,14 @@ def _descend(
     q: QuerySpec, sat: Instance, emit: Callable[[dict[str, Value]], None]
 ) -> list[tuple[Eq, int]]:
     """Bind the from-variables in order and call ``emit`` on every full tuple
-    that passes the where-atoms.
+    that passes the where-atoms, in lexicographic order of the bound tuple.
 
     Each atom is applied as soon as its variables are bound, so the full
-    product is never materialized. Returns the atoms in the order they are
+    product is never materialized. When the first atom applied at a position
+    equates that position's variable to a term over earlier ones
+    (``schema._probe``), the position is bound from a hash index of its
+    carrier, built on first use, instead of a scan; every atom is still
+    checked on each candidate. Returns the atoms in the order they are
     applied, each with the number of partial tuples that passed it.
     """
     carriers = [sat.carrier(entity) for _, entity in q.bindings]
@@ -87,12 +93,32 @@ def _descend(
                 last = i
         stage[last].append(k)
     passed = [0] * len(q.wheres)
+    # Only a stage's first atom probes, so every atom still sees exactly the
+    # partial tuples the scan would show it and the filter counts are kept.
+    probes = [
+        _probe((q.wheres[ks[0]],), names[d], set(names[:d])) if ks else None
+        for d, ks in enumerate(stage)
+    ]
+    indexes: list[Optional[tuple[dict[object, list[ElementId]], bool]]] = [None] * len(names)
+
+    def candidates(depth: int, env: dict[str, Value]) -> Iterable[ElementId]:
+        carrier, probe = carriers[depth], probes[depth]
+        if probe is None or not carrier:
+            return carrier
+        if indexes[depth] is None:
+            indexes[depth] = _index(sat, names[depth], carrier, probe[0])
+        index, side_undefined = indexes[depth]
+        other = eval_term(sat, env, probe[1])
+        # the scan evaluates both sides for every carrier element
+        if side_undefined or other is UNDEFINED:
+            raise QueryError(_UNDEFINED_WHERE)
+        return index.get(_join_key(sat, other), ())
 
     def descend(depth: int, env: dict[str, Value]) -> None:
         if depth == len(carriers):
             emit(env)
             return
-        for elem in carriers[depth]:
+        for elem in candidates(depth, env):
             env[names[depth]] = elem
             ok = True
             for k in stage[depth]:
@@ -100,9 +126,7 @@ def _descend(
                 lv = eval_term(sat, env, atom.left)
                 rv = eval_term(sat, env, atom.right)
                 if lv is UNDEFINED or rv is UNDEFINED:
-                    raise QueryError(
-                        "internal error: where-atom evaluation hit an undefined foreign key"
-                    )
+                    raise QueryError(_UNDEFINED_WHERE)
                 if not values_equal(sat, lv, rv):
                     ok = False
                     break
@@ -113,6 +137,25 @@ def _descend(
 
     descend(0, {})
     return [(q.wheres[k], passed[k]) for ks in stage for k in ks]
+
+
+_UNDEFINED_WHERE = "where-atom evaluation hit an undefined foreign key"
+
+
+def _index(
+    sat: Instance, name: str, carrier: list[ElementId], side: Term
+) -> tuple[dict[object, list[ElementId]], bool]:
+    """Hash index of ``carrier`` by the join key of ``side``, buckets in
+    carrier order, and whether ``side`` was undefined on any element."""
+    index: dict[object, list[ElementId]] = {}
+    undefined = False
+    for elem in carrier:
+        value = eval_term(sat, {name: elem}, side)
+        if value is UNDEFINED:
+            undefined = True
+        else:
+            index.setdefault(_join_key(sat, value), []).append(elem)
+    return index, undefined
 
 
 def _atom_vars(atom: Eq) -> set[str]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from pathlib import Path as FsPath
+from typing import Callable
 
 from catamerge import (
     ChaseConfig,
@@ -26,10 +27,12 @@ from catamerge import (
     new_instance,
     sigma_insert,
 )
+from catamerge.errors import QueryError
 from catamerge.instance import (
     UNDEFINED,
     ElementId,
     NullRef,
+    Value,
     VirtualElem,
     _atom_holds,
     eval_term,
@@ -164,6 +167,49 @@ def oracle_evaluate(q: QuerySpec, sat: Instance) -> list[tuple[str, ...]]:
         if keep:
             rows.append(tuple(_oracle_render(sat, _oracle_eval(sat, env, t)) for _, t in q.projections))
     return rows
+
+
+def oracle_descend(
+    q: QuerySpec, sat: Instance, emit: Callable[[dict[str, Value]], None]
+) -> list[tuple[Eq, int]]:
+    """The nested-loop descent: scan every carrier, apply each where-atom at
+    the first position that binds all its variables, and count the partial
+    tuples that pass it. Same contract as ``query._descend``."""
+    carriers = [sat.carrier(entity) for _, entity in q.bindings]
+    names = [name for name, _ in q.bindings]
+    stage: list[list[int]] = [[] for _ in q.bindings]
+    for k, atom in enumerate(q.wheres):
+        needed = _term_vars(atom.left) | _term_vars(atom.right)
+        last = 0
+        for i, name in enumerate(names):
+            if name in needed:
+                last = i
+        stage[last].append(k)
+    passed = [0] * len(q.wheres)
+
+    def descend(depth: int, env: dict[str, Value]) -> None:
+        if depth == len(carriers):
+            emit(env)
+            return
+        for elem in carriers[depth]:
+            env[names[depth]] = elem
+            ok = True
+            for k in stage[depth]:
+                atom = q.wheres[k]
+                lv = eval_term(sat, env, atom.left)
+                rv = eval_term(sat, env, atom.right)
+                if lv is UNDEFINED or rv is UNDEFINED:
+                    raise QueryError("where-atom evaluation hit an undefined foreign key")
+                if not values_equal(sat, lv, rv):
+                    ok = False
+                    break
+                passed[k] += 1
+            if ok:
+                descend(depth + 1, env)
+        env.pop(names[depth], None)
+
+    descend(0, {})
+    return [(q.wheres[k], passed[k]) for ks in stage for k in ks]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from catamerge.cli import main
 
 EX1 = str(helpers.FIXTURES / "example1.cmg")
 EX2 = str(helpers.FIXTURES / "example2.cmg")
+UNDEFINED_FK = str(helpers.FIXTURES / "undefined_fk_query.cmg")
 
 
 def test_check_clean_fixtures(capsys):
@@ -153,6 +154,17 @@ def test_query_unknown_name_exits_one(tmp_path, capsys):
     assert "nope" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("query, message", [
+    ("Q", "path evaluation hit an undefined foreign key"),
+    ("W", "where-atom evaluation hit an undefined foreign key"),
+])
+def test_query_undefined_fk_exits_one(tmp_path, capsys, query, message):
+    out = tmp_path / "out"
+    assert main(["query", UNDEFINED_FK, "--query", query, "--out", str(out)]) == 1
+    assert _one_line_error(capsys) == f"error: query '{query}': {message}\n"
+    assert not (out / f"query_{query}.csv").exists()
+
+
 def test_roundtrip_rec_report(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["roundtrip", EX2, "--schema", "REC", "--out", str(out)]) == 0
@@ -230,7 +242,7 @@ def test_integrate_artifacts_reparse_cleanly(tmp_path):
 
 
 _FUZZ_NAME = st.sampled_from([None] * 6 + ["Combined", "CombinedThreeWay", "TenantBilling", "q",
-                                         "IFC", "REC", "nope", ""])
+                                         "IFC", "REC", "E", "Q", "W", "S", "nope", ""])
 # The flags each subcommand accepts; others reach it only through ``extra``.
 _FUZZ_ACCEPTS = {
     "check": (),
@@ -248,7 +260,8 @@ _FUZZ_ACCEPTS = {
 )
 @given(
     command=st.sampled_from(["check", "integrate", "query", "roundtrip", "bogus"]),
-    files=st.lists(st.sampled_from(["ex1", "ex2", "clash", "missing", "dir", "binary"]),
+    files=st.lists(st.sampled_from(["ex1", "ex2", "clash", "undefined_fk", "missing", "dir",
+                                    "binary"]),
                    min_size=1, max_size=2),
     extension=_FUZZ_NAME,
     query=_FUZZ_NAME,
@@ -267,8 +280,8 @@ def test_cli_arguments_fuzz_never_traceback(tmp_path, capsys, monkeypatch, comma
     binary.write_bytes(b"\xff\xfe")
     clash = tmp_path / "clash.cmg"
     clash.write_text(helpers.clash_fixture_text(), encoding="utf-8")
-    paths = {"ex1": EX1, "ex2": EX2, "clash": str(clash), "missing": str(tmp_path / "absent.cmg"),
-             "dir": str(tmp_path), "binary": str(binary)}
+    paths = {"ex1": EX1, "ex2": EX2, "clash": str(clash), "undefined_fk": UNDEFINED_FK,
+             "missing": str(tmp_path / "absent.cmg"), "dir": str(tmp_path), "binary": str(binary)}
     values = {"-e": extension, "--max-rounds": max_rounds, "-q": query, "-s": schema,
               "--out": str(tmp_path / "out")}
     argv = [command] + [paths[f] for f in files]
