@@ -35,15 +35,13 @@ from .schema import (
     Eq,
     FunApp,
     PathApp,
-    Schema,
     Term,
     Var,
+    _term_vars,
     check_constraint,
     check_weak_acyclicity,
     classify_constraint,
-    term_sort,
 )
-from .typeside import BaseType
 
 
 @dataclass
@@ -305,32 +303,38 @@ def fire_once(
     conclusion is already witnessed, and otherwise performs the minimal
     repair: merges and attribute anchoring for equality conclusions, fresh
     elements for existentials and for unset foreign keys along conclusion
-    paths.
+    paths. A conclusion function applied to a premise value still unknown
+    leaves the firing pending.
     """
-    pinned = c.plan.pinned
-    live = {name: inst.find(env[name]) for name, _ in c.universals if name not in pinned}
-    live_env = solve_premise(inst, c, pinned, live)
+    live = {step.var: inst.find(env[step.var]) for step in c.plan.premise}
+    live_env = solve_premise(inst, c, live)
     if live_env is None:
         return None
     if conclusion_satisfied(inst, c, live_env):
         return None
+    # Fresh elements minted while a function argument is unknown would be
+    # minted again every round.
+    for eq in c.conclusion:
+        for side in (eq.left, eq.right):
+            if isinstance(side, FunApp) and _term_vars(side) <= live_env.keys():
+                if not isinstance(eval_term(inst, live_env, side), Const):
+                    return None
     firing = _Firing(inst, round_no, counter if counter is not None else itertools.count())
-    # Materialize pinned premise variables that are still virtual.
-    for name, value in list(live_env.items()):
-        if isinstance(value, VirtualElem):
-            live_env[name] = firing.materialize(value)
+    for step in c.plan.pins:  # materialize the pins that are still virtual
+        live_env[step.var] = firing.materialize(live_env[step.var])
     for name, entity in c.existentials:
         live_env[name] = firing.fresh(entity)
-    schema = inst.schema
     for eq in c.conclusion:
-        if _is_entity_eq(eq, c, schema):
+        # type-checked, so the sides are entity-sorted iff the left one is
+        if isinstance(eq.left, Var) or (isinstance(eq.left, PathApp) and eq.left.path.attr is None):
             firing.enforce_entity_eq(eq, live_env)
         else:
             firing.enforce_base_eq(eq, live_env)
     if not firing.mutations:
         return None
+    # every variable is bound to an element now
     assignment = tuple(
-        (name, _value_name(inst, live_env[name])) for name, _ in c.universals + c.existentials
+        (name, inst.find(live_env[name]).name) for name, _ in c.universals + c.existentials
     )
     return TraceEntry(
         round=round_no,
@@ -338,19 +342,6 @@ def fire_once(
         assignment=assignment,
         mutations=tuple(firing.mutations),
     )
-
-
-def _value_name(inst: Instance, value: Value) -> str:
-    if isinstance(value, ElementId):
-        return inst.find(value).name
-    if isinstance(value, VirtualElem):
-        return f"{value.base.name}.{'.'.join(value.steps)}"
-    return str(value)
-
-
-def _is_entity_eq(eq: Eq, c: Constraint, schema: Schema) -> bool:
-    binders = c.binders()
-    return not isinstance(term_sort(eq.left, binders, schema), BaseType)
 
 
 # -- the chase loop -----------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .errors import ConstantClash, InstanceError
 from .schema import (
@@ -474,22 +474,19 @@ def render_value(inst: Instance, v: Value) -> str:
 # ---------------------------------------------------------------------------
 # Premise matching
 
-def solve_premise(
-    inst: Instance, c: Constraint, pinned: Mapping[str, Eq], env: dict[str, Value]
-) -> Optional[dict[str, Value]]:
-    """Extend ``env`` with the pinned variables and check the premise.
+def solve_premise(inst: Instance, c: Constraint, env: dict[str, Value]) -> Optional[dict[str, Value]]:
+    """Extend ``env`` with the pinned universals and check the premise.
 
-    ``env`` binds the enumerated universals to class representatives.
-    ``pinned`` is ``constraint_pinned_vars(c)``, whose order is an evaluation
-    order: each defining term mentions only pins before it. Returns ``env``,
-    or None when a pin is not an element or a premise atom fails.
+    ``env`` binds the enumerated universals to class representatives; the
+    pins of ``c.plan`` are solved in their order, each from its term.
+    Returns ``env``, or None when a pin is not an element or a premise atom
+    fails.
     """
-    for name, atom in pinned.items():
-        other = atom.right if isinstance(atom.left, Var) and atom.left.name == name else atom.left
-        value = eval_term(inst, env, other, virtual=True)
+    for step in c.plan.pins:
+        value = eval_term(inst, env, step.pin, virtual=True)
         if not isinstance(value, (ElementId, VirtualElem)):
             return None
-        env[name] = value
+        env[step.var] = value
     for atom in c.premise:
         if not _atom_holds(inst, env, atom):
             return None
@@ -580,9 +577,8 @@ def enumerate_matches(inst: Instance, c: Constraint) -> Iterator[dict[str, Value
     (``Constraint.plan``); ``solve_premise`` then solves the pinned ones and
     checks every premise atom.
     """
-    plan = c.plan
-    for env in _Binder(inst, plan.premise).bind({}):
-        match = solve_premise(inst, c, plan.pinned, dict(env))
+    for env in _Binder(inst, c.plan.premise).bind({}):
+        match = solve_premise(inst, c, dict(env))
         if match is not None:
             yield match
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import SchemaError
 from .typeside import (
@@ -411,41 +410,6 @@ def _paths_of_term(term: Term) -> list[Path]:
     return []
 
 
-def constraint_pinned_vars(c: Constraint) -> dict[str, Eq]:
-    """Premise atoms of the form ``v = path(...)`` solve v instead of
-    enumerating it; returns the pinning atom per derived variable."""
-    pinned: dict[str, Eq] = {}
-    for atom in c.premise:
-        if not isinstance(atom, Eq):
-            continue
-        for var_side, other in ((atom.left, atom.right), (atom.right, atom.left)):
-            if not isinstance(var_side, Var) or var_side.name in pinned:
-                continue
-            if var_side.name in _term_vars(other):
-                continue
-            if isinstance(other, (PathApp, Var)):
-                pinned[var_side.name] = atom
-                break
-    # Break derivation cycles (v pinned via w while w pinned via v): demote
-    # later pins back to enumeration.
-    changed = True
-    while changed:
-        changed = False
-        for name in list(pinned):
-            atom = pinned[name]
-            other = atom.right if isinstance(atom.left, Var) and atom.left.name == name else atom.left
-            deps = _term_vars(other)
-            order = list(pinned)
-            for d in deps:
-                if d in pinned and order.index(d) > order.index(name):
-                    del pinned[name]
-                    changed = True
-                    break
-            if changed:
-                break
-    return pinned
-
-
 class BindStep(NamedTuple):
     """How one variable gets its candidates.
 
@@ -463,7 +427,7 @@ class BindStep(NamedTuple):
 
 
 class BindingPlan(NamedTuple):
-    pinned: Mapping[str, Eq]  # constraint_pinned_vars, read-only
+    pins: tuple[BindStep, ...]  # the solved universals, in solving order
     premise: tuple[BindStep, ...]  # the enumerated universals, in declaration order
     conclusion: tuple[BindStep, ...]  # the existentials, in solving order
 
@@ -471,30 +435,51 @@ class BindingPlan(NamedTuple):
 def binding_plan(c: Constraint) -> BindingPlan:
     """Pins and probe atoms of a constraint, for ``Constraint.plan``.
 
-    The enumerated universals keep their declaration order, so matches come
-    out in lexicographic carrier order. Each probes with the first premise
+    The first premise equation ``v = t`` per universal ``v``, with ``t`` a
+    path or a variable not mentioning ``v``, pins ``v``. The next pin solved
+    is the first one in premise order whose term mentions no pin still
+    unsolved, so the order of the premise atoms changes no match; when the
+    pins left form a cycle, the first of them is enumerated instead. The
+    enumerated universals keep their declaration order, so matches come out
+    in lexicographic carrier order. Each probes with the first premise
     equation joining it to the universals enumerated before it. The next
     existential bound is the first one pinned by a conclusion equation
     ``y = t`` with ``t`` over bound variables; when none is, the first
     remaining one in declaration order is scanned.
     """
-    pinned = constraint_pinned_vars(c)
+    universals = dict(c.universals)
+    unsolved: dict[str, Term] = {}
+    for atom in c.premise:
+        if isinstance(atom, Eq):
+            for side, other in _sides(atom):
+                if (isinstance(side, Var) and side.name in universals and side.name not in unsolved
+                        and isinstance(other, (PathApp, Var)) and side.name not in _term_vars(other)):
+                    unsolved[side.name] = other
+                    break
+    pins: list[BindStep] = []
+    while unsolved:
+        name = next((n for n, t in unsolved.items() if _term_vars(t).isdisjoint(unsolved)), None)
+        if name is None:
+            del unsolved[next(iter(unsolved))]
+        else:
+            pins.append(BindStep(name, universals[name], pin=unsolved.pop(name)))
+    solved = {step.var for step in pins}
     premise: list[BindStep] = []
     earlier: set[str] = set()
     for name, entity in c.universals:
-        if name not in pinned:
+        if name not in solved:
             premise.append(BindStep(name, entity, probe=_probe(c.premise, name, earlier)))
             earlier.add(name)
-    bound = {name for name, _ in c.universals}
+    bound = set(universals)
     pending = list(c.existentials)
     conclusion: list[BindStep] = []
     while pending:
-        pins = [(i, _pin_term(c.conclusion, name, bound)) for i, (name, _) in enumerate(pending)]
-        at, pin = next(((i, t) for i, t in pins if t is not None), (0, None))
+        found = [(i, _pin_term(c.conclusion, name, bound)) for i, (name, _) in enumerate(pending)]
+        at, pin = next(((i, t) for i, t in found if t is not None), (0, None))
         name, entity = pending.pop(at)
         conclusion.append(BindStep(name, entity, pin=pin))
         bound.add(name)
-    return BindingPlan(MappingProxyType(pinned), tuple(premise), tuple(conclusion))
+    return BindingPlan(tuple(pins), tuple(premise), tuple(conclusion))
 
 
 def _sides(atom: Atom) -> tuple[tuple[Term, Term], tuple[Term, Term]]:
@@ -546,12 +531,12 @@ def check_weak_acyclicity(constraints: Iterable[Constraint], schema: Schema) -> 
             current = fk.target
 
     for c in constraints:
-        pinned = constraint_pinned_vars(c)
-        pinning_atoms = set(pinned.values())
+        pins = {step.var: step.pin for step in c.plan.pins}
         for atom in c.premise:
-            terms = (atom.left, atom.right)
-            ex = isinstance(atom, Eq) and atom in pinning_atoms
-            for t in terms:
+            ex = isinstance(atom, Eq) and any(
+                isinstance(side, Var) and pins.get(side.name) == other for side, other in _sides(atom)
+            )
+            for t in (atom.left, atom.right):
                 for p in _paths_of_term(t):
                     add_path(p, existential=ex)
         for eq in c.conclusion:

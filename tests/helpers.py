@@ -2,11 +2,12 @@
 
 The oracles here deliberately avoid the engine's own evaluation paths: the
 query oracle materializes the full cross product with its own term walker,
-the matcher oracle is the engine's first premise matcher kept verbatim, the
-witness oracle is the engine's first carrier-scanning witness search, the
-identity oracles are the engine's first export-id rule and name scan, the
-cycle oracle is a plain DFS over hand-reachable edges, and the random
-constraint-set generator builds inputs from primitive templates only.
+the matcher oracle is the engine's first premise matcher with its own pin
+choice and order, the witness oracle is the engine's first carrier-scanning
+witness search, the identity oracles are the engine's first export-id rule
+and name scan, the cycle oracle is a plain DFS over hand-reachable edges,
+and the random constraint-set generator builds inputs from primitive
+templates only.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from catamerge.schema import (
     Var,
     Path,
     _term_vars,
-    constraint_pinned_vars,
 )
 from catamerge.typeside import BaseType, apply_predicate
 
@@ -213,40 +213,57 @@ def oracle_descend(
 
 
 # ---------------------------------------------------------------------------
-# Matcher oracle: the naive premise matcher, which derives its own evaluation
-# order for the pinned variables
+# Matcher oracle: the naive premise matcher, which chooses its own pins and
+# derives their evaluation order
 
-def _oracle_pinned_order(pinned: dict[str, Eq]) -> list[str]:
-    remaining = dict(pinned)
+def _oracle_pins(c: Constraint) -> dict[str, Term]:
+    """The first premise equation ``v = t`` per universal ``v``, with ``t``
+    a path or a variable not mentioning ``v``, pins ``v`` to ``t``."""
+    universals = {n for n, _ in c.universals}
+    pins: dict[str, Term] = {}
+    for atom in c.premise:
+        if not isinstance(atom, Eq):
+            continue
+        for var_side, other in ((atom.left, atom.right), (atom.right, atom.left)):
+            if not isinstance(var_side, Var) or var_side.name in pins:
+                continue
+            if var_side.name not in universals or var_side.name in _term_vars(other):
+                continue
+            if isinstance(other, (PathApp, Var)):
+                pins[var_side.name] = other
+                break
+    return pins
+
+
+def _oracle_pinned_order(pins: dict[str, Term]) -> list[str]:
+    """Repeatedly solve the first pin whose term mentions no unsolved pin;
+    when none does, the pins left form a cycle and the first of them is
+    enumerated instead."""
+    remaining = dict(pins)
     order: list[str] = []
     while remaining:
-        progressed = False
-        for name, atom in list(remaining.items()):
-            other = atom.right if isinstance(atom.left, Var) and atom.left.name == name else atom.left
-            if all(d not in remaining for d in _term_vars(other)):
+        for name, term in remaining.items():
+            if not _term_vars(term) & remaining.keys():
                 order.append(name)
                 del remaining[name]
-                progressed = True
-        if not progressed:
-            order.extend(remaining)
-            break
+                break
+        else:
+            del remaining[next(iter(remaining))]
     return order
 
 
 def oracle_matches(inst: Instance, c: Constraint) -> list[dict]:
     """All premise matches, in lexicographic assignment order."""
-    pinned = constraint_pinned_vars(c)
-    order = _oracle_pinned_order(pinned)
-    enumerated = [(n, e) for n, e in c.universals if n not in pinned]
+    pins = _oracle_pins(c)
+    order = _oracle_pinned_order(pins)
+    enumerated = [(n, e) for n, e in c.universals if n not in order]
     carriers = [inst.carrier(entity) for _, entity in enumerated]
     matches = []
     for combo in itertools.product(*carriers):
         env = {name: elem for (name, _), elem in zip(enumerated, combo)}
         ok = True
         for name in order:
-            atom = pinned[name]
-            other = atom.right if isinstance(atom.left, Var) and atom.left.name == name else atom.left
-            value = eval_term(inst, env, other, virtual=True)
+            value = eval_term(inst, env, pins[name], virtual=True)
             if not isinstance(value, (ElementId, VirtualElem)):
                 ok = False
                 break

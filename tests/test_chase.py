@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from catamerge import (
     Instance,
     chase,
     check_model,
+    check_weak_acyclicity,
     combine_schemas,
     fire_once,
     instances_same_data,
@@ -34,7 +36,6 @@ from catamerge.schema import (
     Schema,
     Var,
     _term_vars,
-    constraint_pinned_vars,
 )
 from catamerge.typeside import BaseType
 
@@ -177,7 +178,7 @@ def _matcher_cases() -> list[tuple[Instance, Constraint]]:
     universals = (("a", "E"), ("b", "E"), ("c", "E"))
     premises = [
         (Eq(Var("b"), f("a")), Eq(Var("c"), g("b"))),  # in order: both pinned
-        (Eq(Var("c"), g("b")), Eq(Var("b"), f("a"))),  # out of order: c demoted
+        (Eq(Var("c"), g("b")), Eq(Var("b"), f("a"))),  # out of order: both pinned
         (Eq(Var("a"), f("b")), Eq(Var("b"), g("a"))),  # cycle: a demoted
         (Eq(g("c"), Var("b")), Eq(Var("a"), Var("c"))),
         (Cmp("<", n("a"), n("b")),),
@@ -408,14 +409,13 @@ def test_pinned_vars_depend_only_on_earlier_pins(example1, example2):
     for _, combined, _ in (example1, example2):
         constraints.extend(combined.schema.constraints)
     for c in constraints:
+        pinned = {step.var for step in c.plan.pins}
         earlier: set[str] = set()
-        pinned = constraint_pinned_vars(c)
-        for name, atom in pinned.items():
-            other = atom.right if isinstance(atom.left, Var) and atom.left.name == name else atom.left
-            assert _term_vars(other) & pinned.keys() <= earlier, (c, name)
-            earlier.add(name)
-    assert [list(constraint_pinned_vars(c)) for c in constraints[:4]] == [
-        ["b", "c"], ["b"], ["b"], ["b", "a"],
+        for step in c.plan.pins:
+            assert _term_vars(step.pin) & pinned <= earlier, (c, step.var)
+            earlier.add(step.var)
+    assert [[step.var for step in c.plan.pins] for c in constraints[:4]] == [
+        ["b", "c"], ["b", "c"], ["b"], ["b", "a"],
     ]
 
 
@@ -567,6 +567,69 @@ extension E {
     inst2.add_element("P_Person", "p2")
     result2 = chase(inst2, list(combined.schema.constraints))
     assert result2.status == SATURATED
+
+
+_PENDING_TGD = """
+schema S {
+  entities X Y
+  attributes b : X -> Int  a : Y -> Int
+}
+extension E {
+  include S
+  constraints
+    forall x : X -> exists y : Y , y.a = add(x.b, 1)
+}
+"""
+
+
+def test_function_term_with_unknown_argument_mints_nothing():
+    env = helpers.load_text(_PENDING_TGD)
+    combined = combine_schemas(env.extensions["E"])
+    constraints = list(combined.schema.constraints)
+    assert check_weak_acyclicity(constraints, combined.schema).acyclic
+    inst = new_instance(combined.schema)
+    x = inst.add_element("S_X", "x1")
+    # x.b is null: the firing stays pending instead of minting a Y per round
+    pending = chase(inst, constraints, ChaseConfig(max_rounds=20))
+    assert (pending.status, pending.rounds, pending.trace.entries) == (SATURATED, 1, [])
+    assert not check_model(pending.instance, constraints).ok
+    inst.set_attr(x, "b", Const(BaseType.INT, 1))
+    result = chase(inst, constraints, ChaseConfig(max_rounds=20))
+    assert result.status == SATURATED
+    (y,) = result.instance.carrier("S_Y")
+    assert result.instance.get_attr(y, "a") == Const(BaseType.INT, 2)
+    assert check_model(result.instance, constraints).ok
+
+
+def test_premise_atom_order_changes_no_chase():
+    schema = Schema(
+        "T",
+        ("A", "B", "C"),
+        (ForeignKey("f", "A", "B"), ForeignKey("g", "B", "C")),
+        (Attribute("n", "C", BaseType.STRING),),
+    )
+    b_of_a = Eq(Var("b"), PathApp("a", Path("A", ("f",))))
+    c_of_b = Eq(Var("c"), PathApp("b", Path("B", ("g",))))
+
+    def rule(*premise) -> Constraint:
+        conclusion = (Eq(PathApp("c", Path("C", (), "n")), Const(BaseType.STRING, "x")),)
+        return Constraint((("a", "A"), ("b", "B"), ("c", "C")), premise, (), conclusion)
+
+    for seed in range(50):
+        inst = helpers.random_instance(random.Random(seed), schema, max_elements=9)
+        forward = chase(inst, [rule(b_of_a, c_of_b)])
+        backward = chase(inst, [rule(c_of_b, b_of_a)])
+        assert forward.status == backward.status, seed
+        assert forward.trace.render() == backward.trace.render(), seed
+    # the same pins for every acyclic premise and its reversal; on the
+    # cycle, the first pin in premise order is the one enumerated
+    for k, (_, c) in enumerate(_matcher_cases()):
+        reverse = dataclasses.replace(c, premise=c.premise[::-1])
+        pins, reverse_pins = ({step.var for step in d.plan.pins} for d in (c, reverse))
+        if k == 2:
+            assert (pins, reverse_pins) == ({"b"}, {"a"})
+        else:
+            assert pins == reverse_pins, k
 
 
 def test_chase_config_validates_round_budget():

@@ -271,11 +271,15 @@ _FUZZ_ACCEPTS = {
     trace=st.booleans(),
     extra=st.sampled_from([[]] * 8 + [["--bogus"], ["--help"], ["-e"], ["--"], ["-q", "q"],
                                       ["-s", "IFC"], ["--trace"], ["--out"]]),
+    undefined_fk_query=st.sampled_from([None] * 4 + ["Q", "W"]),
 )
 def test_cli_arguments_fuzz_never_traceback(tmp_path, capsys, monkeypatch, command, files,
                                             extension, query, schema, max_rounds, env_rounds,
-                                            trace, extra):
-    """Any argument list exits 0, 1, 2 or 3 and prints no traceback."""
+                                            trace, extra, undefined_fk_query):
+    """Any argument list exits 0, 1, 2 or 3 and prints no traceback. A third
+    of the runs query ``Q`` or ``W`` of undefined_fk_query.cmg, whose
+    evaluation reaches an unset foreign key; random argument lists seldom
+    get that far."""
     binary = tmp_path / "bin.cmg"
     binary.write_bytes(b"\xff\xfe")
     clash = tmp_path / "clash.cmg"
@@ -291,6 +295,8 @@ def test_cli_arguments_fuzz_never_traceback(tmp_path, capsys, monkeypatch, comma
         elif values[flag] is not None:
             argv += [flag, values[flag]]
     argv += extra
+    if undefined_fk_query is not None:
+        argv = ["query", UNDEFINED_FK, "-q", undefined_fk_query, "--out", str(tmp_path / "out")]
     if env_rounds is None:
         monkeypatch.delenv("CATAMERGE_MAX_ROUNDS", raising=False)
     else:
