@@ -37,6 +37,7 @@ from .schema import (
     PathApp,
     Term,
     Var,
+    _sides,
     _term_vars,
     check_constraint,
     check_weak_acyclicity,
@@ -304,7 +305,9 @@ def fire_once(
     repair: merges and attribute anchoring for equality conclusions, fresh
     elements for existentials and for unset foreign keys along conclusion
     paths. A conclusion function applied to a premise value still unknown
-    leaves the firing pending.
+    leaves the firing pending; so does one applied to an existential's
+    attribute that the conclusion sets to such a value. Equations with a
+    function side are enforced after the others, so their arguments are set.
     """
     live = {step.var: inst.find(env[step.var]) for step in c.plan.premise}
     live_env = solve_premise(inst, c, live)
@@ -316,7 +319,10 @@ def fire_once(
     # minted again every round.
     for eq in c.conclusion:
         for side in (eq.left, eq.right):
-            if isinstance(side, FunApp) and _term_vars(side) <= live_env.keys():
+            if not isinstance(side, FunApp):
+                continue
+            side = _through_existentials(c, side)
+            if _term_vars(side) <= live_env.keys():
                 if not isinstance(eval_term(inst, live_env, side), Const):
                     return None
     firing = _Firing(inst, round_no, counter if counter is not None else itertools.count())
@@ -324,7 +330,7 @@ def fire_once(
         live_env[step.var] = firing.materialize(live_env[step.var])
     for name, entity in c.existentials:
         live_env[name] = firing.fresh(entity)
-    for eq in c.conclusion:
+    for eq in sorted(c.conclusion, key=_has_function_side):
         # type-checked, so the sides are entity-sorted iff the left one is
         if isinstance(eq.left, Var) or (isinstance(eq.left, PathApp) and eq.left.path.attr is None):
             firing.enforce_entity_eq(eq, live_env)
@@ -342,6 +348,26 @@ def fire_once(
         assignment=assignment,
         mutations=tuple(firing.mutations),
     )
+
+
+def _has_function_side(eq: Eq) -> bool:
+    return isinstance(eq.left, FunApp) or isinstance(eq.right, FunApp)
+
+
+def _through_existentials(c: Constraint, term: Term) -> Term:
+    """``term`` with each argument ``y.a`` (``y`` existential, no foreign
+    keys) replaced by the term over universals that the first conclusion
+    equation setting ``y.a`` equates it to, if any."""
+    if isinstance(term, FunApp):
+        return FunApp(term.fn, tuple(_through_existentials(c, a) for a in term.args))
+    if (isinstance(term, PathApp) and not term.path.fks and term.path.attr is not None
+            and any(term.var == name for name, _ in c.existentials)):
+        universals = {name for name, _ in c.universals}
+        for eq in c.conclusion:
+            for side, other in _sides(eq):
+                if side == term and _term_vars(other) <= universals:
+                    return other
+    return term
 
 
 # -- the chase loop -----------------------------------------------------------

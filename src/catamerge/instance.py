@@ -109,6 +109,8 @@ class Instance:
         self._null_anchor: dict[str, Const] = {}
         self._null_seq = 0
         self._frozen = False
+        # Per entity, the sorted carrier; dropped by add_element and merges.
+        self._carriers: dict[str, list[ElementId]] = {}
         # Provenance of elements copied out of source instances: (schema, row id).
         self.origins: dict[ElementId, tuple[str, str]] = {}
 
@@ -146,9 +148,15 @@ class Instance:
         return list(self._elements[entity].values())
 
     def carrier(self, entity: str) -> list[ElementId]:
-        """Canonical class representatives of an entity, sorted by export id."""
-        roots = {self.find(e) for e in self.elements(entity)}
-        return sorted(roots, key=lambda root: root.name)
+        """Canonical class representatives of an entity, sorted by export id.
+
+        Cached per entity until the next ``add_element`` or merge there; each
+        call returns a new list."""
+        cached = self._carriers.get(entity)
+        if cached is None:
+            roots = {self.find(e) for e in self.elements(entity)}
+            cached = self._carriers[entity] = sorted(roots, key=lambda root: root.name)
+        return list(cached)
 
     def members(self, elem: ElementId) -> list[ElementId]:
         return sorted(self._members[self.find(elem)], key=lambda e: e.sort_key())
@@ -166,9 +174,11 @@ class Instance:
 
     def find(self, e: ElementId) -> ElementId:
         parent = self._parent
-        if e not in parent:
+        root = parent.get(e)
+        if root is e:  # a root is stored as its own parent object
+            return e
+        if root is None:
             raise InstanceError(f"unknown element {e}")
-        root = e
         while parent[root] != root:
             root = parent[root]
         while parent[e] != root:
@@ -200,7 +210,9 @@ class Instance:
             return value
         root = self.null_find(value.label)
         anchored = self._null_anchor.get(root)
-        return anchored if anchored is not None else NullRef(root)
+        if anchored is not None:
+            return anchored
+        return value if root == value.label else NullRef(root)
 
     def _unify_values(self, left: AttrValue, right: AttrValue, attr: str, context: str) -> bool:
         lv, rv = self.resolve_value(left), self.resolve_value(right)
@@ -238,6 +250,7 @@ class Instance:
             raise InstanceError(f"duplicate element id '{name}' in entity '{entity}'")
         elem = ElementId(entity, name, fresh)
         self._elements[entity][name] = elem
+        self._carriers.pop(entity, None)
         self._parent[elem] = elem
         self._members[elem] = [elem]
         self._fks[elem] = {}
@@ -344,6 +357,7 @@ class Instance:
                 )
             winner, loser = (rx, ry) if rx.sort_key() <= ry.sort_key() else (ry, rx)
             report.pairs.append((winner, loser))
+            self._carriers.pop(winner.entity, None)
             self._parent[loser] = winner
             self._members[winner].extend(self._members.pop(loser))
             loser_fks = self._fks.pop(loser)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional, TypeVar, Union
 
 from .errors import SchemaError
 from .typeside import (
@@ -166,10 +166,18 @@ class Schema:
     _attr_index: dict[tuple[str, str], Attribute] = field(
         default_factory=dict, compare=False, repr=False
     )
+    _fks_by_entity: dict[str, tuple[ForeignKey, ...]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+    _attrs_by_entity: dict[str, tuple[Attribute, ...]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         self._fk_index = {(fk.source, fk.name): fk for fk in self.foreign_keys}
         self._attr_index = {(a.source, a.name): a for a in self.attributes}
+        self._fks_by_entity = _by_source(self.foreign_keys)
+        self._attrs_by_entity = _by_source(self.attributes)
 
     def has_entity(self, name: str) -> bool:
         return name in self.entities
@@ -180,11 +188,24 @@ class Schema:
     def attr(self, entity: str, name: str) -> Optional[Attribute]:
         return self._attr_index.get((entity, name))
 
-    def fks_of(self, entity: str) -> list[ForeignKey]:
-        return [fk for fk in self.foreign_keys if fk.source == entity]
+    def fks_of(self, entity: str) -> tuple[ForeignKey, ...]:
+        """The entity's foreign keys, in declaration order."""
+        return self._fks_by_entity.get(entity, ())
 
-    def attrs_of(self, entity: str) -> list[Attribute]:
-        return [a for a in self.attributes if a.source == entity]
+    def attrs_of(self, entity: str) -> tuple[Attribute, ...]:
+        """The entity's attributes, in declaration order."""
+        return self._attrs_by_entity.get(entity, ())
+
+
+Member = TypeVar("Member", ForeignKey, Attribute)
+
+
+def _by_source(members: tuple[Member, ...]) -> dict[str, tuple[Member, ...]]:
+    """Per source entity, its members in declaration order."""
+    out: dict[str, list[Member]] = {}
+    for m in members:
+        out.setdefault(m.source, []).append(m)
+    return {entity: tuple(ms) for entity, ms in out.items()}
 
 
 Sort = Union[str, BaseType]  # an entity name or a base type

@@ -6,8 +6,9 @@ the matcher oracle is the engine's first premise matcher with its own pin
 choice and order, the witness oracle is the engine's first carrier-scanning
 witness search, the identity oracles are the engine's first export-id rule
 and name scan, the cycle oracle is a plain DFS over hand-reachable edges,
-and the random constraint-set generator builds inputs from primitive
-templates only.
+the member oracles scan every fk and attribute of the schema, and the
+random constraint-set generator builds inputs from primitive templates
+only.
 """
 
 from __future__ import annotations
@@ -328,6 +329,17 @@ def oracle_element_named(inst: Instance, entity: str, name: str):
 def oracle_carrier(inst: Instance, entity: str) -> list[ElementId]:
     roots = {inst.find(e) for e in inst.elements(entity)}
     return sorted(roots, key=lambda root: oracle_export_id(inst, root))
+
+
+# ---------------------------------------------------------------------------
+# Member oracles: the engine's first per-call scans of the whole schema
+
+def oracle_fks_of(schema: Schema, entity: str) -> list[ForeignKey]:
+    return [fk for fk in schema.foreign_keys if fk.source == entity]
+
+
+def oracle_attrs_of(schema: Schema, entity: str) -> list[Attribute]:
+    return [a for a in schema.attributes if a.source == entity]
 
 
 # ---------------------------------------------------------------------------

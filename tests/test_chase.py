@@ -601,6 +601,56 @@ def test_function_term_with_unknown_argument_mints_nothing():
     assert check_model(result.instance, constraints).ok
 
 
+def _existential_attr_tgd(first: str, second: str) -> str:
+    """``_PENDING_TGD``'s schema plus ``b : Y -> Int``, with a rule whose
+    conclusion reads the existential's ``b`` inside a function."""
+    return f"""
+schema S {{
+  entities X Y
+  attributes b : X -> Int  a : Y -> Int  b : Y -> Int
+}}
+extension E {{
+  include S
+  constraints
+    forall x : X -> exists y : Y , {first} and {second}
+}}
+"""
+
+
+_EQUATION_ORDERS = (("y.b = x.b", "y.a = add(y.b, 1)"), ("y.a = add(y.b, 1)", "y.b = x.b"))
+
+
+def _chase_one_x(text: str, b):
+    combined = combine_schemas(helpers.load_text(text).extensions["E"])
+    constraints = list(combined.schema.constraints)
+    assert check_weak_acyclicity(constraints, combined.schema).acyclic
+    inst = new_instance(combined.schema)
+    x = inst.add_element("S_X", "x1")
+    if b is not None:
+        inst.set_attr(x, "b", Const(BaseType.INT, b))
+    return chase(inst, constraints, ChaseConfig(max_rounds=20)), constraints
+
+
+def test_conclusion_equation_order_changes_no_chase():
+    runs = [_chase_one_x(_existential_attr_tgd(*order), 1) for order in _EQUATION_ORDERS]
+    for result, constraints in runs:
+        assert (result.status, result.rounds) == (SATURATED, 2)
+        (y,) = result.instance.carrier("S_Y")
+        assert result.instance.get_attr(y, "a") == Const(BaseType.INT, 2)
+        assert check_model(result.instance, constraints).ok
+    (forward, _), (backward, _) = runs
+    assert forward.trace.render() == backward.trace.render()
+    assert len(forward.trace.entries) == 1
+
+
+def test_function_over_existential_attribute_mints_nothing():
+    for order in _EQUATION_ORDERS:
+        # x.b is null, so y.a = add(y.b, 1) with y.b = x.b has no value yet
+        result, constraints = _chase_one_x(_existential_attr_tgd(*order), None)
+        assert (result.status, result.rounds, result.trace.entries) == (SATURATED, 1, []), order
+        assert [v.index for v in check_model(result.instance, constraints).violations()] == [1]
+
+
 def test_premise_atom_order_changes_no_chase():
     schema = Schema(
         "T",

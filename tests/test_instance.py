@@ -8,12 +8,18 @@ import pytest
 import helpers
 from catamerge import (
     ConstantClash,
+    Instance,
     InstanceError,
     UNDEFINED,
     chase,
     check_model,
+    delta_project,
     eval_path,
+    evaluate,
+    explain,
+    instance_csvs,
     new_instance,
+    print_canonical,
 )
 from catamerge.instance import ElementId, NullRef, VirtualElem, _join_key, instances_same_data
 from catamerge.schema import Attribute, Const, Path, Schema
@@ -178,13 +184,18 @@ def test_merge_random_sequences_match_naive_partition(example2):
                 continue
             pairs.append((a, b))
         for a, b in pairs:
+            inst.carrier("Location")  # fill the cache the merge must drop
             inst.merge_elements(a, b)
+            assert inst.carrier("Location") == helpers.oracle_carrier(inst, "Location")
             union = naive[a] | naive[b]
             for m in union:
                 naive[m] = union
         # reflexive, symmetric, transitive closure agrees with the union-find
         for x, y in itertools.combinations(elems, 2):
             assert inst.same(x, y) == (y in naive[x])
+        inst.carrier("Location")
+        inst.add_element("Location", f"added_{trial}")
+        assert inst.carrier("Location") == helpers.oracle_carrier(inst, "Location")
 
 
 def test_merge_congruence_closure(example2):
@@ -351,3 +362,97 @@ def test_element_id_equals_no_other_value_kind():
     assert all(a != b for a, b in itertools.combinations(keys, 2))
     assert ElementId("E", "a") == elem and hash(ElementId("E", "a")) == hash(elem)
     assert ElementId("E", "a", True) != elem
+
+
+def test_carrier_is_a_new_list_per_call_and_per_copy(example2):
+    _, _, pre = example2
+    inst = pre.copy()
+    first = inst.carrier("Location")
+    expected = list(first)
+    first.clear()
+    assert inst.carrier("Location") == expected
+    copy = inst.copy()
+    a = copy.element_named("Location", "IFC.sp_1")
+    b = copy.element_named("Location", "BRICK.loc_1")
+    copy.merge_elements(a, b)
+    assert inst.carrier("Location") == expected
+    assert copy.carrier("Location") == helpers.oracle_carrier(copy, "Location") != expected
+    with pytest.raises(InstanceError, match="is not an entity"):
+        inst.carrier("NoSuchEntity")
+
+
+def test_member_tables_agree_with_scans(example1_saturated, example2_saturated):
+    schemas = [combined.schema for _, combined, _, _ in (example1_saturated, example2_saturated)]
+    schemas += [inst.schema for inst in _identity_instances(example1_saturated, example2_saturated)]
+    for schema in schemas:
+        for entity in schema.entities + ("NoSuchEntity",):
+            assert schema.fks_of(entity) == tuple(helpers.oracle_fks_of(schema, entity))
+            assert schema.attrs_of(entity) == tuple(helpers.oracle_attrs_of(schema, entity))
+
+
+def test_find_roots_unknown_and_equal_ids(example2):
+    _, _, pre = example2
+    inst = pre.copy()
+    with pytest.raises(InstanceError, match="unknown element"):
+        inst.find(ElementId("Location", "no such row"))
+    a = inst.element_named("Location", "IFC.sp_2")
+    b = inst.element_named("Location", "BRICK.loc_2")
+    assert inst.find(a) is a
+    assert inst.find(ElementId(a.entity, a.name)) is a
+    inst.merge_elements(a, b)
+    root = inst.find(b)
+    for stored in (a, b):
+        equal = ElementId(stored.entity, stored.name, stored.fresh)
+        assert equal is not stored
+        assert inst.find(equal) == root == inst.find(stored)
+
+
+def test_get_attr_reads_null_classes_and_anchors():
+    attrs = (Attribute("a", "E", BaseType.INT), Attribute("b", "E", BaseType.INT))
+    schema = Schema("S", ("E",), (), attrs)
+    inst = new_instance(schema, "nulls")
+    e = inst.add_element("E", "e")
+    f = inst.add_element("E", "f")
+
+    def labels(elem):
+        return [inst._attrs[elem][attr].label for attr in ("a", "b")]
+
+    for elem in (e, f):
+        for attr, label in zip(("a", "b"), labels(elem)):
+            assert inst.get_attr(elem, attr) == NullRef(inst.null_find(label)) == NullRef(label)
+    inst.union_attrs(e, "a", f, "b")
+    inst.union_attrs(f, "b", e, "b")
+    for elem in (e, f):
+        for attr, label in zip(("a", "b"), labels(elem)):
+            assert inst.get_attr(elem, attr) == NullRef(inst.null_find(label))
+    merged = inst.get_attr(e, "a")
+    assert inst.get_attr(e, "b") == inst.get_attr(f, "b") == merged != inst.get_attr(f, "a")
+    inst.assign_attr(f, "b", Const(BaseType.INT, 7))
+    for elem, attr in ((e, "a"), (e, "b"), (f, "b")):
+        assert inst.get_attr(elem, attr) == Const(BaseType.INT, 7)
+    assert isinstance(inst.get_attr(f, "a"), NullRef)
+
+
+@pytest.mark.parametrize("fixture", ["example1_saturated", "example2_saturated"])
+def test_reading_a_saturation_lists_each_entity_once(request, monkeypatch, fixture):
+    """``carrier`` is the only reader of ``elements`` in the engine; its
+    cache means every downstream stage shares one build per entity."""
+    env, combined, _, result = request.getfixturevalue(fixture)
+    sat = result.instance.copy().freeze()  # a cold carrier cache
+    calls: dict = {}
+    elements = Instance.elements
+
+    def counting(self, entity):
+        calls[self, entity] = calls.get((self, entity), 0) + 1
+        return elements(self, entity)
+
+    monkeypatch.setattr(Instance, "elements", counting)
+    assert check_model(sat, combined.schema.constraints).ok
+    for q in env.queries.values():
+        evaluate(q, sat)
+        explain(q, sat)
+    for source in combined.extension.schemas:
+        delta_project(combined, sat, source)
+    print_canonical(sat)
+    instance_csvs(sat)
+    assert calls and max(calls.values()) == 1
