@@ -307,7 +307,7 @@ def fire_once(
     paths. A conclusion function applied to a premise value still unknown
     leaves the firing pending; so does one applied to an existential's
     attribute that the conclusion sets to such a value. Equations with a
-    function side are enforced after the others, so their arguments are set.
+    function side come last, each after those that set a path it reads.
     """
     live = {step.var: inst.find(env[step.var]) for step in c.plan.premise}
     live_env = solve_premise(inst, c, live)
@@ -330,7 +330,7 @@ def fire_once(
         live_env[step.var] = firing.materialize(live_env[step.var])
     for name, entity in c.existentials:
         live_env[name] = firing.fresh(entity)
-    for eq in sorted(c.conclusion, key=_has_function_side):
+    for eq in _enforcement_order(c.conclusion):
         # type-checked, so the sides are entity-sorted iff the left one is
         if isinstance(eq.left, Var) or (isinstance(eq.left, PathApp) and eq.left.path.attr is None):
             firing.enforce_entity_eq(eq, live_env)
@@ -350,8 +350,28 @@ def fire_once(
     )
 
 
+def _enforcement_order(conclusion: tuple[Eq, ...]) -> list[Eq]:
+    """Equations without a function side, then those with one, each after the
+    others that set a path it reads; declaration order otherwise and on cycles."""
+    pending, order = sorted(conclusion, key=_has_function_side), []
+    while pending:
+        eq = next((eq for eq in pending if not any(
+            other is not eq and (_reads(eq.left) | _reads(eq.right)) & {other.left, other.right}
+            for other in pending)), pending[0])
+        pending.remove(eq)
+        order.append(eq)
+    return order
+
+
 def _has_function_side(eq: Eq) -> bool:
     return isinstance(eq.left, FunApp) or isinstance(eq.right, FunApp)
+
+
+def _reads(term: Term) -> set[Term]:
+    """The paths among a function application's arguments, at any depth."""
+    if not isinstance(term, FunApp):
+        return set()
+    return {a for a in term.args if isinstance(a, PathApp)}.union(*map(_reads, term.args))
 
 
 def _through_existentials(c: Constraint, term: Term) -> Term:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .errors import ConstantClash, InstanceError
 from .schema import (
@@ -471,6 +472,13 @@ def values_equal(inst: Instance, a: Value, b: Value) -> bool:
     return False
 
 
+Evaluator = Callable[[Instance, dict[str, Value], Term], Value]
+
+
+def _virtual_value(inst: Instance, env: dict[str, Value], term: Term) -> Value:
+    return eval_term(inst, env, term, virtual=True)
+
+
 def render_value(inst: Instance, v: Value) -> str:
     from .printer import render_constant  # local import to avoid a cycle
 
@@ -507,11 +515,12 @@ def solve_premise(inst: Instance, c: Constraint, env: dict[str, Value]) -> Optio
     return env
 
 
-def _atom_holds(inst: Instance, env: dict[str, Value], atom: Union[Eq, Cmp]) -> bool:
-    """Does a premise or conclusion atom hold under ``env``? An equation needs
-    two equal values; a predicate needs two constants; undefined never holds."""
-    lv = eval_term(inst, env, atom.left, virtual=True)
-    rv = eval_term(inst, env, atom.right, virtual=True)
+def _atom_holds(
+    inst: Instance, env: dict[str, Value], atom: Union[Eq, Cmp], evaluate: Evaluator = _virtual_value
+) -> bool:
+    """Does an atom hold under ``env``? An equation needs two equal values;
+    a predicate needs two constants; undefined never holds."""
+    lv, rv = evaluate(inst, env, atom.left), evaluate(inst, env, atom.right)
     if isinstance(atom, Eq):
         return values_equal(inst, lv, rv)
     if not (isinstance(lv, Const) and isinstance(rv, Const)):
@@ -536,39 +545,57 @@ def _join_key(inst: Instance, value: Value) -> object:
 class _Binder:
     """Binds the variables of a list of plan steps, depth first, in place.
 
-    Candidates only prune: the caller still checks every atom. Carriers and
-    hash indexes are built at most once per binder, from the instance as it
-    is then, so a binder is used up before the instance changes.
+    Pins and probes only prune: a candidate must pass its step's ``checks``,
+    and the caller checks any other atom. Carriers and hash indexes are
+    built at most once per binder, from the instance as it is then, so a
+    binder is used up before the instance changes.
     """
 
-    def __init__(self, inst: Instance, steps: tuple[BindStep, ...]):
+    def __init__(
+        self, inst: Instance, steps: tuple[BindStep, ...], evaluate: Evaluator = _virtual_value
+    ):
         self.inst = inst
         self.steps = steps
+        self.evaluate = evaluate
         self.pools: list = [None] * len(steps)  # per step: carrier or hash index
 
+    @cached_property
+    def passed(self) -> list[list[int]]:
+        """Per step and check, the partial tuples that passed it."""
+        return [[0] * len(step.checks) for step in self.steps]
+
     def bind(self, env: dict[str, Value], depth: int = 0) -> Iterator[dict[str, Value]]:
-        """Yield ``env`` once per candidate combination, in candidate order."""
+        """Yield ``env`` once per candidate combination that passes, in candidate order."""
         if depth == len(self.steps):
             yield env
             return
-        var = self.steps[depth].var
+        step = self.steps[depth]
         for elem in self._candidates(depth, env):
-            env[var] = elem
-            yield from self.bind(env, depth + 1)
+            env[step.var] = elem
+            if not step.checks or self._passes(depth, env):
+                yield from self.bind(env, depth + 1)
+
+    def _passes(self, depth: int, env: dict[str, Value]) -> bool:
+        passed = self.passed[depth]
+        for k, atom in enumerate(self.steps[depth].checks):
+            if not _atom_holds(self.inst, env, atom, self.evaluate):
+                return False
+            passed[k] += 1
+        return True
 
     def _candidates(self, depth: int, env: dict[str, Value]) -> Iterable[ElementId]:
         inst, step = self.inst, self.steps[depth]
         if step.pin is not None:
-            value = eval_term(inst, env, step.pin, virtual=True)
+            value = self.evaluate(inst, env, step.pin)
             if isinstance(value, ElementId) and value.entity == step.entity:
                 return (inst.find(value),)
             return ()
         pool = self.pools[depth]
         if pool is None:
             pool = self.pools[depth] = self._pool(step)
-        if step.probe is None:
+        if step.probe is None or not pool:  # an empty pool needs no probe value
             return pool
-        return pool.get(_join_key(inst, eval_term(inst, env, step.probe[1], virtual=True)), ())
+        return pool.get(_join_key(inst, self.evaluate(inst, env, step.probe[1])), ())
 
     def _pool(self, step: BindStep) -> Union[list[ElementId], dict[object, list[ElementId]]]:
         """The carrier, or with a probe its hash index; buckets keep carrier order."""
@@ -578,7 +605,7 @@ class _Binder:
         index: dict[object, list[ElementId]] = {}
         side = step.probe[0]
         for elem in carrier:
-            key = _join_key(self.inst, eval_term(self.inst, {step.var: elem}, side, virtual=True))
+            key = _join_key(self.inst, self.evaluate(self.inst, {step.var: elem}, side))
             if key is not None:
                 index.setdefault(key, []).append(elem)
         return index

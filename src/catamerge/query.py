@@ -4,21 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable
 
 from .errors import QueryError
-from .instance import (
-    Const,
-    ElementId,
-    Instance,
-    NullRef,
-    UNDEFINED,
-    Value,
-    _join_key,
-    eval_term,
-    values_equal,
-)
-from .schema import Eq, Term, _probe
+from .instance import Const, Instance, NullRef, UNDEFINED, Value, _Binder, eval_term
+from .schema import BindStep, Eq, Term, _probe, _term_vars
 
 
 @dataclass(frozen=True)
@@ -72,96 +62,32 @@ def _descend(
     """Bind the from-variables in order and call ``emit`` on every full tuple
     that passes the where-atoms, in lexicographic order of the bound tuple.
 
-    Each atom is applied as soon as its variables are bound, so the full
-    product is never materialized. When the first atom applied at a position
-    equates that position's variable to a term over earlier ones
-    (``schema._probe``), the position is bound from a hash index of its
-    carrier, built on first use, instead of a scan; every atom is still
-    checked on each candidate. Returns the atoms in the order they are
-    applied, each with the number of partial tuples that passed it.
+    Runs on ``instance._Binder``. Each atom is checked at the first position
+    that binds all its variables; only a position's first atom probes
+    (``schema._probe``), so each filter count equals a nested loop's. Returns
+    the atoms in check order, each with its count of passing partial tuples.
     """
-    carriers = [sat.carrier(entity) for _, entity in q.bindings]
     names = [name for name, _ in q.bindings]
-
-    # Pre-compute, per binding position, which atoms become checkable there.
-    stage: list[list[int]] = [[] for _ in q.bindings]
-    for k, atom in enumerate(q.wheres):
-        needed = _atom_vars(atom)
-        last = 0
-        for i, name in enumerate(names):
-            if name in needed:
-                last = i
-        stage[last].append(k)
-    passed = [0] * len(q.wheres)
-    # Only a stage's first atom probes, so every atom still sees exactly the
-    # partial tuples the scan would show it and the filter counts are kept.
-    probes = [
-        _probe((q.wheres[ks[0]],), names[d], set(names[:d])) if ks else None
-        for d, ks in enumerate(stage)
-    ]
-    indexes: list[Optional[tuple[dict[object, list[ElementId]], bool]]] = [None] * len(names)
-
-    def candidates(depth: int, env: dict[str, Value]) -> Iterable[ElementId]:
-        carrier, probe = carriers[depth], probes[depth]
-        if probe is None or not carrier:
-            return carrier
-        if indexes[depth] is None:
-            indexes[depth] = _index(sat, names[depth], carrier, probe[0])
-        index, side_undefined = indexes[depth]
-        other = eval_term(sat, env, probe[1])
-        # the scan evaluates both sides for every carrier element
-        if side_undefined or other is UNDEFINED:
-            raise QueryError(_UNDEFINED_WHERE)
-        return index.get(_join_key(sat, other), ())
-
-    def descend(depth: int, env: dict[str, Value]) -> None:
-        if depth == len(carriers):
-            emit(env)
-            return
-        for elem in candidates(depth, env):
-            env[names[depth]] = elem
-            ok = True
-            for k in stage[depth]:
-                atom = q.wheres[k]
-                lv = eval_term(sat, env, atom.left)
-                rv = eval_term(sat, env, atom.right)
-                if lv is UNDEFINED or rv is UNDEFINED:
-                    raise QueryError(_UNDEFINED_WHERE)
-                if not values_equal(sat, lv, rv):
-                    ok = False
-                    break
-                passed[k] += 1
-            if ok:
-                descend(depth + 1, env)
-        env.pop(names[depth], None)
-
-    descend(0, {})
-    return [(q.wheres[k], passed[k]) for ks in stage for k in ks]
+    stages: list[list[Eq]] = [[] for _ in names]
+    for atom in q.wheres:
+        needed = _term_vars(atom.left) | _term_vars(atom.right)
+        stages[max((i for i, name in enumerate(names) if name in needed), default=0)].append(atom)
+    steps = tuple(
+        BindStep(name, entity, probe=_probe(tuple(atoms[:1]), name, set(names[:i])), checks=tuple(atoms))
+        for i, ((name, entity), atoms) in enumerate(zip(q.bindings, stages))
+    )
+    binder = _Binder(sat, steps, _where_value)
+    for env in binder.bind({}):
+        emit(env)
+    return [(atom, n) for atoms, passed in zip(stages, binder.passed) for atom, n in zip(atoms, passed)]
 
 
-_UNDEFINED_WHERE = "where-atom evaluation hit an undefined foreign key"
-
-
-def _index(
-    sat: Instance, name: str, carrier: list[ElementId], side: Term
-) -> tuple[dict[object, list[ElementId]], bool]:
-    """Hash index of ``carrier`` by the join key of ``side``, buckets in
-    carrier order, and whether ``side`` was undefined on any element."""
-    index: dict[object, list[ElementId]] = {}
-    undefined = False
-    for elem in carrier:
-        value = eval_term(sat, {name: elem}, side)
-        if value is UNDEFINED:
-            undefined = True
-        else:
-            index.setdefault(_join_key(sat, value), []).append(elem)
-    return index, undefined
-
-
-def _atom_vars(atom: Eq) -> set[str]:
-    from .schema import _term_vars
-
-    return _term_vars(atom.left) | _term_vars(atom.right)
+def _where_value(sat: Instance, env: dict[str, Value], term: Term) -> Value:
+    """A where-atom side's value; an undefined one is an error."""
+    value = eval_term(sat, env, term)
+    if value is UNDEFINED:
+        raise QueryError("where-atom evaluation hit an undefined foreign key")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -201,17 +127,12 @@ def explain(q: QuerySpec, sat: Instance) -> JoinPlan:
     from .printer import render_term
 
     bindings = [(name, entity, len(sat.carrier(entity))) for name, entity in q.bindings]
-    rows = 0
-
-    def count(env: dict[str, Value]) -> None:
-        nonlocal rows
-        rows += 1
-
-    filters = _descend(q, sat, count)
+    rows: list[None] = []
+    filters = _descend(q, sat, lambda env: rows.append(None))
     return JoinPlan(
         query=q.name,
         bindings=bindings,
         product_size=math.prod(size for _, _, size in bindings),
         filters=[(f"{render_term(a.left)} = {render_term(a.right)}", n) for a, n in filters],
-        result_rows=rows,
+        result_rows=len(rows),
     )

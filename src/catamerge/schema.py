@@ -435,16 +435,18 @@ class BindStep(NamedTuple):
     """How one variable gets its candidates.
 
     With a ``pin``, a term over variables bound earlier, the only candidate
-    is the class the term evaluates to. With a ``probe``, the two sides of a
-    premise equation, the first a path on this variable and the second over
+    is the class the term evaluates to. With a ``probe``, the two sides of an
+    equation, the first a path on this variable and the second over
     variables enumerated earlier, the candidates are one bucket of a hash
-    index over the carrier. With neither, the whole carrier is scanned.
+    index over the carrier. With neither, the whole carrier is scanned. Each
+    candidate must then pass the ``checks``, in order.
     """
 
     var: str
     entity: str
     pin: Optional[Term] = None
     probe: Optional[tuple[Term, Term]] = None
+    checks: tuple[Atom, ...] = ()
 
 
 class BindingPlan(NamedTuple):

@@ -618,6 +618,10 @@ extension E {{
 
 
 _EQUATION_ORDERS = (("y.b = x.b", "y.a = add(y.b, 1)"), ("y.a = add(y.b, 1)", "y.b = x.b"))
+# both equations have a function side, and one reads the attribute the other sets
+_FUNCTION_EQUATION_ORDERS = (
+    ("y.a = add(y.b, 1)", "y.b = add(x.b, 1)"), ("y.b = add(x.b, 1)", "y.a = add(y.b, 1)"),
+)
 
 
 def _chase_one_x(text: str, b):
@@ -632,20 +636,21 @@ def _chase_one_x(text: str, b):
 
 
 def test_conclusion_equation_order_changes_no_chase():
-    runs = [_chase_one_x(_existential_attr_tgd(*order), 1) for order in _EQUATION_ORDERS]
-    for result, constraints in runs:
-        assert (result.status, result.rounds) == (SATURATED, 2)
-        (y,) = result.instance.carrier("S_Y")
-        assert result.instance.get_attr(y, "a") == Const(BaseType.INT, 2)
-        assert check_model(result.instance, constraints).ok
-    (forward, _), (backward, _) = runs
-    assert forward.trace.render() == backward.trace.render()
-    assert len(forward.trace.entries) == 1
+    for orders, a in ((_EQUATION_ORDERS, 2), (_FUNCTION_EQUATION_ORDERS, 3)):
+        runs = [_chase_one_x(_existential_attr_tgd(*order), 1) for order in orders]
+        for result, constraints in runs:
+            assert (result.status, result.rounds) == (SATURATED, 2), orders
+            (y,) = result.instance.carrier("S_Y")
+            assert result.instance.get_attr(y, "a") == Const(BaseType.INT, a)
+            assert check_model(result.instance, constraints).ok
+        (forward, _), (backward, _) = runs
+        assert forward.trace.render() == backward.trace.render()
+        assert len(forward.trace.entries) == 1
 
 
 def test_function_over_existential_attribute_mints_nothing():
-    for order in _EQUATION_ORDERS:
-        # x.b is null, so y.a = add(y.b, 1) with y.b = x.b has no value yet
+    for order in _EQUATION_ORDERS + _FUNCTION_EQUATION_ORDERS:
+        # x.b is null, so y.a = add(y.b, 1) has no value yet, whatever y.b is set to
         result, constraints = _chase_one_x(_existential_attr_tgd(*order), None)
         assert (result.status, result.rounds, result.trace.entries) == (SATURATED, 1, []), order
         assert [v.index for v in check_model(result.instance, constraints).violations()] == [1]

@@ -47,6 +47,7 @@ def test_oracle_equivalence_on_fixture_queries(example1_saturated, example2_satu
 
 
 def _extra_where_variants(q: QuerySpec) -> list[QuerySpec]:
+    one, two = Const(BaseType.INT, 1), Const(BaseType.INT, 2)
     return [
         QuerySpec(q.name, q.extension, q.bindings, (), q.projections),  # full product
         QuerySpec(
@@ -59,6 +60,9 @@ def _extra_where_variants(q: QuerySpec) -> list[QuerySpec]:
             ),
             q.projections,
         ),
+        # variable-free atoms are checked at the first binding position
+        QuerySpec(q.name, q.extension, q.bindings, (Eq(one, one),) + q.wheres, q.projections),
+        QuerySpec(q.name, q.extension, q.bindings, (Eq(one, two),) + q.wheres, q.projections),
     ]
 
 
@@ -71,6 +75,12 @@ def test_oracle_equivalence_with_extra_wheres(example2_saturated):
         _assert_agrees_with_oracle(variant, result.instance)
     assert len(evaluate(variants[0], result.instance).rows) == 25
     assert len(evaluate(variants[1], result.instance).rows) == 1
+    assert _plan(variants[2], result.instance) == (
+        [("1 = 1", 5), ("lease.leaseOf = meter.hasLocation", 5)], 5
+    )
+    assert _plan(variants[3], result.instance) == (
+        [("1 = 2", 0), ("lease.leaseOf = meter.hasLocation", 0)], 0
+    )
 
 
 def test_monotone_under_new_elements(example2_saturated):
@@ -421,6 +431,28 @@ def test_join_work_grows_linearly(monkeypatch):
 
     small, large = evaluations(20), evaluations(80)
     assert large <= 5 * small, (small, large)
+
+
+def test_query_joins_run_on_the_shared_binder(example2_saturated, monkeypatch):
+    """Every carrier scan and hash index of a query comes from
+    ``instance._Binder._pool``: one per binding position a partial tuple
+    reaches, so ``query`` builds none of its own."""
+    env, _, _, result = example2_saturated
+    q = env.queries["TenantBilling"]
+    pools: list[tuple[str, bool]] = []
+    original = catamerge.instance._Binder._pool
+
+    def counting(self, step):
+        pools.append((step.var, step.probe is not None))
+        return original(self, step)
+
+    monkeypatch.setattr(catamerge.instance._Binder, "_pool", counting)
+    assert len(evaluate(q, result.instance).rows) == 5
+    assert pools == [("lease", False), ("meter", True)]
+    pools.clear()
+    # "1 = 2" fails at the first position, so no partial tuple reaches meter
+    assert evaluate(_extra_where_variants(q)[3], result.instance).rows == []
+    assert pools == [("lease", False)]
 
 
 def test_undefined_fk_in_query_raises_query_error():
