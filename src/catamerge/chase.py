@@ -306,8 +306,9 @@ def fire_once(
     elements for existentials and for unset foreign keys along conclusion
     paths. A conclusion function applied to a premise value still unknown
     leaves the firing pending; so does one applied to an existential's
-    attribute that the conclusion sets to such a value. Equations with a
-    function side come last, each after those that set a path it reads.
+    attribute that the conclusion sets to such a value, or never sets.
+    Equations with a function side come last, each after those that set a
+    path it reads.
     """
     live = {step.var: inst.find(env[step.var]) for step in c.plan.premise}
     live_env = solve_premise(inst, c, live)
@@ -321,6 +322,8 @@ def fire_once(
         for side in (eq.left, eq.right):
             if not isinstance(side, FunApp):
                 continue
+            if _reads_unset_cell(c, side):
+                return None
             side = _through_existentials(c, side)
             if _term_vars(side) <= live_env.keys():
                 if not isinstance(eval_term(inst, live_env, side), Const):
@@ -372,6 +375,19 @@ def _reads(term: Term) -> set[Term]:
     if not isinstance(term, FunApp):
         return set()
     return {a for a in term.args if isinstance(a, PathApp)}.union(*map(_reads, term.args))
+
+
+def _reads_unset_cell(c: Constraint, term: Term) -> bool:
+    """Does a function application read ``y.a`` (``y`` existential, no
+    foreign keys) where no conclusion equation has ``y.a`` or ``y`` as a
+    side? Then ``y.a`` is a fresh element's unset null in every firing, and
+    the function never evaluates."""
+    existentials = {name for name, _ in c.existentials}
+    sides = {side for eq in c.conclusion for side in (eq.left, eq.right)}
+    return any(
+        p.var in existentials and not p.path.fks and p not in sides and Var(p.var) not in sides
+        for p in _reads(term)
+    )
 
 
 def _through_existentials(c: Constraint, term: Term) -> Term:

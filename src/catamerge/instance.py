@@ -2,9 +2,11 @@
 
 An instance tracks a union-find over its elements (entity merges propagate a
 congruence closure through valued foreign keys) and a second union-find over
-attribute-null labels with constant anchoring. Attribute valuations are total
-from the start: every element is born with a fresh labelled null per declared
-attribute; constants overwrite nulls, never other constants.
+attribute-null labels with constant anchoring. Attribute valuations are total:
+a cell that was never set, read or unified is its element's unobserved
+labelled null, and is given a fresh label the first time it is used.
+Constants overwrite nulls, never other constants. Labels are internal: their
+numbers follow first use and no output shows them.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ class ElementId(NamedTuple):
         return f"{self.entity}:{self.name}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NullRef:
     """A labelled null attribute value; compares by label class."""
 
@@ -160,7 +162,10 @@ class Instance:
         return list(cached)
 
     def members(self, elem: ElementId) -> list[ElementId]:
-        return sorted(self._members[self.find(elem)], key=lambda e: e.sort_key())
+        """The class's elements by ``sort_key``; only merged classes keep a list."""
+        root = self.find(elem)
+        members = self._members.get(root)
+        return [root] if members is None else sorted(members, key=ElementId.sort_key)
 
     def export_id(self, elem: ElementId) -> str:
         """Lexicographically least user-declared id in the class, or the
@@ -253,9 +258,8 @@ class Instance:
         self._elements[entity][name] = elem
         self._carriers.pop(entity, None)
         self._parent[elem] = elem
-        self._members[elem] = [elem]
         self._fks[elem] = {}
-        self._attrs[elem] = {a.name: self.fresh_null() for a in self.schema.attrs_of(entity)}
+        self._attrs[elem] = {}
         if origin is not None:
             self.origins[elem] = origin
         return elem
@@ -281,13 +285,16 @@ class Instance:
         self._fks[root][fk_name] = tgt
 
     def set_attr(self, elem: ElementId, attr_name: str, value: Optional[AttrValue]) -> None:
-        """Builder assignment; ``None`` stores a fresh labelled null."""
+        """Builder assignment; ``None`` or a null leaves the cell as it is."""
         self._mutable()
         root = self.find(elem)
         attr = self.schema.attr(root.entity, attr_name)
         if attr is None:
             raise InstanceError(f"'{attr_name}' is not an attribute of entity '{root.entity}'")
-        current = self.resolve_value(self._attrs[root][attr_name])
+        cells = self._attrs[root]
+        current = cells.get(attr_name)
+        if current is not None:
+            current = self.resolve_value(current)
         if value is None or isinstance(value, NullRef):
             if isinstance(current, Const):
                 raise InstanceError(
@@ -305,7 +312,7 @@ class Instance:
                 f"conflicting re-assignment of attribute '{attr_name}' on {root.name}: "
                 f"{current.value!r} vs {value.value!r}"
             )
-        self._attrs[root][attr_name] = value
+        cells[attr_name] = value
 
     # -- saturation-level mutators ----------------------------------------------
 
@@ -314,7 +321,20 @@ class Instance:
         return self.find(target) if target is not None else None
 
     def get_attr(self, elem: ElementId, attr_name: str) -> AttrValue:
-        return self.resolve_value(self._attrs[self.find(elem)][attr_name])
+        return self.resolve_value(self._cell(self.find(elem), attr_name))
+
+    def _cell(self, root: ElementId, attr_name: str) -> AttrValue:
+        """The value stored in a cell, minting its null on first use.
+
+        A read mints too, also on a frozen instance: the label is an internal
+        cache, and storing it makes two reads of one cell equal values."""
+        cells = self._attrs[root]
+        value = cells.get(attr_name)
+        if value is None:
+            if self.schema.attr(root.entity, attr_name) is None:
+                raise InstanceError(f"'{attr_name}' is not an attribute of entity '{root.entity}'")
+            value = cells[attr_name] = self.fresh_null()
+        return value
 
     def define_fk(self, elem: ElementId, fk_name: str, target: ElementId) -> bool:
         """Assign an unset foreign key, or merge the targets when already set."""
@@ -332,14 +352,14 @@ class Instance:
         """Anchor an attribute to a constant; clashes on a different constant."""
         self._mutable()
         root = self.find(elem)
-        return self._unify_values(self._attrs[root][attr_name], value, attr_name, root.name)
+        return self._unify_values(self._cell(root, attr_name), value, attr_name, root.name)
 
     def union_attrs(self, e1: ElementId, a1: str, e2: ElementId, a2: str) -> bool:
         """Force two attribute cells to hold the same value."""
         self._mutable()
         r1, r2 = self.find(e1), self.find(e2)
         return self._unify_values(
-            self._attrs[r1][a1], self._attrs[r2][a2], f"{a1}/{a2}", f"{r1.name},{r2.name}"
+            self._cell(r1, a1), self._cell(r2, a2), f"{a1}/{a2}", f"{r1.name},{r2.name}"
         )
 
     def merge_elements(self, a: ElementId, b: ElementId) -> MergeReport:
@@ -360,7 +380,7 @@ class Instance:
             report.pairs.append((winner, loser))
             self._carriers.pop(winner.entity, None)
             self._parent[loser] = winner
-            self._members[winner].extend(self._members.pop(loser))
+            self._members.setdefault(winner, [winner]).extend(self._members.pop(loser, (loser,)))
             loser_fks = self._fks.pop(loser)
             winner_fks = self._fks[winner]
             for fk_name, tgt in loser_fks.items():
@@ -368,10 +388,20 @@ class Instance:
                     work.append((winner_fks[fk_name], tgt))
                 else:
                     winner_fks[fk_name] = tgt
+            # Only cells both sides used are unified; the loser's unobserved
+            # ones are dropped. Declaration order, so a clash names the same
+            # attribute whatever order the cells were first used in.
             loser_attrs = self._attrs.pop(loser)
             winner_attrs = self._attrs[winner]
-            for attr_name, value in loser_attrs.items():
-                self._unify_values(winner_attrs[attr_name], value, attr_name, winner.name)
+            for attr in self.schema.attrs_of(winner.entity):
+                value = loser_attrs.get(attr.name)
+                if value is None:
+                    continue
+                current = winner_attrs.get(attr.name)
+                if current is None:
+                    winner_attrs[attr.name] = value
+                else:
+                    self._unify_values(current, value, attr.name, winner.name)
         return report
 
 

@@ -93,7 +93,7 @@ class Diagnostic:
         return f"{text} ({self.hint})" if self.hint else text
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: str
     text: str

@@ -74,7 +74,7 @@ class PathApp:
     path: Path
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const:
     type: BaseType
     value: object

@@ -6,8 +6,9 @@ the matcher oracle is the engine's first premise matcher with its own pin
 choice and order, the witness oracle is the engine's first carrier-scanning
 witness search, the identity oracles are the engine's first export-id rule
 and name scan, the cycle oracle is a plain DFS over hand-reachable edges,
-the member oracles scan every fk and attribute of the schema, and the
-random constraint-set generator builds inputs from primitive templates
+the member oracles scan every fk and attribute of the schema, the
+eager-null oracle mints every cell's null when its element is added, and
+the random constraint-set generator builds inputs from primitive templates
 only.
 """
 
@@ -15,8 +16,9 @@ from __future__ import annotations
 
 import itertools
 import random
+from contextlib import contextmanager
 from pathlib import Path as FsPath
-from typing import Callable
+from typing import Callable, Iterator
 
 from catamerge import (
     ChaseConfig,
@@ -504,6 +506,43 @@ def random_weakly_acyclic_case(rng: random.Random):
             continue
         if check_weak_acyclicity(constraints, schema).acyclic:
             return schema, random_instance(rng, schema), constraints
+
+
+# ---------------------------------------------------------------------------
+# Eager-null oracle: every attribute cell gets its labelled null when its
+# element is added, as the engine first did
+
+@contextmanager
+def eager_nulls() -> Iterator[None]:
+    """Within the block, ``add_element`` of every instance mints a null for
+    each of the element's attribute cells."""
+    add_element = Instance.add_element
+
+    def eager(self: Instance, entity: str, name: str, **kwargs) -> ElementId:
+        elem = add_element(self, entity, name, **kwargs)
+        self._attrs[elem] = {a.name: self.fresh_null() for a in self.schema.attrs_of(entity)}
+        return elem
+
+    Instance.add_element = eager  # type: ignore[method-assign]
+    try:
+        yield
+    finally:
+        Instance.add_element = add_element  # type: ignore[method-assign]
+
+
+def value_classes(inst: Instance) -> list:
+    """Every attribute cell of every element, in creation order: its
+    constant, or the position of the first cell holding an equal null."""
+    values = [
+        inst.get_attr(elem, attr.name)
+        for entity in inst.schema.entities
+        for elem in inst.elements(entity)
+        for attr in inst.schema.attrs_of(entity)
+    ]
+    return [
+        v if isinstance(v, Const) else next(j for j, w in enumerate(values) if values_equal(inst, v, w))
+        for v in values
+    ]
 
 
 def saturate(pre: Instance, constraints, max_rounds: int = 10000):

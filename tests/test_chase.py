@@ -624,14 +624,14 @@ _FUNCTION_EQUATION_ORDERS = (
 )
 
 
-def _chase_one_x(text: str, b):
+def _chase_one_x(text: str, b, attr: str = "b"):
     combined = combine_schemas(helpers.load_text(text).extensions["E"])
     constraints = list(combined.schema.constraints)
     assert check_weak_acyclicity(constraints, combined.schema).acyclic
     inst = new_instance(combined.schema)
     x = inst.add_element("S_X", "x1")
     if b is not None:
-        inst.set_attr(x, "b", Const(BaseType.INT, b))
+        inst.set_attr(x, attr, Const(BaseType.INT, b))
     return chase(inst, constraints, ChaseConfig(max_rounds=20)), constraints
 
 
@@ -654,6 +654,35 @@ def test_function_over_existential_attribute_mints_nothing():
         result, constraints = _chase_one_x(_existential_attr_tgd(*order), None)
         assert (result.status, result.rounds, result.trace.entries) == (SATURATED, 1, []), order
         assert [v.index for v in check_model(result.instance, constraints).violations()] == [1]
+
+
+def _unset_existential_tgd(conclusion: str) -> str:
+    return f"""
+schema S {{
+  entities X Y
+  attributes c : X -> Int  b : Y -> Int  c : Y -> Int  d : Y -> Int
+}}
+extension E {{
+  include S
+  constraints
+    forall x : X -> exists y : Y , {conclusion}
+}}
+"""
+
+
+def test_function_over_unset_existential_attribute_mints_nothing():
+    # no equation sets y.c, so a fresh Y's c stays null and add never evaluates
+    for c in (None, 1):
+        result, constraints = _chase_one_x(_unset_existential_tgd("y.b = add(y.c, 1)"), c, "c")
+        assert (result.status, result.rounds, result.trace.entries) == (SATURATED, 1, []), c
+        assert [v.index for v in check_model(result.instance, constraints).violations()] == [1]
+    # y.c set through another existential attribute still fires
+    chained = "y.b = add(y.c, 1) and y.c = y.d and y.d = x.c"
+    result, constraints = _chase_one_x(_unset_existential_tgd(chained), 1, "c")
+    assert (result.status, result.rounds, len(result.trace.entries)) == (SATURATED, 2, 1)
+    (y,) = result.instance.carrier("S_Y")
+    assert result.instance.get_attr(y, "b") == Const(BaseType.INT, 2)
+    assert check_model(result.instance, constraints).ok
 
 
 def test_premise_atom_order_changes_no_chase():

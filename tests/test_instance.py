@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import itertools
 import random
+from contextlib import nullcontext
 
 import pytest
 
 import helpers
 from catamerge import (
+    CatamergeError,
     ConstantClash,
     Instance,
     InstanceError,
@@ -20,9 +22,14 @@ from catamerge import (
     instance_csvs,
     new_instance,
     print_canonical,
+    result_table_csv,
+    sigma_insert,
 )
+from catamerge.generators import scaled_example1_document
 from catamerge.instance import ElementId, NullRef, VirtualElem, _join_key, instances_same_data
-from catamerge.schema import Attribute, Const, Path, Schema
+from catamerge.integrate import combine_schemas
+from catamerge.parser import SourceDocument, parse_document
+from catamerge.schema import Attribute, Const, ForeignKey, Path, Schema
 from catamerge.typeside import BaseType
 
 
@@ -414,16 +421,15 @@ def test_get_attr_reads_null_classes_and_anchors():
     e = inst.add_element("E", "e")
     f = inst.add_element("E", "f")
 
-    def labels(elem):
-        return [inst._attrs[elem][attr].label for attr in ("a", "b")]
-
+    # each cell's own label, read before any union
+    labels = {elem: [inst.get_attr(elem, attr).label for attr in ("a", "b")] for elem in (e, f)}
     for elem in (e, f):
-        for attr, label in zip(("a", "b"), labels(elem)):
+        for attr, label in zip(("a", "b"), labels[elem]):
             assert inst.get_attr(elem, attr) == NullRef(inst.null_find(label)) == NullRef(label)
     inst.union_attrs(e, "a", f, "b")
     inst.union_attrs(f, "b", e, "b")
     for elem in (e, f):
-        for attr, label in zip(("a", "b"), labels(elem)):
+        for attr, label in zip(("a", "b"), labels[elem]):
             assert inst.get_attr(elem, attr) == NullRef(inst.null_find(label))
     merged = inst.get_attr(e, "a")
     assert inst.get_attr(e, "b") == inst.get_attr(f, "b") == merged != inst.get_attr(f, "a")
@@ -456,3 +462,139 @@ def test_reading_a_saturation_lists_each_entity_once(request, monkeypatch, fixtu
     print_canonical(sat)
     instance_csvs(sat)
     assert calls and max(calls.values()) == 1
+
+
+def test_unknown_attribute_names_the_attribute_and_entity():
+    schema = Schema("S", ("E",), (), (Attribute("a", "E", BaseType.INT),))
+    inst = new_instance(schema)
+    e = inst.add_element("E", "e")
+    inst.set_attr(e, "a", Const(BaseType.INT, 1))
+    unknown = "'nope' is not an attribute of entity 'E'"
+    with pytest.raises(InstanceError, match=unknown):
+        inst.get_attr(e, "nope")
+    with pytest.raises(InstanceError, match=unknown):
+        inst.assign_attr(e, "nope", Const(BaseType.INT, 1))
+    for args in ((e, "a", e, "nope"), (e, "nope", e, "a")):
+        with pytest.raises(InstanceError, match=unknown):
+            inst.union_attrs(*args)
+    assert inst.get_attr(e, "a") == Const(BaseType.INT, 1)
+
+
+def test_fully_set_rows_mint_no_null():
+    env = parse_document(SourceDocument("scaled", scaled_example1_document(50)))
+    sources = {"IFC": env.instances["ifc_model"], "BRICK": env.instances["brick_model"]}
+    combined = combine_schemas(env.extensions["Combined"])
+    pre = sigma_insert(combined, sources)
+    for inst in (*sources.values(), pre):
+        assert len(inst._null_parent) == 0, inst.name
+    # a read mints the null of an unset cell once and keeps it
+    (equipment, *_) = pre.carrier("Equipment")
+    first = pre.get_attr(equipment, "equipmentName")
+    assert isinstance(first, NullRef) and pre.get_attr(equipment, "equipmentName") == first
+    assert len(pre._null_parent) == 1
+
+
+def _outputs(pipeline):
+    env, combined, pre = pipeline()
+    result = helpers.saturate(pre, combined.schema.constraints)
+    sat = result.instance
+    checks = [c.satisfied for c in check_model(sat, combined.schema.constraints).checks]
+    csvs = {name: result_table_csv(evaluate(q, sat)) for name, q in env.queries.items()}
+    return pre, sat, (result.status, result.trace.render(), checks, csvs, helpers.value_classes(sat))
+
+
+def test_lazy_cells_agree_with_eager_nulls_on_fixtures():
+    for pipeline in (helpers.example1_pipeline, helpers.example2_pipeline):
+        lazy_pre, lazy, lazy_out = _outputs(pipeline)
+        with helpers.eager_nulls():
+            eager_pre, eager, eager_out = _outputs(pipeline)
+        assert len(lazy_pre._null_parent) < len(eager_pre._null_parent)
+        assert lazy_out == eager_out
+        assert instances_same_data(lazy_pre, eager_pre) and instances_same_data(lazy, eager)
+
+
+def test_lazy_cells_agree_with_eager_nulls_on_random_chases():
+    for seed in range(200):
+        runs = []
+        for mode in (nullcontext(), helpers.eager_nulls()):
+            with mode:
+                _, pre, constraints = helpers.random_weakly_acyclic_case(random.Random(seed))
+                result = chase(pre, constraints)
+            checks = [c.satisfied for c in check_model(result.instance, constraints).checks]
+            runs.append((result, (result.status, result.trace.render(), checks,
+                                  helpers.value_classes(result.instance))))
+        (lazy, lazy_out), (eager, eager_out) = runs
+        assert lazy_out == eager_out, seed
+        assert instances_same_data(lazy.instance, eager.instance), seed
+
+
+_OPS_SCHEMA = Schema(
+    "Ops",
+    ("A", "B"),
+    (ForeignKey("f", "A", "B"),),
+    tuple(Attribute(name, name[0].upper(), BaseType.INT) for name in ("a0", "a1", "a2", "b0", "b1")),
+)
+
+
+def _random_ops(rng: random.Random, count: int) -> list[tuple[str, tuple]]:
+    """Builder and saturation calls on ``_OPS_SCHEMA``, sometimes on an
+    attribute the entity lacks; every element is added before it is used."""
+    elements: dict[str, list[ElementId]] = {"A": [], "B": []}
+    ops: list[tuple[str, tuple]] = []
+
+    def cell():
+        entity = rng.choice([e for e in elements if elements[e]])
+        attrs = [a.name for a in _OPS_SCHEMA.attrs_of(entity)] + ["nope"] * (rng.random() < 0.05)
+        return rng.choice(elements[entity]), rng.choice(attrs)
+
+    def constant():
+        return Const(BaseType.INT, rng.randrange(3))
+
+    for k in range(count):
+        kind = rng.randrange(7) if elements["A"] and elements["B"] else 0
+        if kind == 0:
+            entity = rng.choice("AB")
+            elements[entity].append(ElementId(entity, f"{entity.lower()}{k}"))
+            ops.append(("add_element", (entity, f"{entity.lower()}{k}")))
+        elif kind == 1:
+            ops.append(("set_fk", (rng.choice(elements["A"]), "f", rng.choice(elements["B"]))))
+        elif kind == 2:
+            ops.append(("set_attr", (*cell(), rng.choice([None, constant()]))))
+        elif kind == 3:
+            ops.append(("assign_attr", (*cell(), constant())))
+        elif kind == 4:
+            ops.append(("union_attrs", (*cell(), *cell())))
+        elif kind == 5:
+            entity = rng.choice("AB")
+            ops.append(("merge_elements", (rng.choice(elements[entity]), rng.choice(elements[entity]))))
+        else:
+            ops.append(("get_attr", cell()))
+    return ops
+
+
+def _apply(inst: Instance, ops: list[tuple[str, tuple]]) -> list:
+    """Each call's result, a null as "null", or the error it raised."""
+    out = []
+    for name, args in ops:
+        try:
+            result = getattr(inst, name)(*args)
+        except CatamergeError as exc:
+            result = (type(exc).__name__, str(exc))
+        out.append("null" if isinstance(result, NullRef) else result)
+    return out
+
+
+def test_lazy_cells_agree_with_eager_nulls_on_random_calls():
+    outcomes = set()
+    for seed in range(300):
+        ops = _random_ops(random.Random(seed), 40)
+        lazy = new_instance(_OPS_SCHEMA)
+        lazy_out = _apply(lazy, ops)
+        with helpers.eager_nulls():
+            eager = new_instance(_OPS_SCHEMA)
+            eager_out = _apply(eager, ops)
+        assert lazy_out == eager_out, seed
+        assert helpers.value_classes(lazy) == helpers.value_classes(eager), seed
+        outcomes.update(type(r).__name__ if not isinstance(r, tuple) else r[0] for r in lazy_out)
+    # constants, nulls, merges and both kinds of error all occur
+    assert {"Const", "str", "MergeReport", "InstanceError", "ConstantClash"} <= outcomes, outcomes
