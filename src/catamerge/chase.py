@@ -1,13 +1,23 @@
 """Round-based parallel chase: saturate an instance under Horn constraints.
 
-Each round enumerates every premise match against the start-of-round
-instance (constraints in declaration order, assignments in lexicographic
-order), then applies the collected firings one by one: equality-generating
-firings first, tuple-generating ones after. A firing is re-validated against
-the live instance, so duplicate work collapses into no-ops. Foreign-key
-applications demanded by a conclusion path or by a pinned premise variable
-are materialized with fresh elements; that is what lets a rule like
+Each round enumerates premise matches against the start-of-round instance
+(equality-generating constraints first, then tuple-generating ones, each in
+declaration order, assignments in lexicographic order), then applies the
+collected firings one by one. A firing is re-validated against the live
+instance, so duplicate work collapses into no-ops. Foreign-key applications
+demanded by a conclusion path or by a pinned premise variable are
+materialized with fresh elements; that is what lets a rule like
 ``where p = s.attachedTo.hasPoint`` build the missing target side.
+
+Rounds are semi-naive. Merges, fk definitions, anchoring and unions never
+make a premise or a conclusion that holds for a tuple of classes stop
+holding. So a match whose conclusion held or was fully enforced is
+discharged, keyed by the classes of its enumerated universals, and never
+fired again; and a constraint whose last enumeration left no match pending
+is not enumerated again until a round changes something its premise reads
+(``Instance.changes`` against ``premise_reads``). Every firing skipped is
+one that would have done nothing, so traces, round counts and fresh names
+are those of re-enumerating every match each round.
 
 Termination is guarded by the weak-acyclicity check unless disabled.
 """
@@ -20,6 +30,10 @@ from typing import Optional, Union
 
 from .errors import ChasePreconditionError, ConstantClash
 from .instance import (
+    CREATED,
+    DEFINED,
+    MERGED,
+    NULLS,
     Const,
     ElementId,
     Instance,
@@ -35,6 +49,7 @@ from .schema import (
     Eq,
     FunApp,
     PathApp,
+    Schema,
     Term,
     Var,
     _sides,
@@ -160,6 +175,7 @@ class _Firing:
         self.round_no = round_no
         self.counter = counter
         self.mutations: list[Mutation] = []
+        self.cut_short = False  # an equation waits on an unknown function argument
 
     def fresh(self, entity: str) -> ElementId:
         name = f"{entity}!{self.round_no}.{next(self.counter)}"
@@ -253,7 +269,8 @@ class _Firing:
         left = self._base_side(eq.left, env)
         right = self._base_side(eq.right, env)
         if left is None or right is None:
-            return  # a function argument is still unknown; later rounds retry
+            self.cut_short = True  # a function argument is still unknown; later rounds retry
+            return
         if isinstance(left, Const) and isinstance(right, Const):
             if left.type != right.type or left.value != right.value:
                 raise ConstantClash("conclusion", left.value, right.value)
@@ -297,6 +314,7 @@ def fire_once(
     *,
     round_no: int = 1,
     counter: Optional[itertools.count] = None,
+    discharged: Optional[set[tuple[ElementId, ...]]] = None,
 ) -> Optional[TraceEntry]:
     """Fire one premise match; returns None when nothing needed doing.
 
@@ -309,12 +327,21 @@ def fire_once(
     attribute that the conclusion sets to such a value, or never sets.
     Equations with a function side come last, each after those that set a
     path it reads.
+
+    With ``discharged``, adds to it the live classes of the enumerated
+    universals (``c.plan.premise``) when the conclusion was witnessed or
+    every equation was enforced; a later call for those classes would then
+    return None. A pending firing, or one cut short by a function argument
+    still unknown, adds nothing.
     """
     live = {step.var: inst.find(env[step.var]) for step in c.plan.premise}
+    key = tuple(live.values())
     live_env = solve_premise(inst, c, live)
     if live_env is None:
         return None
     if conclusion_satisfied(inst, c, live_env):
+        if discharged is not None:
+            discharged.add(key)
         return None
     # Fresh elements minted while a function argument is unknown would be
     # minted again every round.
@@ -339,6 +366,8 @@ def fire_once(
             firing.enforce_entity_eq(eq, live_env)
         else:
             firing.enforce_base_eq(eq, live_env)
+    if discharged is not None and not firing.cut_short:
+        discharged.add(key)
     if not firing.mutations:
         return None
     # every variable is bound to an element now
@@ -428,28 +457,82 @@ def chase(pre: Instance, constraints: list[Constraint], cfg: Optional[ChaseConfi
 
     inst = pre.copy()
     trace = ChaseTrace()
-    egds = [(i, c) for i, c in enumerate(constraints, start=1) if classify_constraint(c) == "EGD"]
-    tgds = [(i, c) for i, c in enumerate(constraints, start=1) if classify_constraint(c) == "TGD"]
+    indexed = list(enumerate(constraints, start=1))
+    ordered = [(i, c) for i, c in indexed if classify_constraint(c) == "EGD"]
+    ordered += [(i, c) for i, c in indexed if classify_constraint(c) == "TGD"]
+    reads = {i: premise_reads(c, inst.schema) for i, c in ordered}
+    discharged: dict[int, set[tuple[ElementId, ...]]] = {i: set() for i, _ in ordered}
+    stale = set(reads)  # the constraints to enumerate this round
 
     for round_no in range(1, cfg.max_rounds + 1):
         collected: list[tuple[int, Constraint, dict[str, Value]]] = []
-        for index, c in egds + tgds:
-            for env in enumerate_matches(inst, c):
-                collected.append((index, c, env))
+        for index, c in ordered:
+            if index in stale:
+                for env in enumerate_matches(inst, c):
+                    collected.append((index, c, env))
         counter = itertools.count()
         changed = False
+        pending: set[int] = set()
+        inst.changes = set()
         try:
             for index, c, env in collected:
-                entry = fire_once(inst, c, env, round_no=round_no, counter=counter)
+                done = discharged[index]
+                key = tuple(inst.find(env[step.var]) for step in c.plan.premise)
+                if key in done:
+                    continue
+                entry = fire_once(inst, c, env, round_no=round_no, counter=counter, discharged=done)
                 if entry is not None:
                     entry.constraint_index = index
                     trace.entries.append(entry)
                     changed = True
+                if key not in done:
+                    pending.add(index)
         except ConstantClash as clash:
             return ChaseResult(FAILED, None, trace, round_no, clash)
+        changes, inst.changes = inst.changes, None
         if not changed:
             return ChaseResult(SATURATED, inst.freeze(), trace, round_no)
+        merged = {mark[1] for mark in changes if mark[0] == MERGED}
+        for index, c in ordered:
+            if any(step.entity in merged for step in c.plan.premise):
+                discharged[index] = {tuple(map(inst.find, key)) for key in discharged[index]}
+        stale = pending | {i for i, _ in ordered if not reads[i].isdisjoint(changes)}
     return ChaseResult(EXHAUSTED, None, trace, cfg.max_rounds)
+
+
+def premise_reads(c: Constraint, schema: Schema) -> frozenset[tuple]:
+    """The change marks (see ``Instance.changes``) that can give ``c`` a new
+    premise match: a created or merged element of an enumerated entity or of
+    an entity a premise atom or pin visits, a definition of a foreign key
+    they follow, and any null change when they read an attribute."""
+    # a pinned variable's entity is reached by its pin
+    entities = {step.entity for step in c.plan.premise}
+    marks: set[tuple] = set()
+
+    def visit(term: Term) -> None:
+        if isinstance(term, FunApp):
+            for arg in term.args:
+                visit(arg)
+        elif isinstance(term, PathApp):
+            entity = term.path.root
+            for fk_name in term.path.fks:
+                marks.add((DEFINED, entity, fk_name))
+                fk = schema.fk(entity, fk_name)
+                assert fk is not None  # type-checked
+                entity = fk.target
+                entities.add(entity)
+            if term.path.attr is not None:
+                marks.add(NULLS)
+
+    for step in c.plan.pins:
+        visit(step.pin)
+    for atom in c.premise:
+        visit(atom.left)
+        visit(atom.right)
+    for entity in entities:
+        marks.add((CREATED, entity))
+        marks.add((MERGED, entity))
+    return frozenset(marks)
 
 
 def replay(pre: Instance, trace: ChaseTrace) -> Instance:

@@ -7,6 +7,13 @@ a cell that was never set, read or unified is its element's unobserved
 labelled null, and is given a fresh label the first time it is used.
 Constants overwrite nulls, never other constants. Labels are internal: their
 numbers follow first use and no output shows them.
+
+While ``Instance.changes`` holds a set, ``add_element`` and the
+saturation-level mutators add to it a mark for each change that can give a
+premise a new match: ``(CREATED, entity)``, ``(MERGED, entity)``
+(congruence merges included), ``(DEFINED, entity, fk)`` and ``NULLS`` for
+any anchoring or union of null classes, which span entities. The chase
+collects them per round.
 """
 
 from __future__ import annotations
@@ -75,6 +82,9 @@ class _UndefinedType:
 
 UNDEFINED = _UndefinedType()
 
+CREATED, MERGED, DEFINED = "created", "merged", "defined"
+NULLS = ("nulls",)
+
 
 @dataclass(frozen=True)
 class VirtualElem:
@@ -116,6 +126,8 @@ class Instance:
         self._carriers: dict[str, list[ElementId]] = {}
         # Provenance of elements copied out of source instances: (schema, row id).
         self.origins: dict[ElementId, tuple[str, str]] = {}
+        # Change marks, while a caller collects them; a copy starts with None.
+        self.changes: Optional[set[tuple]] = None
 
     # -- basic structure ----------------------------------------------------
 
@@ -228,16 +240,20 @@ class Instance:
             raise ConstantClash(attr, lv.value, rv.value, context)
         if isinstance(lv, Const):
             self._null_anchor[self.null_find(rv.label)] = lv  # type: ignore[union-attr]
-            return True
-        if isinstance(rv, Const):
+        elif isinstance(rv, Const):
             self._null_anchor[self.null_find(lv.label)] = rv
-            return True
-        ra, rb = self.null_find(lv.label), self.null_find(rv.label)
-        if ra == rb:
-            return False
-        winner, loser = (ra, rb) if ra < rb else (rb, ra)
-        self._null_parent[loser] = winner
+        else:
+            ra, rb = self.null_find(lv.label), self.null_find(rv.label)
+            if ra == rb:
+                return False
+            winner, loser = (ra, rb) if ra < rb else (rb, ra)
+            self._null_parent[loser] = winner
+        self._record(NULLS)
         return True
+
+    def _record(self, mark: tuple) -> None:
+        if self.changes is not None:
+            self.changes.add(mark)
 
     # -- builders --------------------------------------------------------------
 
@@ -257,6 +273,7 @@ class Instance:
         elem = ElementId(entity, name, fresh)
         self._elements[entity][name] = elem
         self._carriers.pop(entity, None)
+        self._record((CREATED, entity))
         self._parent[elem] = elem
         self._fks[elem] = {}
         self._attrs[elem] = {}
@@ -312,7 +329,11 @@ class Instance:
                 f"conflicting re-assignment of attribute '{attr_name}' on {root.name}: "
                 f"{current.value!r} vs {value.value!r}"
             )
-        cells[attr_name] = value
+        if current is None:
+            cells[attr_name] = value
+        else:
+            # anchor the null's class: cells unified with this one read the constant too
+            self._unify_values(current, value, attr_name, root.name)
 
     # -- saturation-level mutators ----------------------------------------------
 
@@ -322,6 +343,17 @@ class Instance:
 
     def get_attr(self, elem: ElementId, attr_name: str) -> AttrValue:
         return self.resolve_value(self._cell(self.find(elem), attr_name))
+
+    def stored_attr(self, elem: ElementId, attr_name: str) -> Optional[AttrValue]:
+        """``get_attr`` without minting: None for an unobserved cell, whose
+        null no other cell shares."""
+        root = self.find(elem)
+        value = self._attrs[root].get(attr_name)
+        if value is None:
+            if self.schema.attr(root.entity, attr_name) is None:
+                raise InstanceError(f"'{attr_name}' is not an attribute of entity '{root.entity}'")
+            return None
+        return self.resolve_value(value)
 
     def _cell(self, root: ElementId, attr_name: str) -> AttrValue:
         """The value stored in a cell, minting its null on first use.
@@ -343,6 +375,7 @@ class Instance:
         current = self._fks[root].get(fk_name)
         if current is None:
             self._fks[root][fk_name] = tgt
+            self._record((DEFINED, root.entity, fk_name))
             return True
         if self.find(current) == tgt:
             return False
@@ -378,6 +411,7 @@ class Instance:
                 )
             winner, loser = (rx, ry) if rx.sort_key() <= ry.sort_key() else (ry, rx)
             report.pairs.append((winner, loser))
+            self._record((MERGED, winner.entity))
             self._carriers.pop(winner.entity, None)
             self._parent[loser] = winner
             self._members.setdefault(winner, [winner]).extend(self._members.pop(loser, (loser,)))

@@ -289,7 +289,10 @@ def sigma_insert(combined: CombinedSchema, sources: dict[str, Instance]) -> Inst
                         mapping[(s.name, target)],
                     )
                 for attr in s.attrs_of(entity):
-                    value = src.get_attr(root, attr.name)
+                    # an unobserved cell shares its null with no other cell
+                    value = src.stored_attr(root, attr.name)
+                    if value is None:
+                        continue
                     combined_attr = combined.combined_member(s.name, entity, attr.name)
                     if isinstance(value, Const):
                         out.set_attr(elem, combined_attr, value)

@@ -7,9 +7,10 @@ choice and order, the witness oracle is the engine's first carrier-scanning
 witness search, the identity oracles are the engine's first export-id rule
 and name scan, the cycle oracle is a plain DFS over hand-reachable edges,
 the member oracles scan every fk and attribute of the schema, the
-eager-null oracle mints every cell's null when its element is added, and
-the random constraint-set generator builds inputs from primitive templates
-only.
+eager-null oracle mints every cell's null when its element is added, the
+chase oracle re-enumerates and re-fires every match of every constraint in
+every round, and the random constraint-set generator builds inputs from
+primitive templates only.
 """
 
 from __future__ import annotations
@@ -31,7 +32,15 @@ from catamerge import (
     new_instance,
     sigma_insert,
 )
-from catamerge.errors import QueryError
+from catamerge.chase import (
+    EXHAUSTED,
+    FAILED,
+    SATURATED,
+    ChaseResult,
+    ChaseTrace,
+    fire_once,
+)
+from catamerge.errors import ConstantClash, QueryError
 from catamerge.instance import (
     UNDEFINED,
     ElementId,
@@ -39,6 +48,7 @@ from catamerge.instance import (
     Value,
     VirtualElem,
     _atom_holds,
+    enumerate_matches,
     eval_term,
     values_equal,
 )
@@ -543,6 +553,67 @@ def value_classes(inst: Instance) -> list:
         v if isinstance(v, Const) else next(j for j, w in enumerate(values) if values_equal(inst, v, w))
         for v in values
     ]
+
+
+# ---------------------------------------------------------------------------
+# Chase oracle: every round enumerates every match of every constraint
+# against the start-of-round instance and re-validates each with fire_once
+
+def oracle_chase(pre: Instance, constraints: list[Constraint], max_rounds: int = 10000) -> ChaseResult:
+    """The naive round loop, with the preconditions left to the caller."""
+    inst = pre.copy()
+    trace = ChaseTrace()
+    indexed = list(enumerate(constraints, start=1))
+    ordered = [(i, c) for i, c in indexed if not c.existentials]
+    ordered += [(i, c) for i, c in indexed if c.existentials]
+    for round_no in range(1, max_rounds + 1):
+        collected = [(i, c, env) for i, c in ordered for env in enumerate_matches(inst, c)]
+        counter = itertools.count()
+        changed = False
+        try:
+            for index, c, env in collected:
+                entry = fire_once(inst, c, env, round_no=round_no, counter=counter)
+                if entry is not None:
+                    entry.constraint_index = index
+                    trace.entries.append(entry)
+                    changed = True
+        except ConstantClash as clash:
+            return ChaseResult(FAILED, None, trace, round_no, clash)
+        if not changed:
+            return ChaseResult(SATURATED, inst.freeze(), trace, round_no)
+    return ChaseResult(EXHAUSTED, None, trace, max_rounds)
+
+
+def deep_chain_document(n: int, k: int, deepest_first: bool = True) -> str:
+    """Schema ``A0 … Ak`` with ``fi : Ai -> Ai+1``, n rows in ``A0``, and in
+    extension ``Deep`` the rules ``forall x : Ai -> exists y : Ai+1 , x.fi = y``;
+    the chase takes k + 1 rounds."""
+    rules = [f"    forall x : A{i} -> exists y : A{i + 1} , x.f{i} = y" for i in range(k)]
+    return "\n".join([
+        "schema Chain {",
+        "  entities " + " ".join(f"A{i}" for i in range(k + 1)),
+        "  foreign_keys",
+        *(f"    f{i} : A{i} -> A{i + 1}" for i in range(k)),
+        "}",
+        "instance chain : Chain {",
+        "  entity A0 {",
+        *(f"    row a_{j:04d} {{ }}" for j in range(n)),
+        "  }",
+        "}",
+        "extension Deep {",
+        "  include Chain",
+        "  constraints",
+        *(rules[::-1] if deepest_first else rules),
+        "}",
+        "",
+    ])
+
+
+def deep_chain_case(n: int, k: int, deepest_first: bool = True) -> tuple[Instance, list[Constraint]]:
+    """The pre-instance and rules of ``deep_chain_document``."""
+    env = load_text(deep_chain_document(n, k, deepest_first), "chain.cmg")
+    combined = combine_schemas(env.extensions["Deep"])
+    return sigma_insert(combined, {"Chain": env.instances["chain"]}), list(combined.schema.constraints)
 
 
 def saturate(pre: Instance, constraints, max_rounds: int = 10000):

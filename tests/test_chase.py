@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import random
 
 import pytest
@@ -624,7 +625,7 @@ _FUNCTION_EQUATION_ORDERS = (
 )
 
 
-def _chase_one_x(text: str, b, attr: str = "b"):
+def _one_x(text: str, b, attr: str = "b") -> tuple[Instance, list[Constraint]]:
     combined = combine_schemas(helpers.load_text(text).extensions["E"])
     constraints = list(combined.schema.constraints)
     assert check_weak_acyclicity(constraints, combined.schema).acyclic
@@ -632,6 +633,11 @@ def _chase_one_x(text: str, b, attr: str = "b"):
     x = inst.add_element("S_X", "x1")
     if b is not None:
         inst.set_attr(x, attr, Const(BaseType.INT, b))
+    return inst, constraints
+
+
+def _chase_one_x(text: str, b, attr: str = "b"):
+    inst, constraints = _one_x(text, b, attr)
     return chase(inst, constraints, ChaseConfig(max_rounds=20)), constraints
 
 
@@ -720,3 +726,260 @@ def test_chase_config_validates_round_budget():
     with pytest.raises(ValueError):
         ChaseConfig(max_rounds=0)
     assert ChaseConfig(max_rounds=1).max_rounds == 1
+
+
+# -- semi-naive rounds against the naive round loop ----------------------------
+
+def _same_as_oracle(pre: Instance, constraints: list[Constraint], max_rounds: int = 10000):
+    """Chase both ways; status, rounds, trace, clash and data must agree."""
+    cfg = ChaseConfig(max_rounds=max_rounds, require_weak_acyclicity=False)
+    semi, naive = chase(pre, constraints, cfg), helpers.oracle_chase(pre, constraints, max_rounds)
+    assert (semi.status, semi.rounds) == (naive.status, naive.rounds)
+    assert semi.trace.render() == naive.trace.render()
+    assert str(semi.clash) == str(naive.clash)
+    if semi.instance is not None:
+        assert instances_same_data(semi.instance, naive.instance)
+    return semi
+
+
+def test_semi_naive_rounds_agree_with_oracle_on_fixtures(example1, example2, monkeypatch):
+    for _, combined, pre in (example1, example2):
+        constraints = list(combined.schema.constraints)
+        assert _same_as_oracle(pre, constraints[::-1]).saturated
+        calls = _counting_fire_once(monkeypatch)
+        result = _same_as_oracle(pre, constraints)
+        # example 2 merges Locations in round 1; its round 2 fires nothing
+        assert result.saturated and len(calls) == len(result.trace.entries)
+        monkeypatch.undo()
+
+
+def test_semi_naive_rounds_agree_with_oracle_on_random_cases():
+    rounds = set()
+    for seed in range(300):
+        _, pre, constraints = helpers.random_weakly_acyclic_case(random.Random(seed))
+        rounds.add(_same_as_oracle(pre, constraints).rounds)
+    assert len(rounds) > 2, rounds
+
+
+def test_semi_naive_rounds_agree_with_oracle_on_deep_chains():
+    for k in range(1, 9):
+        for deepest_first in (True, False):
+            pre, constraints = helpers.deep_chain_case(4, k, deepest_first)
+            result = _same_as_oracle(pre, constraints)
+            assert (result.status, result.rounds) == (SATURATED, k + 1)
+
+
+def test_semi_naive_rounds_agree_with_oracle_on_pending_function_sides():
+    cases = [(_PENDING_TGD, b, "b") for b in (None, 1)]
+    for order in _EQUATION_ORDERS + _FUNCTION_EQUATION_ORDERS:
+        cases += [(_existential_attr_tgd(*order), b, "b") for b in (None, 1)]
+    for conclusion in ("y.b = add(y.c, 1)", "y.b = add(y.c, 1) and y.c = y.d and y.d = x.c"):
+        cases += [(_unset_existential_tgd(conclusion), c, "c") for c in (None, 1)]
+    for text, value, attr in cases:
+        _same_as_oracle(*_one_x(text, value, attr), max_rounds=20)
+
+
+def test_semi_naive_rounds_agree_with_oracle_on_constant_clash():
+    env = helpers.load_text(helpers.clash_fixture_text(), "clash.cmg")
+    combined = combine_schemas(env.extensions["CombinedThreeWay"])
+    pre = sigma_insert(combined, {s: env.instances[f"{s.lower()}_model"] for s in ("IFC", "BRICK", "REC")})
+    result = _same_as_oracle(pre, list(combined.schema.constraints))
+    assert result.status == FAILED and "99.9" in str(result.clash)
+
+
+def _counting_fire_once(monkeypatch) -> list[int]:
+    """Counts the calls the chase loop makes to ``fire_once``."""
+    module = importlib.import_module("catamerge.chase")  # the package exports a ``chase`` function
+    calls: list[int] = []
+    fire_once = module.fire_once
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fire_once(*args, **kwargs)
+
+    monkeypatch.setattr(module, "fire_once", counted)
+    return calls
+
+
+def test_deep_chain_fires_each_match_once(monkeypatch):
+    pre, constraints = helpers.deep_chain_case(50, 8)
+    calls = _counting_fire_once(monkeypatch)
+    result = chase(pre, constraints)
+    assert (result.status, result.rounds, len(result.trace.entries)) == (SATURATED, 9, 400)
+    assert len(calls) == 400
+
+
+# Each rule set has a second rule whose only match appears in round 2, and
+# only through one kind of change made in round 1.
+_NEW_MATCH_CASES = {
+    "fresh element": """
+schema S {
+  entities X Y
+  foreign_keys
+    f : X -> Y
+  attributes
+    a : Y -> String
+}
+instance i : S {
+  entity X { row x1 { } }
+}
+extension E {
+  include S
+  constraints
+    forall x : X -> exists y : Y , x.f = y
+    forall y : Y -> y.a = "seen"
+}
+""",
+    "congruence merge": """
+schema S {
+  entities A B D K
+  foreign_keys
+    k : A -> K
+    w : A -> D
+    u : B -> D
+    v : B -> D
+  attributes
+    s : B -> String
+}
+instance i : S {
+  entity K { row k1 { } }
+  entity D { row d1 { } row d2 { } }
+  entity A { row a1 { k = k1 w = d1 } row a2 { k = k1 w = d2 } }
+  entity B { row b1 { u = d1 v = d2 } }
+}
+extension E {
+  include S
+  constraints
+    forall a1 a2 : A where a1.k = a2.k -> a1 = a2
+    forall b : B where b.u = b.v -> b.s = "joined"
+}
+""",
+    "fk definition": """
+schema S {
+  entities X Y
+  foreign_keys
+    f : X -> Y
+    g : X -> Y
+  attributes
+    s : X -> String
+}
+instance i : S {
+  entity Y { row y1 { } }
+  entity X { row x1 { g = y1 } }
+}
+extension E {
+  include S
+  constraints
+    forall x : X -> x.f = x.g
+    forall x : X where x.f = x.g -> x.s = "linked"
+}
+""",
+    "null anchoring": """
+schema S {
+  entities L P
+  foreign_keys
+    leasee : L -> P
+  attributes
+    personName : P -> String
+    given : P -> String
+    flag : L -> String
+}
+instance i : S {
+  entity P { row p1 { given = "Person B" } }
+  entity L { row l1 { leasee = p1 } }
+}
+extension E {
+  include S
+  constraints
+    forall p : P -> p.given = p.personName
+    forall l : L where levenshtein(l.leasee.personName, "Vacant") > 0 -> l.flag = "occupied"
+}
+""",
+    "null anchoring by a constant": """
+schema S {
+  entities L P
+  foreign_keys
+    leasee : L -> P
+  attributes
+    personName : P -> String
+    flag : L -> String
+}
+instance i : S {
+  entity P { row p1 { } }
+  entity L { row l1 { leasee = p1 } }
+}
+extension E {
+  include S
+  constraints
+    forall p : P -> p.personName = "Person B"
+    forall l : L where levenshtein(l.leasee.personName, "Vacant") > 0 -> l.flag = "occupied"
+}
+""",
+    "null union": """
+schema S {
+  entities L P
+  foreign_keys
+    leasee : L -> P
+  attributes
+    personName : P -> String
+    alias : P -> String
+    flag : L -> String
+}
+instance i : S {
+  entity P { row p1 { } }
+  entity L { row l1 { leasee = p1 } }
+}
+extension E {
+  include S
+  constraints
+    forall p : P -> p.personName = p.alias
+    forall l : L where l.leasee.personName = l.leasee.alias -> l.flag = "same"
+}
+""",
+}
+
+
+def _document_case(text: str) -> tuple[Instance, list[Constraint]]:
+    env = helpers.load_text(text)
+    combined = combine_schemas(env.extensions["E"])
+    return sigma_insert(combined, {"S": env.instances["i"]}), list(combined.schema.constraints)
+
+
+@pytest.mark.parametrize("kind", sorted(_NEW_MATCH_CASES))
+def test_a_match_made_by_one_change_fires(kind):
+    pre, constraints = _document_case(_NEW_MATCH_CASES[kind])
+    for rules in (constraints, constraints[::-1]):
+        result = _same_as_oracle(pre, rules)
+        late = [e for e in result.trace.entries if rules[e.constraint_index - 1] is constraints[1]]
+        assert [e.round for e in late] == [2], kind
+        assert check_model(result.instance, rules).ok
+
+
+def test_firing_cut_short_is_fired_again():
+    # round 1 fires the tgd with x.c unknown, so y.b = add(y.g.c, 1) waits;
+    # x.c is set in round 2, and the tgd must then fire again
+    text = """
+schema S {
+  entities X Y
+  foreign_keys
+    g : Y -> X
+  attributes
+    c : X -> Int
+    d : X -> Int
+    b : Y -> Int
+}
+instance i : S {
+  entity X { row x1 { } }
+}
+extension E {
+  include S
+  constraints
+    forall x : X -> x.d = 1
+    forall x : X where x.d = 1 -> x.c = 5
+    forall x : X -> exists y : Y , y.g = x and y.b = add(y.g.c, 1)
+}
+"""
+    pre, constraints = _document_case(text)
+    result = _same_as_oracle(pre, constraints, max_rounds=20)
+    assert [(e.round, e.constraint_index) for e in result.trace.entries] == [
+        (1, 1), (1, 3), (2, 2), (2, 3)]

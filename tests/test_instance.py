@@ -104,6 +104,26 @@ def test_set_attr_conflicting_reassignment(example1):
         inst.set_attr(sp, "spaceArea", Const(BaseType.DOUBLE, 17.12))
 
 
+def test_set_attr_anchors_a_unified_null_in_either_order():
+    schema = Schema("U", ("E",), (), (Attribute("a", "E", BaseType.INT),))
+    one = Const(BaseType.INT, 1)
+    for set_first in (True, False):
+        inst = new_instance(schema)
+        e, f = inst.add_element("E", "e"), inst.add_element("E", "f")
+        if set_first:
+            inst.set_attr(e, "a", one)
+        inst.union_attrs(e, "a", f, "a")
+        if not set_first:
+            inst.set_attr(e, "a", one)
+        assert inst.get_attr(f, "a") == one, set_first
+        # the builder's errors stay, now for every cell of the class
+        inst.set_attr(f, "a", one)
+        with pytest.raises(InstanceError, match="conflicting re-assignment"):
+            inst.set_attr(f, "a", Const(BaseType.INT, 2))
+        with pytest.raises(InstanceError, match="has type"):
+            inst.set_attr(f, "a", Const(BaseType.STRING, "1"))
+
+
 def test_eval_path_device_id_after_chase(example1_saturated):
     _, combined, _, result = example1_saturated
     sat = result.instance

@@ -2,13 +2,19 @@ from __future__ import annotations
 
 import pytest
 
+import helpers
 from catamerge import (
     IdentificationCollision,
     SchemaError,
+    chase,
     combine_schemas,
     delta_project,
+    evaluate,
+    instance_csvs,
     instances_same_data,
     new_instance,
+    print_canonical,
+    result_table_csv,
     roundtrip_report,
     sigma_insert,
     validate_extension,
@@ -334,3 +340,39 @@ extension E { include A }
     pre.assign_attr(cx, "p", Const(BaseType.STRING, "shared"))
     assert pre.get_attr(cy, "q") == Const(BaseType.STRING, "shared")
     assert not isinstance(pre.get_attr(cy, "p"), Const)
+
+
+def _example2_outputs() -> tuple[dict[str, tuple[int, int]], tuple]:
+    """Labels per source before and after sigma_insert, and every output of
+    the example 2 pipeline as text."""
+    env = helpers.load_fixture("example2.cmg")
+    sources = {name: env.instances[f"{name.lower()}_model"] for name in ("IFC", "BRICK", "REC")}
+    before = {name: len(src._null_parent) for name, src in sources.items()}
+    combined = combine_schemas(env.extensions["CombinedThreeWay"])
+    pre = sigma_insert(combined, sources)
+    labels = {name: (before[name], len(src._null_parent)) for name, src in sources.items()}
+    result = chase(pre, list(combined.schema.constraints))
+    sat = result.instance
+    outputs = (
+        print_canonical(pre),
+        result.trace.render(),
+        print_canonical(sat),
+        instance_csvs(sat),
+        {name: result_table_csv(evaluate(q, sat)) for name, q in env.queries.items()},
+        {s.name: print_canonical(delta_project(combined, sat, s)) for s in combined.extension.schemas},
+        {s.name: roundtrip_report(sources[s.name], delta_project(combined, sat, s)).render()
+         for s in combined.extension.schemas},
+    )
+    return labels, outputs
+
+
+def test_sigma_reads_source_cells_without_minting():
+    labels, outputs = _example2_outputs()
+    assert all(before == after for before, after in labels.values()), labels
+    assert labels["BRICK"] == (0, 0) and labels["REC"] == (0, 0)
+    # with every source cell observed, as when sigma read each one with
+    # get_attr, the combined instance and every output are the same
+    with helpers.eager_nulls():
+        eager_labels, eager_outputs = _example2_outputs()
+    assert eager_labels["REC"][0] > 0
+    assert outputs == eager_outputs
