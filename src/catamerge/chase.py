@@ -39,6 +39,7 @@ from .instance import (
     Instance,
     Value,
     VirtualElem,
+    cells_match,
     conclusion_satisfied,
     enumerate_matches,
     eval_term,
@@ -52,11 +53,10 @@ from .schema import (
     Schema,
     Term,
     Var,
-    _sides,
-    _term_vars,
     check_constraint,
     check_weak_acyclicity,
     classify_constraint,
+    path_apps,
 )
 
 
@@ -322,11 +322,13 @@ def fire_once(
     conclusion is already witnessed, and otherwise performs the minimal
     repair: merges and attribute anchoring for equality conclusions, fresh
     elements for existentials and for unset foreign keys along conclusion
-    paths. A conclusion function applied to a premise value still unknown
-    leaves the firing pending; so does one applied to an existential's
-    attribute that the conclusion sets to such a value, or never sets.
-    Equations with a function side come last, each after those that set a
-    path it reads.
+    paths. It reads the conclusion's shape from ``c.plan`` only. The firing
+    is left pending when the plan is ``stuck`` (a function reads an
+    existential's attribute the conclusion never sets) or when a ``defer``
+    side, a function over premise values, possibly reached through an
+    existential's attribute, is not yet a constant. Otherwise the equations
+    are enforced in ``plan.enforce`` order: those with a function side last,
+    each after those that set a path it reads.
 
     With ``discharged``, adds to it the live classes of the enumerated
     universals (``c.plan.premise``) when the conclusion was witnessed or
@@ -343,29 +345,16 @@ def fire_once(
         if discharged is not None:
             discharged.add(key)
         return None
-    # Fresh elements minted while a function argument is unknown would be
-    # minted again every round.
-    for eq in c.conclusion:
-        for side in (eq.left, eq.right):
-            if not isinstance(side, FunApp):
-                continue
-            if _reads_unset_cell(c, side):
-                return None
-            side = _through_existentials(c, side)
-            if _term_vars(side) <= live_env.keys():
-                if not isinstance(eval_term(inst, live_env, side), Const):
-                    return None
+    plan = c.plan
+    if plan.stuck or any(not isinstance(eval_term(inst, live_env, t), Const) for t in plan.defer):
+        return None
     firing = _Firing(inst, round_no, counter if counter is not None else itertools.count())
-    for step in c.plan.pins:  # materialize the pins that are still virtual
+    for step in plan.pins:  # materialize the pins that are still virtual
         live_env[step.var] = firing.materialize(live_env[step.var])
     for name, entity in c.existentials:
         live_env[name] = firing.fresh(entity)
-    for eq in _enforcement_order(c.conclusion):
-        # type-checked, so the sides are entity-sorted iff the left one is
-        if isinstance(eq.left, Var) or (isinstance(eq.left, PathApp) and eq.left.path.attr is None):
-            firing.enforce_entity_eq(eq, live_env)
-        else:
-            firing.enforce_base_eq(eq, live_env)
+    for eq, entity_sorted in plan.enforce:
+        (firing.enforce_entity_eq if entity_sorted else firing.enforce_base_eq)(eq, live_env)
     if discharged is not None and not firing.cut_short:
         discharged.add(key)
     if not firing.mutations:
@@ -380,59 +369,6 @@ def fire_once(
         assignment=assignment,
         mutations=tuple(firing.mutations),
     )
-
-
-def _enforcement_order(conclusion: tuple[Eq, ...]) -> list[Eq]:
-    """Equations without a function side, then those with one, each after the
-    others that set a path it reads; declaration order otherwise and on cycles."""
-    pending, order = sorted(conclusion, key=_has_function_side), []
-    while pending:
-        eq = next((eq for eq in pending if not any(
-            other is not eq and (_reads(eq.left) | _reads(eq.right)) & {other.left, other.right}
-            for other in pending)), pending[0])
-        pending.remove(eq)
-        order.append(eq)
-    return order
-
-
-def _has_function_side(eq: Eq) -> bool:
-    return isinstance(eq.left, FunApp) or isinstance(eq.right, FunApp)
-
-
-def _reads(term: Term) -> set[Term]:
-    """The paths among a function application's arguments, at any depth."""
-    if not isinstance(term, FunApp):
-        return set()
-    return {a for a in term.args if isinstance(a, PathApp)}.union(*map(_reads, term.args))
-
-
-def _reads_unset_cell(c: Constraint, term: Term) -> bool:
-    """Does a function application read ``y.a`` (``y`` existential, no
-    foreign keys) where no conclusion equation has ``y.a`` or ``y`` as a
-    side? Then ``y.a`` is a fresh element's unset null in every firing, and
-    the function never evaluates."""
-    existentials = {name for name, _ in c.existentials}
-    sides = {side for eq in c.conclusion for side in (eq.left, eq.right)}
-    return any(
-        p.var in existentials and not p.path.fks and p not in sides and Var(p.var) not in sides
-        for p in _reads(term)
-    )
-
-
-def _through_existentials(c: Constraint, term: Term) -> Term:
-    """``term`` with each argument ``y.a`` (``y`` existential, no foreign
-    keys) replaced by the term over universals that the first conclusion
-    equation setting ``y.a`` equates it to, if any."""
-    if isinstance(term, FunApp):
-        return FunApp(term.fn, tuple(_through_existentials(c, a) for a in term.args))
-    if (isinstance(term, PathApp) and not term.path.fks and term.path.attr is not None
-            and any(term.var == name for name, _ in c.existentials)):
-        universals = {name for name, _ in c.universals}
-        for eq in c.conclusion:
-            for side, other in _sides(eq):
-                if side == term and _term_vars(other) <= universals:
-                    return other
-    return term
 
 
 # -- the chase loop -----------------------------------------------------------
@@ -508,27 +444,18 @@ def premise_reads(c: Constraint, schema: Schema) -> frozenset[tuple]:
     # a pinned variable's entity is reached by its pin
     entities = {step.entity for step in c.plan.premise}
     marks: set[tuple] = set()
-
-    def visit(term: Term) -> None:
-        if isinstance(term, FunApp):
-            for arg in term.args:
-                visit(arg)
-        elif isinstance(term, PathApp):
-            entity = term.path.root
-            for fk_name in term.path.fks:
-                marks.add((DEFINED, entity, fk_name))
-                fk = schema.fk(entity, fk_name)
-                assert fk is not None  # type-checked
-                entity = fk.target
-                entities.add(entity)
-            if term.path.attr is not None:
-                marks.add(NULLS)
-
-    for step in c.plan.pins:
-        visit(step.pin)
-    for atom in c.premise:
-        visit(atom.left)
-        visit(atom.right)
+    terms = [step.pin for step in c.plan.pins]
+    terms += [side for atom in c.premise for side in (atom.left, atom.right)]
+    for path in (p.path for term in terms for p in path_apps(term)):
+        entity = path.root
+        for fk_name in path.fks:
+            marks.add((DEFINED, entity, fk_name))
+            fk = schema.fk(entity, fk_name)
+            assert fk is not None  # type-checked
+            entity = fk.target
+            entities.add(entity)
+        if path.attr is not None:
+            marks.add(NULLS)
     for entity in entities:
         marks.add((CREATED, entity))
         marks.add((MERGED, entity))
@@ -577,8 +504,9 @@ def verify_universality(sat: Instance, alt: Instance) -> UniversalityResult:
     """Search for an isomorphism between two saturated instances.
 
     User-declared rows must map to user-declared rows carrying the same ids;
-    fresh elements are matched by backtracking over structure. Desk-scale
-    only.
+    fresh elements are matched by backtracking over structure. Null cells
+    must correspond through one bijection between the null classes, checked
+    on each complete mapping. Desk-scale only.
     """
     if sat.schema.entities != alt.schema.entities:
         return UniversalityResult(False, "schemas differ")
@@ -639,14 +567,16 @@ def _extend(
     return False
 
 
-def _locally_compatible(sat: Instance, alt: Instance, a: ElementId, b: ElementId) -> bool:
+def _locally_compatible(
+    sat: Instance, alt: Instance, a: ElementId, b: ElementId, nulls: Optional[dict] = None
+) -> bool:
+    """Same entity, matching cells, the same foreign keys set. The null
+    cells must pair up by ``nulls``, or without it within the element."""
     if a.entity != b.entity:
         return False
+    nulls = {} if nulls is None else nulls
     for attr in sat.schema.attrs_of(a.entity):
-        va, vb = sat.get_attr(a, attr.name), alt.get_attr(b, attr.name)
-        if isinstance(va, Const) != isinstance(vb, Const):
-            return False
-        if isinstance(va, Const) and isinstance(vb, Const) and va.value != vb.value:
+        if not cells_match(sat.get_attr(a, attr.name), alt.get_attr(b, attr.name), nulls):
             return False
     for fk in sat.schema.fks_of(a.entity):
         if (sat.get_fk(a, fk.name) is None) != (alt.get_fk(b, fk.name) is None):
@@ -655,8 +585,11 @@ def _locally_compatible(sat: Instance, alt: Instance, a: ElementId, b: ElementId
 
 
 def _is_homomorphic(sat: Instance, alt: Instance, mapping: dict[ElementId, ElementId]) -> bool:
+    """Does ``mapping`` preserve the foreign keys and the cells, with one
+    bijection between the null classes for all of them?"""
+    nulls: dict = {}
     for root, image in mapping.items():
-        if not _locally_compatible(sat, alt, root, image):
+        if not _locally_compatible(sat, alt, root, image, nulls):
             return False
         for fk in sat.schema.fks_of(root.entity):
             ta = sat.get_fk(root, fk.name)

@@ -737,9 +737,10 @@ def check_model(inst: Instance, constraints: Iterable[Constraint]) -> Satisfacti
 
 
 def instances_same_data(a: Instance, b: Instance) -> bool:
-    """Structural equality of the quotients, blind to null labels."""
+    """Structural equality of the quotients, up to a renaming of null classes."""
     if a.schema.entities != b.schema.entities:
         return False
+    nulls: dict[tuple[int, str], str] = {}
     for entity in a.schema.entities:
         ca, cb = a.carrier(entity), b.carrier(entity)
         if [a.export_id(e) for e in ca] != [b.export_id(e) for e in cb]:
@@ -752,10 +753,16 @@ def instances_same_data(a: Instance, b: Instance) -> bool:
                 if ta is not None and tb is not None and a.export_id(ta) != b.export_id(tb):
                     return False
             for attr in a.schema.attrs_of(entity):
-                va, vb = a.get_attr(ea, attr.name), b.get_attr(eb, attr.name)
-                if isinstance(va, Const) != isinstance(vb, Const):
+                if not cells_match(a.get_attr(ea, attr.name), b.get_attr(eb, attr.name), nulls):
                     return False
-                if isinstance(va, Const) and isinstance(vb, Const):
-                    if va.type != vb.type or va.value != vb.value:
-                        return False
     return True
+
+
+def cells_match(va: AttrValue, vb: AttrValue, nulls: dict[tuple[int, str], str]) -> bool:
+    """Do two resolved cells, one of each of two instances, agree? Constants
+    must be equal; nulls must pair up in ``nulls``, the bijection between
+    the two instances' null classes that this call extends."""
+    if isinstance(va, Const) or isinstance(vb, Const):
+        return va == vb
+    return (nulls.setdefault((0, va.label), vb.label) == vb.label
+            and nulls.setdefault((1, vb.label), va.label) == va.label)

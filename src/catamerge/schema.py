@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, TypeVar, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, TypeVar, Union
 
 from .errors import SchemaError
 from .typeside import (
@@ -309,10 +309,6 @@ def compose_paths(p: Path, q: Path, schema: Schema) -> Path:
     return Path(p.root, p.fks + q.fks, q.attr)
 
 
-def identity_path(entity: str) -> Path:
-    return Path(entity)
-
-
 # ---------------------------------------------------------------------------
 # Term and constraint typing
 
@@ -394,6 +390,15 @@ def _term_vars(term: Term) -> set[str]:
     return set()
 
 
+def path_apps(term: Term) -> Iterator[PathApp]:
+    """The path applications in a term, at any depth, left to right."""
+    if isinstance(term, PathApp):
+        yield term
+    elif isinstance(term, FunApp):
+        for arg in term.args:
+            yield from path_apps(arg)
+
+
 def classify_constraint(c: Constraint) -> str:
     """'EGD' iff the clause has no existential variables, else 'TGD'."""
     return "TGD" if c.existentials else "EGD"
@@ -420,17 +425,6 @@ class AcyclicityResult:
         return self.acyclic
 
 
-def _paths_of_term(term: Term) -> list[Path]:
-    if isinstance(term, PathApp):
-        return [term.path]
-    if isinstance(term, FunApp):
-        out: list[Path] = []
-        for a in term.args:
-            out.extend(_paths_of_term(a))
-        return out
-    return []
-
-
 class BindStep(NamedTuple):
     """How one variable gets its candidates.
 
@@ -453,10 +447,13 @@ class BindingPlan(NamedTuple):
     pins: tuple[BindStep, ...]  # the solved universals, in solving order
     premise: tuple[BindStep, ...]  # the enumerated universals, in declaration order
     conclusion: tuple[BindStep, ...]  # the existentials, in solving order
+    enforce: tuple[tuple[Eq, bool], ...]  # conclusion equations in order; True if entity-sorted
+    defer: tuple[Term, ...]  # function sides over universals that must be constants to fire
+    stuck: bool  # a function reads an existential's attribute that nothing sets
 
 
 def binding_plan(c: Constraint) -> BindingPlan:
-    """Pins and probe atoms of a constraint, for ``Constraint.plan``.
+    """Pins, probe atoms and conclusion shape of a constraint, for ``Constraint.plan``.
 
     The first premise equation ``v = t`` per universal ``v``, with ``t`` a
     path or a variable not mentioning ``v``, pins ``v``. The next pin solved
@@ -468,7 +465,8 @@ def binding_plan(c: Constraint) -> BindingPlan:
     equation joining it to the universals enumerated before it. The next
     existential bound is the first one pinned by a conclusion equation
     ``y = t`` with ``t`` over bound variables; when none is, the first
-    remaining one in declaration order is scanned.
+    remaining one in declaration order is scanned. The conclusion's shape
+    comes from ``_conclusion_shape``.
     """
     universals = dict(c.universals)
     unsolved: dict[str, Term] = {}
@@ -502,7 +500,58 @@ def binding_plan(c: Constraint) -> BindingPlan:
         name, entity = pending.pop(at)
         conclusion.append(BindStep(name, entity, pin=pin))
         bound.add(name)
-    return BindingPlan(tuple(pins), tuple(premise), tuple(conclusion))
+    return BindingPlan(tuple(pins), tuple(premise), tuple(conclusion), *_conclusion_shape(c))
+
+
+def _conclusion_shape(c: Constraint) -> tuple[tuple[tuple[Eq, bool], ...], tuple[Term, ...], bool]:
+    """The ``enforce``, ``defer`` and ``stuck`` fields of ``BindingPlan``.
+
+    Equations without a function side are enforced first, then those with
+    one, each after the others that set a path it reads; declaration order
+    holds otherwise and on cycles. A function side is read with each
+    argument ``y.a`` (``y`` existential, no foreign keys) replaced by the
+    term over universals that the first equation setting ``y.a`` equates it
+    to; it is deferred when it then mentions universals only, since minting
+    while it is unknown would mint again every round. A function reading a
+    ``y.a`` that no equation has as a side, nor ``y``, is stuck: it reads a
+    fresh element's unset null in every firing.
+    """
+    universals = {name for name, _ in c.universals}
+    existentials = {name for name, _ in c.existentials}
+    sides = {side for eq in c.conclusion for side in (eq.left, eq.right)}
+
+    def functions(eq: Eq) -> list[Term]:
+        return [side for side in (eq.left, eq.right) if isinstance(side, FunApp)]
+
+    def reads(eq: Eq) -> set[PathApp]:
+        return {p for side in functions(eq) for p in path_apps(side)}
+
+    def through(term: Term) -> Term:
+        if isinstance(term, FunApp):
+            return FunApp(term.fn, tuple(map(through, term.args)))
+        if isinstance(term, PathApp) and term.var in existentials and not term.path.fks:
+            return next((other for eq in c.conclusion for side, other in _sides(eq)
+                         if side == term and _term_vars(other) <= universals), term)
+        return term
+
+    pending, order = sorted(c.conclusion, key=lambda eq: bool(functions(eq))), []
+    while pending:
+        eq = next((eq for eq in pending if not any(
+            other is not eq and not reads(eq).isdisjoint((other.left, other.right))
+            for other in pending)), pending[0])
+        pending.remove(eq)
+        order.append(eq)
+    # type-checked, so the sides are entity-sorted iff the left one is
+    enforce = tuple(
+        (eq, isinstance(eq.left, Var) or isinstance(eq.left, PathApp) and eq.left.path.attr is None)
+        for eq in order
+    )
+    stuck = any(
+        p.var in existentials and not p.path.fks and p not in sides and Var(p.var) not in sides
+        for eq in c.conclusion for p in reads(eq)
+    )
+    read_through = (through(side) for eq in c.conclusion for side in functions(eq))
+    return enforce, tuple(side for side in read_through if _term_vars(side) <= universals), stuck
 
 
 def _sides(atom: Atom) -> tuple[tuple[Term, Term], tuple[Term, Term]]:
@@ -560,12 +609,12 @@ def check_weak_acyclicity(constraints: Iterable[Constraint], schema: Schema) -> 
                 isinstance(side, Var) and pins.get(side.name) == other for side, other in _sides(atom)
             )
             for t in (atom.left, atom.right):
-                for p in _paths_of_term(t):
-                    add_path(p, existential=ex)
+                for p in path_apps(t):
+                    add_path(p.path, existential=ex)
         for eq in c.conclusion:
             for t in (eq.left, eq.right):
-                for p in _paths_of_term(t):
-                    add_path(p, existential=True)
+                for p in path_apps(t):
+                    add_path(p.path, existential=True)
         for _, entity in c.existentials:
             for _, uni_entity in c.universals:
                 key = (uni_entity, entity, True, "exists")

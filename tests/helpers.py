@@ -9,8 +9,9 @@ and name scan, the cycle oracle is a plain DFS over hand-reachable edges,
 the member oracles scan every fk and attribute of the schema, the
 eager-null oracle mints every cell's null when its element is added, the
 chase oracle re-enumerates and re-fires every match of every constraint in
-every round, and the random constraint-set generator builds inputs from
-primitive templates only.
+every round, the conclusion-shape oracle is the syntactic analysis
+``fire_once`` first ran on every firing, and the random constraint
+generators build inputs from primitive templates only.
 """
 
 from __future__ import annotations
@@ -59,14 +60,17 @@ from catamerge.schema import (
     Cmp,
     Eq,
     ForeignKey,
+    FunApp,
     PathApp,
     Schema,
     Term,
     Var,
     Path,
+    _sides,
     _term_vars,
+    check_constraint,
 )
-from catamerge.typeside import BaseType, apply_predicate
+from catamerge.typeside import BaseType, apply_predicate, resolve_function
 
 FIXTURES = FsPath(__file__).parent / "fixtures"
 
@@ -319,6 +323,107 @@ def oracle_conclusion_satisfied(inst: Instance, c: Constraint, env: dict) -> boo
 
 
 # ---------------------------------------------------------------------------
+# Conclusion-shape oracle: the analysis ``fire_once`` ran on every firing
+# before ``Constraint.plan`` held it
+
+def oracle_defers(inst: Instance, c: Constraint, live_env: dict) -> bool:
+    """Is the firing of a premise match left pending? ``fire_once``'s
+    deferral loop, returning True where it returned None."""
+    # Fresh elements minted while a function argument is unknown would be
+    # minted again every round.
+    for eq in c.conclusion:
+        for side in (eq.left, eq.right):
+            if not isinstance(side, FunApp):
+                continue
+            if _reads_unset_cell(c, side):
+                return True
+            side = _through_existentials(c, side)
+            if _term_vars(side) <= live_env.keys():
+                if not isinstance(eval_term(inst, live_env, side), Const):
+                    return True
+    return False
+
+
+def plan_defers(inst: Instance, c: Constraint, env: dict) -> bool:
+    """``fire_once``'s test for leaving a firing pending, read off ``c.plan``."""
+    return c.plan.stuck or any(not isinstance(eval_term(inst, env, t), Const) for t in c.plan.defer)
+
+
+def oracle_conclusion_shape(c: Constraint) -> tuple[tuple, tuple, bool]:
+    """``(enforce, defer, stuck)`` of ``c.plan`` as the per-firing analysis
+    finds them: the enforcement order with the enforcement loop's
+    entity-sorted test, the function sides the deferral loop evaluates once
+    every universal is bound, and whether it returns on an unset cell."""
+    enforce = tuple(
+        (eq, isinstance(eq.left, Var) or (isinstance(eq.left, PathApp) and eq.left.path.attr is None))
+        for eq in _enforcement_order(c.conclusion)
+    )
+    universals = {name for name, _ in c.universals}
+    defer, stuck = [], False
+    for eq in c.conclusion:
+        for side in (eq.left, eq.right):
+            if isinstance(side, FunApp):
+                stuck = stuck or _reads_unset_cell(c, side)
+                side = _through_existentials(c, side)
+                if _term_vars(side) <= universals:
+                    defer.append(side)
+    return enforce, tuple(defer), stuck
+
+
+def _enforcement_order(conclusion: tuple[Eq, ...]) -> list[Eq]:
+    """Equations without a function side, then those with one, each after the
+    others that set a path it reads; declaration order otherwise and on cycles."""
+    pending, order = sorted(conclusion, key=_has_function_side), []
+    while pending:
+        eq = next((eq for eq in pending if not any(
+            other is not eq and (_reads(eq.left) | _reads(eq.right)) & {other.left, other.right}
+            for other in pending)), pending[0])
+        pending.remove(eq)
+        order.append(eq)
+    return order
+
+
+def _has_function_side(eq: Eq) -> bool:
+    return isinstance(eq.left, FunApp) or isinstance(eq.right, FunApp)
+
+
+def _reads(term: Term) -> set[Term]:
+    """The paths among a function application's arguments, at any depth."""
+    if not isinstance(term, FunApp):
+        return set()
+    return {a for a in term.args if isinstance(a, PathApp)}.union(*map(_reads, term.args))
+
+
+def _reads_unset_cell(c: Constraint, term: Term) -> bool:
+    """Does a function application read ``y.a`` (``y`` existential, no
+    foreign keys) where no conclusion equation has ``y.a`` or ``y`` as a
+    side? Then ``y.a`` is a fresh element's unset null in every firing, and
+    the function never evaluates."""
+    existentials = {name for name, _ in c.existentials}
+    sides = {side for eq in c.conclusion for side in (eq.left, eq.right)}
+    return any(
+        p.var in existentials and not p.path.fks and p not in sides and Var(p.var) not in sides
+        for p in _reads(term)
+    )
+
+
+def _through_existentials(c: Constraint, term: Term) -> Term:
+    """``term`` with each argument ``y.a`` (``y`` existential, no foreign
+    keys) replaced by the term over universals that the first conclusion
+    equation setting ``y.a`` equates it to, if any."""
+    if isinstance(term, FunApp):
+        return FunApp(term.fn, tuple(_through_existentials(c, a) for a in term.args))
+    if (isinstance(term, PathApp) and not term.path.fks and term.path.attr is not None
+            and any(term.var == name for name, _ in c.existentials)):
+        universals = {name for name, _ in c.universals}
+        for eq in c.conclusion:
+            for side, other in _sides(eq):
+                if side == term and _term_vars(other) <= universals:
+                    return other
+    return term
+
+
+# ---------------------------------------------------------------------------
 # Identity oracles: the engine's first export-id rule and name lookup, which
 # read the class members and scan the element list
 
@@ -516,6 +621,80 @@ def random_weakly_acyclic_case(rng: random.Random):
             continue
         if check_weak_acyclicity(constraints, schema).acyclic:
             return schema, random_instance(rng, schema), constraints
+
+
+# ---------------------------------------------------------------------------
+# Random function-side conclusions (``random_constraints`` emits none, and
+# its draws feed the seeded tests, so these come from their own generator)
+
+FUNCTION_SIDE_SCHEMA = Schema(
+    "F",
+    ("X", "Y"),
+    (ForeignKey("g", "Y", "X"),),
+    tuple(Attribute(a, "X", BaseType.INT) for a in "bc")
+    + tuple(Attribute(a, "Y", BaseType.INT) for a in "abcd"),
+)
+
+
+def random_function_side_constraint(rng: random.Random) -> Constraint:
+    """``forall x : X -> exists y : Y (, z : Y) , ...`` over
+    ``FUNCTION_SIDE_SCHEMA``, with one to four conclusion templates in a
+    random order and with random side order. Function sides read universal
+    attributes (``add(x.b, 1)``), existential attributes that other
+    equations set from universals, from other existentials or never, and
+    ``y.g`` paths; chains such as ``y.a = add(y.b, 1) and
+    y.b = add(x.b, 1)`` come in either order."""
+    add = resolve_function("add", (BaseType.INT, BaseType.INT))
+    one = Const(BaseType.INT, 1)
+    existentials = ("y", "z")[: rng.randint(1, 2)]
+
+    def attr(var: str, name: str) -> Term:
+        return PathApp(var, Path("Y", (), name))
+
+    def x_attr() -> Term:
+        return PathApp("x", Path("X", (), rng.choice("bc")))
+
+    def y_attr() -> Term:
+        return attr(rng.choice(existentials), rng.choice("abcd"))
+
+    def arg(depth: int = 0) -> Term:
+        kind = rng.randrange(5 if depth else 6)
+        if kind == 0:
+            return x_attr()
+        if kind in (1, 2):
+            return y_attr()
+        if kind == 3:
+            return PathApp(rng.choice(existentials), Path("Y", ("g",), rng.choice("bc")))
+        if kind == 4:
+            return one
+        return FunApp(add, (arg(1), arg(1)))
+
+    def templates() -> list[Eq]:
+        kind = rng.randrange(7)
+        if kind == 0:
+            return [Eq(y_attr(), FunApp(add, (x_attr(), one)))]
+        if kind == 1:
+            return [Eq(y_attr(), x_attr())]
+        if kind == 2:
+            return [Eq(y_attr(), y_attr())]
+        if kind == 3:
+            return [Eq(y_attr(), FunApp(add, (arg(), arg())))]
+        if kind == 4:
+            return [Eq(PathApp(rng.choice(existentials), Path("Y", ("g",))), Var("x"))]
+        if kind == 5:
+            return [Eq(Var(existentials[0]), Var(existentials[-1]))]
+        y = rng.choice(existentials)
+        a, b = rng.sample("abcd", 2)
+        return [Eq(attr(y, a), FunApp(add, (attr(y, b), one))),
+                Eq(attr(y, b), FunApp(add, (x_attr(), one)))]
+
+    conclusion = [eq for _ in range(rng.randint(1, 4)) for eq in templates()]
+    rng.shuffle(conclusion)
+    conclusion = [Eq(eq.right, eq.left) if rng.random() < 0.5 else eq for eq in conclusion]
+    binders = tuple((name, "Y") for name in existentials)
+    c = Constraint((("x", "X"),), (), binders, tuple(conclusion))
+    check_constraint(c, FUNCTION_SIDE_SCHEMA)
+    return c
 
 
 # ---------------------------------------------------------------------------

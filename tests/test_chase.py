@@ -23,7 +23,7 @@ from catamerge import (
 )
 from catamerge.chase import EXHAUSTED, FAILED, SATURATED, MergePair, replay
 import catamerge.instance
-from catamerge.instance import conclusion_satisfied, enumerate_matches
+from catamerge.instance import conclusion_satisfied, enumerate_matches, values_equal
 from catamerge.schema import (
     Attribute,
     Cmp,
@@ -983,3 +983,100 @@ extension E {
     result = _same_as_oracle(pre, constraints, max_rounds=20)
     assert [(e.round, e.constraint_index) for e in result.trace.entries] == [
         (1, 1), (1, 3), (2, 2), (2, 3)]
+
+
+# -- the conclusion plan against the per-firing analysis ------------------------
+
+def test_conclusion_plan_agrees_with_oracle_on_function_side_cases():
+    cases = [(_PENDING_TGD, b, "b") for b in (None, 1)]
+    for order in _EQUATION_ORDERS + _FUNCTION_EQUATION_ORDERS:
+        cases += [(_existential_attr_tgd(*order), b, "b") for b in (None, 1)]
+    for conclusion in ("y.b = add(y.c, 1)", "y.b = add(y.c, 1) and y.c = y.d and y.d = x.c"):
+        cases += [(_unset_existential_tgd(conclusion), c, "c") for c in (None, 1)]
+    decisions = set()
+    for text, value, attr in cases:
+        inst, constraints = _one_x(text, value, attr)
+        for c in constraints:
+            shape = (c.plan.enforce, c.plan.defer, c.plan.stuck)
+            assert shape == helpers.oracle_conclusion_shape(c)
+            for env in enumerate_matches(inst, c):
+                decision = helpers.oracle_defers(inst, c, dict(env))
+                assert helpers.plan_defers(inst, c, env) == decision, text
+                decisions.add((value is None, c.plan.stuck, decision))
+    # pending on an unknown argument and on an unset cell; firing on a known argument
+    expected = {(True, False, True), (True, True, True), (False, True, True), (False, False, False)}
+    assert expected <= decisions
+
+
+# -- equality up to null classes ------------------------------------------------
+
+_NULL_PARTITION_CASE = """
+schema S {
+  entities X
+  attributes a : X -> Int  b : X -> Int
+}
+instance i : S {
+  entity X { row x1 { } }
+}
+extension E {
+  include S
+  constraints
+    forall x : X -> x.a = x.b
+    forall x : X where x.a = 1 -> x.b = 2
+}
+"""
+
+
+def test_equality_tells_null_partitions_apart():
+    # the first rule unifies x1's two nulls, the second leaves them apart
+    pre, (unify, guarded) = _document_case(_NULL_PARTITION_CASE)
+    joined, apart = (chase(pre, [rule]).instance for rule in (unify, guarded))
+    assert (helpers.value_classes(joined), helpers.value_classes(apart)) == ([0, 0], [0, 1])
+    for a, b in ((joined, apart), (apart, joined)):
+        assert not instances_same_data(a, b)
+        assert not verify_universality(a, b).isomorphic
+    for inst in (joined, apart):
+        assert instances_same_data(inst, inst.copy())
+        assert verify_universality(inst, inst.copy()).isomorphic
+
+
+_FRESH_NULLS_CASE = """
+schema S {
+  entities X Y
+  attributes a : X -> Int  a : Y -> Int
+}
+instance i : S {
+  entity X { row x1 { }  row x2 { } }
+}
+extension E {
+  include S
+  constraints
+    forall x : X -> exists y : Y , y.a = x.a
+}
+"""
+
+
+def test_universality_matches_fresh_elements_by_their_null_classes():
+    pre, constraints = _document_case(_FRESH_NULLS_CASE)
+    sat = chase(pre, constraints).instance
+    x1, x2 = sat.carrier("S_X")
+    first, second = sat.carrier("S_Y")
+    assert values_equal(sat, sat.get_attr(first, "a"), sat.get_attr(x1, "a"))
+
+    def alt(partners: tuple) -> Instance:
+        out = pre.copy()
+        for y, x in zip((first, second), partners):
+            fresh = out.add_element("S_Y", y.name, fresh=True)
+            out.union_attrs(fresh, "a", out.element_named("S_X", x.name), "a")
+        return out
+
+    # the fresh elements swapped: isomorphic once the search backtracks, but
+    # not the same data under the same names
+    swapped = alt((x2, x1))
+    assert not instances_same_data(sat, swapped)
+    outcome = verify_universality(sat, swapped)
+    assert outcome.isomorphic, outcome.reason
+    assert outcome.mapping[first].name == second.name
+    assert instances_same_data(sat, alt((x1, x2)))
+    # both fresh cells share x1's null, and x2's null is on no Y
+    assert not verify_universality(sat, alt((x1, x1))).isomorphic

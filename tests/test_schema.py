@@ -15,13 +15,14 @@ from catamerge import (
     compose_paths,
     validate_schema,
 )
+from catamerge.instance import Const, new_instance
 from catamerge.schema import (
     Attribute,
     Eq,
     ForeignKey,
+    FunApp,
     PathApp,
     Var,
-    identity_path,
     path_codomain,
 )
 from catamerge.typeside import BaseType
@@ -80,8 +81,8 @@ def test_compose_equipment_location_area(example1):
 def test_compose_with_identity_is_noop():
     brick = brick_schema()
     p = Path("Equipment", ("hasLocation",))
-    assert compose_paths(p, identity_path("Location"), brick) == p
-    assert compose_paths(identity_path("Equipment"), p, brick) == p
+    assert compose_paths(p, Path("Location"), brick) == p
+    assert compose_paths(Path("Equipment"), p, brick) == p
 
 
 def test_compose_lease_style_chain():
@@ -108,7 +109,7 @@ def test_compose_rejects_attribute_prefix():
     brick = brick_schema()
     p = Path("Equipment", (), "equipmentName")
     with pytest.raises(SchemaError):
-        compose_paths(p, identity_path("Location"), brick)
+        compose_paths(p, Path("Location"), brick)
 
 
 def test_compose_associativity_on_random_paths():
@@ -258,3 +259,43 @@ def test_validation_fuzz_mutated_declarations():
             assert report.ok
         else:
             assert not report.ok
+
+
+# -- the conclusion plan against the per-firing analysis ------------------------
+
+def _conclusion_shape(c: Constraint) -> tuple:
+    return c.plan.enforce, c.plan.defer, c.plan.stuck
+
+
+def test_conclusion_plan_agrees_with_oracle_on_fixtures(example1, example2):
+    for _, combined, _ in (example1, example2):
+        for c in combined.schema.constraints:
+            assert _conclusion_shape(c) == helpers.oracle_conclusion_shape(c)
+
+
+def test_conclusion_plan_agrees_with_oracle_on_random_function_sides():
+    rng = random.Random(11)
+    seen = set()
+    for k in range(300):
+        c = helpers.random_function_side_constraint(rng)
+        enforce, defer, stuck = _conclusion_shape(c)
+        assert (enforce, defer, stuck) == helpers.oracle_conclusion_shape(c), k
+        # the firing's decision too, with x.b and x.c each null or set
+        inst = new_instance(helpers.FUNCTION_SIDE_SCHEMA)
+        x = inst.add_element("X", "x1")
+        for attr in ("b", "c"):
+            if rng.random() < 0.5:
+                inst.set_attr(x, attr, Const(BaseType.INT, rng.randint(0, 3)))
+        oracle_defers = helpers.oracle_defers(inst, c, {"x": x})
+        assert helpers.plan_defers(inst, c, {"x": x}) == oracle_defers, k
+        functions = [side for eq in c.conclusion for side in (eq.left, eq.right)
+                     if isinstance(side, FunApp)]
+        seen.add((
+            stuck,
+            oracle_defers,
+            bool(defer),
+            any(t not in functions for t in defer),  # read through an existential
+            tuple(eq for eq, _ in enforce) != c.conclusion,
+        ))
+    for field in range(5):
+        assert {s[field] for s in seen} == {False, True}, field
