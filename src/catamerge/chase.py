@@ -3,21 +3,24 @@
 Each round enumerates premise matches against the start-of-round instance
 (equality-generating constraints first, then tuple-generating ones, each in
 declaration order, assignments in lexicographic order), then applies the
-collected firings one by one. A firing is re-validated against the live
-instance, so duplicate work collapses into no-ops. Foreign-key applications
-demanded by a conclusion path or by a pinned premise variable are
-materialized with fresh elements; that is what lets a rule like
+collected firings one by one. A firing's conclusion is re-checked against
+the live instance, so duplicate work collapses into no-ops. Foreign-key
+applications demanded by a conclusion path or by a pinned premise variable
+are materialized with fresh elements; that is what lets a rule like
 ``where p = s.attachedTo.hasPoint`` build the missing target side.
 
 Rounds are semi-naive. Merges, fk definitions, anchoring and unions never
 make a premise or a conclusion that holds for a tuple of classes stop
-holding. So a match whose conclusion held or was fully enforced is
-discharged, keyed by the classes of its enumerated universals, and never
-fired again; and a constraint whose last enumeration left no match pending
-is not enumerated again until a round changes something its premise reads
-(``Instance.changes`` against ``premise_reads``). Every firing skipped is
-one that would have done nothing, so traces, round counts and fresh names
-are those of re-enumerating every match each round.
+holding. So ``fire_once`` takes a match of the start-of-round instance, or
+of any earlier state in the same chase, as a match of the live one: it
+re-derives the pins but checks no premise atom again. A match whose
+conclusion held or was fully enforced is discharged, keyed by the classes
+of its enumerated universals, and never fired again; and a constraint whose
+last enumeration left no match pending is not enumerated again until a
+round changes something its premise reads (``Instance.changes`` against
+``premise_reads``). Every firing skipped is one that would have done
+nothing, so traces, round counts and fresh names are those of
+re-enumerating every match each round.
 
 Termination is guarded by the weak-acyclicity check unless disabled.
 """
@@ -43,7 +46,7 @@ from .instance import (
     conclusion_satisfied,
     enumerate_matches,
     eval_term,
-    solve_premise,
+    solve_pins,
 )
 from .schema import (
     Constraint,
@@ -318,8 +321,12 @@ def fire_once(
 ) -> Optional[TraceEntry]:
     """Fire one premise match; returns None when nothing needed doing.
 
-    Re-derives pinned variables against the live instance, checks whether the
-    conclusion is already witnessed, and otherwise performs the minimal
+    ``env`` must be a premise match of ``inst``, or of an earlier state of it
+    in the same chase (as ``enumerate_matches`` yields them): the premise is
+    not checked again, since no chase step makes a premise that held stop
+    holding. Re-derives the pinned variables against the live instance,
+    checks whether the conclusion is already witnessed, and otherwise
+    performs the minimal
     repair: merges and attribute anchoring for equality conclusions, fresh
     elements for existentials and for unset foreign keys along conclusion
     paths. It reads the conclusion's shape from ``c.plan`` only. The firing
@@ -338,9 +345,7 @@ def fire_once(
     """
     live = {step.var: inst.find(env[step.var]) for step in c.plan.premise}
     key = tuple(live.values())
-    live_env = solve_premise(inst, c, live)
-    if live_env is None:
-        return None
+    live_env = solve_pins(inst, c, live)
     if conclusion_satisfied(inst, c, live_env):
         if discharged is not None:
             discharged.add(key)

@@ -560,22 +560,16 @@ def render_value(inst: Instance, v: Value) -> str:
 # ---------------------------------------------------------------------------
 # Premise matching
 
-def solve_premise(inst: Instance, c: Constraint, env: dict[str, Value]) -> Optional[dict[str, Value]]:
-    """Extend ``env`` with the pinned universals and check the premise.
+def solve_pins(inst: Instance, c: Constraint, env: dict[str, Value]) -> dict[str, Value]:
+    """Extend ``env`` with the pinned universals and return it.
 
     ``env`` binds the enumerated universals to class representatives; the
-    pins of ``c.plan`` are solved in their order, each from its term.
-    Returns ``env``, or None when a pin is not an element or a premise atom
-    fails.
+    pins of ``c.plan`` are solved in their order, each from its term. A pin
+    is an entity-sorted path or variable over bound variables, so it is
+    always an element or a virtual one.
     """
     for step in c.plan.pins:
-        value = eval_term(inst, env, step.pin, virtual=True)
-        if not isinstance(value, (ElementId, VirtualElem)):
-            return None
-        env[step.var] = value
-    for atom in c.premise:
-        if not _atom_holds(inst, env, atom):
-            return None
+        env[step.var] = eval_term(inst, env, step.pin, virtual=True)
     return env
 
 
@@ -679,12 +673,12 @@ def enumerate_matches(inst: Instance, c: Constraint) -> Iterator[dict[str, Value
     """All premise matches, in lexicographic assignment order.
 
     The enumerated universals are bound by index probes or carrier scans
-    (``Constraint.plan``); ``solve_premise`` then solves the pinned ones and
-    checks every premise atom.
+    (``Constraint.plan``); ``solve_pins`` then solves the pinned ones, and
+    every premise atom is checked.
     """
     for env in _Binder(inst, c.plan.premise).bind({}):
-        match = solve_premise(inst, c, dict(env))
-        if match is not None:
+        match = solve_pins(inst, c, dict(env))
+        if all(_atom_holds(inst, match, atom) for atom in c.premise):
             yield match
 
 

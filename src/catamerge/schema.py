@@ -511,8 +511,10 @@ def _conclusion_shape(c: Constraint) -> tuple[tuple[tuple[Eq, bool], ...], tuple
     holds otherwise and on cycles. A function side is read with each
     argument ``y.a`` (``y`` existential, no foreign keys) replaced by the
     term over universals that the first equation setting ``y.a`` equates it
-    to; it is deferred when it then mentions universals only, since minting
-    while it is unknown would mint again every round. A function reading a
+    to, or failing that the nearest such term reached through equations
+    between existentials' attributes; it is deferred when it then mentions
+    universals only, since minting while it is unknown would mint again
+    every round. A function reading a
     ``y.a`` that no equation has as a side, nor ``y``, is stuck: it reads a
     fresh element's unset null in every firing.
     """
@@ -526,12 +528,23 @@ def _conclusion_shape(c: Constraint) -> tuple[tuple[tuple[Eq, bool], ...], tuple
     def reads(eq: Eq) -> set[PathApp]:
         return {p for side in functions(eq) for p in path_apps(side)}
 
+    def cell(term: Term) -> bool:  # an existential's attribute, no foreign keys
+        return isinstance(term, PathApp) and term.var in existentials and not term.path.fks
+
     def through(term: Term) -> Term:
         if isinstance(term, FunApp):
             return FunApp(term.fn, tuple(map(through, term.args)))
-        if isinstance(term, PathApp) and term.var in existentials and not term.path.fks:
-            return next((other for eq in c.conclusion for side, other in _sides(eq)
-                         if side == term and _term_vars(other) <= universals), term)
+        if not cell(term):
+            return term
+        seen, frontier = {term}, [term]
+        while frontier:  # breadth first over equations between such cells
+            others = [other for at in frontier for eq in c.conclusion
+                      for side, other in _sides(eq) if side == at]
+            found = next((other for other in others if _term_vars(other) <= universals), None)
+            if found is not None:
+                return found
+            frontier = [other for other in others if cell(other) and other not in seen]
+            seen.update(frontier)
         return term
 
     pending, order = sorted(c.conclusion, key=lambda eq: bool(functions(eq))), []
@@ -547,7 +560,7 @@ def _conclusion_shape(c: Constraint) -> tuple[tuple[tuple[Eq, bool], ...], tuple
         for eq in order
     )
     stuck = any(
-        p.var in existentials and not p.path.fks and p not in sides and Var(p.var) not in sides
+        cell(p) and p not in sides and Var(p.var) not in sides
         for eq in c.conclusion for p in reads(eq)
     )
     read_through = (through(side) for eq in c.conclusion for side in functions(eq))

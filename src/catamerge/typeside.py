@@ -30,21 +30,45 @@ PyValue = Union[str, int, float, bool]
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Classic edit distance (insert/delete/substitute, unit costs)."""
+    """Classic edit distance (insert/delete/substitute, unit costs) over
+    code points.
+
+    Myers' bit-vector algorithm (J. ACM 46(3), 1999) in Hyyrö's form for
+    edit distance (2001). The DP column over the shorter string ``a`` is
+    kept as its vertical deltas, one bit per character of ``a`` in the ints
+    ``pv`` (+1) and ``mv`` (-1), and one pass over the longer string ``b``
+    advances the whole column per character: O(|b|) steps of
+    O(|a| / word size) each.
+    """
     if a == b:
         return 0
+    if len(a) > len(b):
+        a, b = b, a
     if not a:
         return len(b)
-    if not b:
-        return len(a)
-    row = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        prev, row[0] = row[0], i
-        for j, cb in enumerate(b, start=1):
-            cur = row[j]
-            row[j] = min(row[j] + 1, row[j - 1] + 1, prev + (ca != cb))
-            prev = cur
-    return row[-1]
+    masks: dict[str, int] = {}  # per character of a: the positions it occurs at
+    bit = 1
+    for ch in a:
+        masks[ch] = masks.get(ch, 0) | bit
+        bit <<= 1
+    full, last = bit - 1, bit >> 1
+    pv, mv, dist = full, 0, len(a)  # column 0 is 0, 1, ..., |a|
+    for ch in b:
+        eq = masks.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:  # dist is the column's last entry
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        ph = (ph << 1) | 1  # row 0 is 0, 1, ..., |b|: its deltas are all +1
+        # bits above |a| never reach the lower ones, but would grow pv by a
+        # bit per step
+        pv = ((mh << 1) | ~(xv | ph)) & full
+        mv = ph & xv
+    return dist
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,11 @@ witness search, the identity oracles are the engine's first export-id rule
 and name scan, the cycle oracle is a plain DFS over hand-reachable edges,
 the member oracles scan every fk and attribute of the schema, the
 eager-null oracle mints every cell's null when its element is added, the
-chase oracle re-enumerates and re-fires every match of every constraint in
-every round, the conclusion-shape oracle is the syntactic analysis
-``fire_once`` first ran on every firing, and the random constraint
-generators build inputs from primitive templates only.
+chase oracle re-enumerates every match of every constraint in every round
+and re-checks its premise before it re-fires it, the conclusion-shape
+oracle is the syntactic analysis ``fire_once`` first ran on every firing,
+and the random constraint generators build inputs from primitive templates
+only.
 """
 
 from __future__ import annotations
@@ -271,39 +272,50 @@ def _oracle_pinned_order(pins: dict[str, Term]) -> list[str]:
 
 def oracle_matches(inst: Instance, c: Constraint) -> list[dict]:
     """All premise matches, in lexicographic assignment order."""
-    pins = _oracle_pins(c)
-    order = _oracle_pinned_order(pins)
-    enumerated = [(n, e) for n, e in c.universals if n not in order]
+    solved = _oracle_pinned_order(_oracle_pins(c))
+    enumerated = [(n, e) for n, e in c.universals if n not in solved]
     carriers = [inst.carrier(entity) for _, entity in enumerated]
     matches = []
     for combo in itertools.product(*carriers):
-        env = {name: elem for (name, _), elem in zip(enumerated, combo)}
-        ok = True
-        for name in order:
-            value = eval_term(inst, env, pins[name], virtual=True)
-            if not isinstance(value, (ElementId, VirtualElem)):
-                ok = False
-                break
-            env[name] = value
-        if not ok:
-            continue
-        for atom in c.premise:
-            lv = eval_term(inst, env, atom.left, virtual=True)
-            rv = eval_term(inst, env, atom.right, virtual=True)
-            if isinstance(atom, Eq):
-                ok = values_equal(inst, lv, rv)
-            else:
-                assert isinstance(atom, Cmp)
-                ok = (
-                    isinstance(lv, Const)
-                    and isinstance(rv, Const)
-                    and apply_predicate(atom.op, lv.value, rv.value)
-                )
-            if not ok:
-                break
-        if ok:
+        env = oracle_premise_match(inst, c, {name: elem for (name, _), elem in zip(enumerated, combo)})
+        if env is not None:
             matches.append(env)
     return matches
+
+
+def oracle_premise_match(inst: Instance, c: Constraint, env: dict) -> dict | None:
+    """``env``, binding the enumerated universals, extended with the solved
+    pins when the whole premise holds under it; None otherwise."""
+    pins = _oracle_pins(c)
+    for name in _oracle_pinned_order(pins):
+        value = eval_term(inst, env, pins[name], virtual=True)
+        if not isinstance(value, (ElementId, VirtualElem)):
+            return None
+        env[name] = value
+    for atom in c.premise:
+        lv = eval_term(inst, env, atom.left, virtual=True)
+        rv = eval_term(inst, env, atom.right, virtual=True)
+        if isinstance(atom, Eq):
+            ok = values_equal(inst, lv, rv)
+        else:
+            assert isinstance(atom, Cmp)
+            ok = (
+                isinstance(lv, Const)
+                and isinstance(rv, Const)
+                and apply_predicate(atom.op, lv.value, rv.value)
+            )
+        if not ok:
+            return None
+    return env
+
+
+def oracle_premise_holds_live(inst: Instance, c: Constraint, env: dict) -> bool:
+    """Does the premise hold on the live instance for the classes that
+    ``env`` binds the enumerated universals to? The check ``fire_once``
+    made before each firing until it relied on matches staying matches."""
+    solved = _oracle_pinned_order(_oracle_pins(c))
+    enumerated = [n for n, _ in c.universals if n not in solved]
+    return oracle_premise_match(inst, c, {n: inst.find(env[n]) for n in enumerated}) is not None
 
 
 def oracle_conclusion_satisfied(inst: Instance, c: Constraint, env: dict) -> bool:
@@ -410,16 +422,28 @@ def _reads_unset_cell(c: Constraint, term: Term) -> bool:
 def _through_existentials(c: Constraint, term: Term) -> Term:
     """``term`` with each argument ``y.a`` (``y`` existential, no foreign
     keys) replaced by the term over universals that the first conclusion
-    equation setting ``y.a`` equates it to, if any."""
+    equation setting ``y.a`` equates it to. Failing that, the cells that
+    equations equate ``y.a`` to are searched the same way, nearest first,
+    each once."""
     if isinstance(term, FunApp):
         return FunApp(term.fn, tuple(_through_existentials(c, a) for a in term.args))
-    if (isinstance(term, PathApp) and not term.path.fks and term.path.attr is not None
-            and any(term.var == name for name, _ in c.existentials)):
-        universals = {name for name, _ in c.universals}
+    existentials = {name for name, _ in c.existentials}
+    universals = {name for name, _ in c.universals}
+
+    def is_cell(t: Term) -> bool:
+        return (isinstance(t, PathApp) and not t.path.fks and t.path.attr is not None
+                and t.var in existentials)
+
+    queue = [term] if is_cell(term) else []
+    for at in queue:  # grows while it is read: a breadth-first walk
         for eq in c.conclusion:
             for side, other in _sides(eq):
-                if side == term and _term_vars(other) <= universals:
+                if side == at and _term_vars(other) <= universals:
                     return other
+        for eq in c.conclusion:
+            for side, other in _sides(eq):
+                if side == at and is_cell(other) and other not in queue:
+                    queue.append(other)
     return term
 
 
@@ -736,7 +760,8 @@ def value_classes(inst: Instance) -> list:
 
 # ---------------------------------------------------------------------------
 # Chase oracle: every round enumerates every match of every constraint
-# against the start-of-round instance and re-validates each with fire_once
+# against the start-of-round instance, checks its premise again on the live
+# instance and re-validates each with fire_once
 
 def oracle_chase(pre: Instance, constraints: list[Constraint], max_rounds: int = 10000) -> ChaseResult:
     """The naive round loop, with the preconditions left to the caller."""
@@ -751,6 +776,8 @@ def oracle_chase(pre: Instance, constraints: list[Constraint], max_rounds: int =
         changed = False
         try:
             for index, c, env in collected:
+                if not oracle_premise_holds_live(inst, c, env):
+                    continue
                 entry = fire_once(inst, c, env, round_no=round_no, counter=counter)
                 if entry is not None:
                     entry.constraint_index = index

@@ -676,14 +676,32 @@ extension E {{
 """
 
 
+def _function_side_cases() -> list[tuple[str, object, str]]:
+    """(rule text, value of x's attribute, its name) for ``_one_x``: the
+    rules with a function side in their conclusion, each with that
+    attribute null and set."""
+    cases = [(_PENDING_TGD, b, "b") for b in (None, 1)]
+    for order in _EQUATION_ORDERS + _FUNCTION_EQUATION_ORDERS:
+        cases += [(_existential_attr_tgd(*order), b, "b") for b in (None, 1)]
+    chains = ("y.b = add(y.c, 1)", "y.b = add(y.c, 1) and y.c = y.d and y.d = x.c",
+              "y.b = add(y.c, 1) and y.c = y.d and y.d = y.c")  # the last reads a cycle
+    for conclusion in chains:
+        cases += [(_unset_existential_tgd(conclusion), c, "c") for c in (None, 1)]
+    return cases
+
+
 def test_function_over_unset_existential_attribute_mints_nothing():
     # no equation sets y.c, so a fresh Y's c stays null and add never evaluates
     for c in (None, 1):
         result, constraints = _chase_one_x(_unset_existential_tgd("y.b = add(y.c, 1)"), c, "c")
         assert (result.status, result.rounds, result.trace.entries) == (SATURATED, 1, []), c
         assert [v.index for v in check_model(result.instance, constraints).violations()] == [1]
-    # y.c set through another existential attribute still fires
+    # y.c set through another existential attribute waits for x.c ...
     chained = "y.b = add(y.c, 1) and y.c = y.d and y.d = x.c"
+    result, constraints = _chase_one_x(_unset_existential_tgd(chained), None, "c")
+    assert (result.status, result.rounds, result.trace.entries) == (SATURATED, 1, [])
+    assert [v.index for v in check_model(result.instance, constraints).violations()] == [1]
+    # ... and fires once it is known
     result, constraints = _chase_one_x(_unset_existential_tgd(chained), 1, "c")
     assert (result.status, result.rounds, len(result.trace.entries)) == (SATURATED, 2, 1)
     (y,) = result.instance.carrier("S_Y")
@@ -770,12 +788,7 @@ def test_semi_naive_rounds_agree_with_oracle_on_deep_chains():
 
 
 def test_semi_naive_rounds_agree_with_oracle_on_pending_function_sides():
-    cases = [(_PENDING_TGD, b, "b") for b in (None, 1)]
-    for order in _EQUATION_ORDERS + _FUNCTION_EQUATION_ORDERS:
-        cases += [(_existential_attr_tgd(*order), b, "b") for b in (None, 1)]
-    for conclusion in ("y.b = add(y.c, 1)", "y.b = add(y.c, 1) and y.c = y.d and y.d = x.c"):
-        cases += [(_unset_existential_tgd(conclusion), c, "c") for c in (None, 1)]
-    for text, value, attr in cases:
+    for text, value, attr in _function_side_cases():
         _same_as_oracle(*_one_x(text, value, attr), max_rounds=20)
 
 
@@ -799,6 +812,33 @@ def _counting_fire_once(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(module, "fire_once", counted)
     return calls
+
+
+def test_fire_once_gets_live_premise_matches(example1, example2, monkeypatch):
+    # fire_once checks no premise atom: each match the loop hands it must
+    # still be a premise match of the live instance
+    module = importlib.import_module("catamerge.chase")
+    fire_once, checked = module.fire_once, []
+
+    def checking(inst, c, env, **kwargs):
+        checked.append(helpers.oracle_premise_holds_live(inst, c, env))
+        return fire_once(inst, c, env, **kwargs)
+
+    monkeypatch.setattr(module, "fire_once", checking)
+    cfg = ChaseConfig(max_rounds=20, require_weak_acyclicity=False)
+    cases = []
+    for _, combined, pre in (example1, example2):
+        constraints = list(combined.schema.constraints)
+        cases += [(pre, constraints), (pre, constraints[::-1])]
+    for seed in range(300):
+        _, pre, constraints = helpers.random_weakly_acyclic_case(random.Random(seed))
+        cases.append((pre, constraints))
+    for k in range(1, 9):
+        cases += [helpers.deep_chain_case(4, k, deepest_first) for deepest_first in (True, False)]
+    cases += [_one_x(*case) for case in _function_side_cases()]
+    for pre, constraints in cases:
+        chase(pre, constraints, cfg)
+    assert len(checked) > 1000 and all(checked), checked.count(False)
 
 
 def test_deep_chain_fires_each_match_once(monkeypatch):
@@ -988,13 +1028,8 @@ extension E {
 # -- the conclusion plan against the per-firing analysis ------------------------
 
 def test_conclusion_plan_agrees_with_oracle_on_function_side_cases():
-    cases = [(_PENDING_TGD, b, "b") for b in (None, 1)]
-    for order in _EQUATION_ORDERS + _FUNCTION_EQUATION_ORDERS:
-        cases += [(_existential_attr_tgd(*order), b, "b") for b in (None, 1)]
-    for conclusion in ("y.b = add(y.c, 1)", "y.b = add(y.c, 1) and y.c = y.d and y.d = x.c"):
-        cases += [(_unset_existential_tgd(conclusion), c, "c") for c in (None, 1)]
     decisions = set()
-    for text, value, attr in cases:
+    for text, value, attr in _function_side_cases():
         inst, constraints = _one_x(text, value, attr)
         for c in constraints:
             shape = (c.plan.enforce, c.plan.defer, c.plan.stuck)

@@ -26,6 +26,7 @@ from catamerge.schema import (
     Identification,
     Schema,
 )
+from catamerge.generators import scaled_example1_document
 from catamerge.schema import Const
 from catamerge.typeside import BaseType
 
@@ -376,3 +377,35 @@ def test_sigma_reads_source_cells_without_minting():
         eager_labels, eager_outputs = _example2_outputs()
     assert eager_labels["REC"][0] > 0
     assert outputs == eager_outputs
+
+
+def _roundtrip_reports(text: str, extension: str) -> tuple[dict[str, tuple], dict[str, str]]:
+    """Labels of each source and of its projection before and after its
+    round-trip report, and the rendered reports."""
+    env = helpers.load_text(text)
+    combined = combine_schemas(env.extensions[extension])
+    sources = {inst.schema.name: inst for inst in env.instances.values()}
+    sat = chase(sigma_insert(combined, sources), list(combined.schema.constraints)).instance
+    labels, reports = {}, {}
+    for s in combined.extension.schemas:
+        recovered = delta_project(combined, sat, s)
+        before = (len(sources[s.name]._null_parent), len(recovered._null_parent))
+        reports[s.name] = roundtrip_report(sources[s.name], recovered).render()
+        labels[s.name] = (before, (len(sources[s.name]._null_parent), len(recovered._null_parent)))
+    return labels, reports
+
+
+def test_roundtrip_report_reads_both_instances_without_minting():
+    cases = [
+        ((helpers.FIXTURES / "example1.cmg").read_text(encoding="utf-8"), "Combined"),
+        ((helpers.FIXTURES / "example2.cmg").read_text(encoding="utf-8"), "CombinedThreeWay"),
+        (scaled_example1_document(50), "Combined"),
+    ]
+    for text, extension in cases:
+        labels, reports = _roundtrip_reports(text, extension)
+        assert all(before == after for before, after in labels.values()), labels
+        # with every cell observed, as when the report read each one with
+        # get_attr, the reports are the same
+        with helpers.eager_nulls():
+            _, eager_reports = _roundtrip_reports(text, extension)
+        assert reports == eager_reports

@@ -4,6 +4,7 @@ import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from catamerge import SchemaError
 from catamerge.typeside import (
@@ -45,13 +46,58 @@ def test_levenshtein_identity_is_zero():
         assert levenshtein(s, s) == 0
 
 
+def _edited(rng: random.Random, s: str, alphabet: str, edits: int) -> str:
+    chars = list(s)
+    for _ in range(edits):
+        at = rng.randrange(len(chars) + 1)
+        kind = rng.randrange(3)
+        if kind == 0 or not chars or at == len(chars):
+            chars.insert(at, rng.choice(alphabet))
+        elif kind == 1:
+            del chars[at]
+        else:
+            chars[at] = rng.choice(alphabet)
+    return "".join(chars)
+
+
 def test_levenshtein_matches_reference_on_random_pairs():
     rng = random.Random(32)
-    alphabet = "abcde "
+
+    def word(alphabet: str, low: int, high: int) -> str:
+        return "".join(rng.choice(alphabet) for _ in range(rng.randrange(low, high)))
+
+    pairs = []
     for _ in range(200):
-        a = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 9)))
-        b = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 9)))
-        assert levenshtein(a, b) == reference_levenshtein(a, b)
+        pairs.append((word("abcde ", 0, 9), word("abcde ", 0, 9)))
+    # the bitmasks cross 64 and 128 bits, on unrelated and on nearby strings
+    for low, high in ((60, 70), (120, 140), (180, 200)):
+        for _ in range(6):
+            a = word("abcd", low, high)
+            pairs.append((a, word("abcd", low, high)))
+            pairs.append((a, _edited(rng, a, "abcdx", rng.randrange(1, 12))))
+    # code points outside the BMP and combining marks count one each
+    wide = "a\u0301e\U0001F600\U0001D538\u00e9\u200d"
+    for _ in range(60):
+        pairs.append((word(wide, 0, 20), word(wide, 0, 20)))
+    pairs.append(("e\u0301", "\u00e9"))
+    # one or both sides empty
+    for a in ("", "x", "\U0001F600", word("abc", 65, 70)):
+        pairs += [(a, ""), ("", a)]
+    # long shared prefixes and suffixes around a short difference
+    for _ in range(20):
+        prefix, suffix = word("abc", 0, 100), word("abc", 0, 100)
+        pairs.append((prefix + word("abcd", 0, 5) + suffix, prefix + word("abcd", 0, 5) + suffix))
+    for a, b in pairs:
+        assert levenshtein(a, b) == reference_levenshtein(a, b), (a, b)
+        assert levenshtein(b, a) == levenshtein(a, b)
+    assert levenshtein("e\u0301", "\u00e9") == 2
+    assert levenshtein("\U0001F600x", "x") == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=150), st.text(max_size=150))
+def test_levenshtein_matches_reference_on_text(a, b):
+    assert levenshtein(a, b) == reference_levenshtein(a, b)
 
 
 def test_function_resolution_is_unique():
