@@ -747,16 +747,19 @@ def instances_same_data(a: Instance, b: Instance) -> bool:
                 if ta is not None and tb is not None and a.export_id(ta) != b.export_id(tb):
                     return False
             for attr in a.schema.attrs_of(entity):
-                if not cells_match(a.get_attr(ea, attr.name), b.get_attr(eb, attr.name), nulls):
+                va, vb = a.stored_attr(ea, attr.name), b.stored_attr(eb, attr.name)
+                if not cells_match(va, vb, nulls):
                     return False
     return True
 
 
-def cells_match(va: AttrValue, vb: AttrValue, nulls: dict[tuple[int, str], str]) -> bool:
-    """Do two resolved cells, one of each of two instances, agree? Constants
-    must be equal; nulls must pair up in ``nulls``, the bijection between
-    the two instances' null classes that this call extends."""
+def cells_match(va: Optional[AttrValue], vb: Optional[AttrValue], nulls: dict) -> bool:
+    """Do two cells read by ``stored_attr``, one of each of two instances,
+    agree? Constants must be equal; nulls must pair up in ``nulls``, the
+    bijection between the two instances' null classes that this call
+    extends. An unobserved cell (None) is a null class of its own."""
     if isinstance(va, Const) or isinstance(vb, Const):
         return va == vb
-    return (nulls.setdefault((0, va.label), vb.label) == vb.label
-            and nulls.setdefault((1, vb.label), va.label) == va.label)
+    la = object() if va is None else va.label
+    lb = object() if vb is None else vb.label
+    return nulls.setdefault((0, la), lb) == lb and nulls.setdefault((1, lb), la) == la

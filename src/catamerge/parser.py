@@ -4,13 +4,16 @@ A file holds any number of top-level blocks: ``schema``, ``instance``,
 ``extension``, and ``query``. The parser is total: any byte string produces
 either values or error diagnostics pointing at the offending token, never an
 exception. ``#`` starts a line comment.
+
+A token keeps only its offset into the text. Line and column are computed
+from that offset only when a diagnostic is made.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .errors import CatamergeError, InstanceError, SchemaError
 from .instance import Instance
@@ -66,18 +69,6 @@ class SourceDocument:
                 hi = mid - 1
         return lo + 1, offset - self._line_starts[lo] + 1
 
-    def cursor(self) -> Callable[[int], tuple[int, int]]:
-        """``position`` for offsets that never decrease, by a forward scan."""
-        starts, row = self._line_starts, 0
-
-        def position(offset: int) -> tuple[int, int]:
-            nonlocal row
-            while row + 1 < len(starts) and starts[row + 1] <= offset:
-                row += 1
-            return row + 1, offset - starts[row] + 1
-
-        return position
-
 
 @dataclass
 class Diagnostic:
@@ -98,8 +89,6 @@ class Token:
     kind: str
     text: str
     pos: int
-    line: int
-    column: int
     value: object = None
 
 
@@ -111,99 +100,57 @@ _KEYWORDS = frozenset(
     }
 )
 _TOP_LEVEL = frozenset({"schema", "instance", "extension", "query"})
-_PUNCT2 = ("->", "<=", ">=")
-_PUNCT1 = "{}():,.=<>"
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
-_DIGITS = frozenset("0123456789")
-_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | _DIGITS
+_ESCAPE = re.compile(r"\\(.)", re.S)
+# One match per token: skip whitespace and comments, then take one token
+# class; only at the end of the text is there no token. The skip is captured
+# in a lookahead and consumed by the backreference, so it is atomic and
+# never gives a comment's tail back to the other branches; ``(?>...)`` would
+# do the same but needs Python 3.11. Group 1 ends where the token starts.
+_TOKEN = re.compile(
+    r"""(?=((?:[ \t\r\n]+|\#[^\n]*)*))\1
+    (?:(?P<word>[A-Za-z_][A-Za-z0-9_]*)
+      |(?P<number>-?[0-9]+(?P<fraction>\.[0-9]+)?)
+      |(?P<string>"(?P<body>[^"\\\n]*(?:\\.[^"\\\n]*)*\\?)(?P<close>"?))
+      |(?P<punct>->|<=|>=|[{}():,.=<>])
+      |(?P<other>.))?""",
+    re.S | re.X,
+)
 
 
 def tokenize(doc: SourceDocument, diags: list[Diagnostic]) -> list[Token]:
     text = doc.text
     tokens: list[Token] = []
-    i, n = 0, len(text)
-    position = doc.cursor()
-
-    def emit(kind: str, start: int, end: int, value: object = None) -> None:
-        line, col = position(start)
-        tokens.append(Token(kind, text[start:end], start, line, col, value))
+    append = tokens.append
 
     def err(start: int, message: str) -> None:
-        line, col = position(start)
+        line, col = doc.position(start)
         diags.append(Diagnostic("error", message, doc.name, line, col))
 
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:  # only whitespace or a comment before the end
             continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in _IDENT_START:
-            start = i
-            while i < n and text[i] in _IDENT_CONT:
-                i += 1
-            word = text[start:i]
-            emit(word if word in _KEYWORDS else "ident", start, i)
-            continue
-        if ch in _DIGITS or (ch == "-" and i + 1 < n and text[i + 1] in _DIGITS):
-            start = i
-            if ch == "-":
-                i += 1
-            while i < n and text[i] in _DIGITS:
-                i += 1
-            is_double = False
-            if i + 1 < n and text[i] == "." and text[i + 1] in _DIGITS:
-                is_double = True
-                i += 1
-                while i < n and text[i] in _DIGITS:
-                    i += 1
-            raw = text[start:i]
-            if is_double:
-                emit("double", start, i, normalize_double(float(raw)))
+        start, lexeme = m.end(1), m[kind]
+        if kind == "word":
+            append(Token(lexeme if lexeme in _KEYWORDS else "ident", lexeme, start))
+        elif kind == "punct":
+            append(Token(lexeme, lexeme, start))
+        elif kind == "number":
+            if m["fraction"]:
+                append(Token("double", lexeme, start, normalize_double(float(lexeme))))
             else:
-                emit("int", start, i, int(raw))
-            continue
-        if ch == '"':
-            start = i
-            i += 1
-            out: list[str] = []
-            closed = False
-            while i < n:
-                c = text[i]
-                if c == '"':
-                    i += 1
-                    closed = True
-                    break
-                if c == "\n":
-                    break
-                if c == "\\" and i + 1 < n:
-                    esc = text[i + 1]
-                    out.append(_ESCAPES.get(esc, esc))
-                    i += 2
-                    continue
-                out.append(c)
-                i += 1
-            if not closed:
+                append(Token("int", lexeme, start, int(lexeme)))
+        elif kind == "string":
+            if not m["close"]:
                 err(start, "unterminated string literal")
-            emit("string", start, i, "".join(out))
-            continue
-        two = text[i : i + 2]
-        if two in _PUNCT2:
-            emit(two, i, i + 2)
-            i += 2
-            continue
-        if ch in _PUNCT1:
-            emit(ch, i, i + 1)
-            i += 1
-            continue
-        err(i, f"unexpected character {ch!r}")
-        i += 1
-    line, col = position(n)
-    tokens.append(Token("eof", "", n, line, col))
+            body = m["body"]
+            if "\\" in body:
+                body = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), body)
+            append(Token("string", lexeme, start, body))
+        else:
+            err(start, f"unexpected character {lexeme!r}")
+    tokens.append(Token("eof", "", len(text)))
     return tokens
 
 
@@ -295,9 +242,8 @@ class _Parser:
         return tok
 
     def error(self, token: Token, message: str, hint: Optional[str] = None) -> None:
-        self.env.diagnostics.append(
-            Diagnostic("error", message, self.doc.name, token.line, token.column, hint)
-        )
+        line, col = self.doc.position(token.pos)
+        self.env.diagnostics.append(Diagnostic("error", message, self.doc.name, line, col, hint))
 
     def fail(self, token: Token, message: str, hint: Optional[str] = None) -> "_Abort":
         self.error(token, message, hint)

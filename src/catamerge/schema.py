@@ -516,7 +516,9 @@ def _conclusion_shape(c: Constraint) -> tuple[tuple[tuple[Eq, bool], ...], tuple
     universals only, since minting while it is unknown would mint again
     every round. A function reading a
     ``y.a`` that no equation has as a side, nor ``y``, is stuck: it reads a
-    fresh element's unset null in every firing.
+    fresh element's unset null in every firing. So is one reading a ``y.a``
+    that the equations cannot compute from universals and constants, such
+    as a cell on a closed cycle of equations between existentials' cells.
     """
     universals = {name for name, _ in c.universals}
     existentials = {name for name, _ in c.existentials}
@@ -559,10 +561,20 @@ def _conclusion_shape(c: Constraint) -> tuple[tuple[tuple[Eq, bool], ...], tuple
         (eq, isinstance(eq.left, Var) or isinstance(eq.left, PathApp) and eq.left.path.attr is None)
         for eq in order
     )
-    stuck = any(
-        cell(p) and p not in sides and Var(p.var) not in sides
-        for eq in c.conclusion for p in reads(eq)
-    )
+
+    def unknown(p: PathApp) -> bool:  # a fresh element's cell not yet computed
+        return cell(p) and Var(p.var) not in sides and p not in known
+
+    known: set[PathApp] = set()
+    grew = True
+    while grew:  # least fixpoint: a cell equated to a term whose cells are known
+        grew = False
+        for eq in c.conclusion:
+            for side, other in _sides(eq):
+                if unknown(side) and not any(map(unknown, path_apps(other))):
+                    known.add(side)
+                    grew = True
+    stuck = any(unknown(p) for eq in c.conclusion for p in reads(eq))
     read_through = (through(side) for eq in c.conclusion for side in functions(eq))
     return enforce, tuple(side for side in read_through if _term_vars(side) <= universals), stuck
 

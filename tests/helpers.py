@@ -11,8 +11,9 @@ eager-null oracle mints every cell's null when its element is added, the
 chase oracle re-enumerates every match of every constraint in every round
 and re-checks its premise before it re-fires it, the conclusion-shape
 oracle is the syntactic analysis ``fire_once`` first ran on every firing,
-and the random constraint generators build inputs from primitive templates
-only.
+the tokenizer oracle is the engine's first character loop with a line and
+column on every token, and the random constraint generators build inputs
+from primitive templates only.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import itertools
 import random
 from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path as FsPath
 from typing import Callable, Iterator
 
@@ -54,7 +56,7 @@ from catamerge.instance import (
     eval_term,
     values_equal,
 )
-from catamerge.parser import Document, SourceDocument, parse_document
+from catamerge.parser import _KEYWORDS, Diagnostic, Document, SourceDocument, parse_document
 from catamerge.query import QuerySpec
 from catamerge.schema import (
     Attribute,
@@ -71,7 +73,7 @@ from catamerge.schema import (
     _term_vars,
     check_constraint,
 )
-from catamerge.typeside import BaseType, apply_predicate, resolve_function
+from catamerge.typeside import BaseType, apply_predicate, normalize_double, resolve_function
 
 FIXTURES = FsPath(__file__).parent / "fixtures"
 
@@ -408,14 +410,26 @@ def _reads(term: Term) -> set[Term]:
 
 def _reads_unset_cell(c: Constraint, term: Term) -> bool:
     """Does a function application read ``y.a`` (``y`` existential, no
-    foreign keys) where no conclusion equation has ``y.a`` or ``y`` as a
-    side? Then ``y.a`` is a fresh element's unset null in every firing, and
-    the function never evaluates."""
+    foreign keys) that a firing cannot compute? Then ``y.a`` is a fresh
+    element's unset null in every firing, and the function never evaluates."""
+    return not all(_computable(c, p) for p in _reads(term))
+
+
+def _computable(c: Constraint, term: Term, visiting: frozenset = frozenset()) -> bool:
+    """Can a firing compute ``term`` from universals and constants? Each
+    ``y.a`` in it (``y`` existential, no foreign keys, and no equation has
+    ``y`` as a side) must be a side of a conclusion equation whose other
+    side is computable without coming back to ``y.a``."""
+    if isinstance(term, FunApp):
+        return all(_computable(c, a, visiting) for a in term.args)
     existentials = {name for name, _ in c.existentials}
     sides = {side for eq in c.conclusion for side in (eq.left, eq.right)}
-    return any(
-        p.var in existentials and not p.path.fks and p not in sides and Var(p.var) not in sides
-        for p in _reads(term)
+    if not (isinstance(term, PathApp) and term.var in existentials and not term.path.fks
+            and Var(term.var) not in sides):
+        return True
+    return term not in visiting and any(
+        _computable(c, other, visiting | {term})
+        for eq in c.conclusion for side, other in _sides(eq) if side == term
     )
 
 
@@ -645,6 +659,129 @@ def random_weakly_acyclic_case(rng: random.Random):
             continue
         if check_weak_acyclicity(constraints, schema).acyclic:
             return schema, random_instance(rng, schema), constraints
+
+
+# ---------------------------------------------------------------------------
+# Tokenizer oracle: the engine's first tokenizer, a loop over characters that
+# gives every token its line and column by a forward scan over line starts
+
+@dataclass
+class OracleToken:
+    kind: str
+    text: str
+    pos: int
+    line: int
+    column: int
+    value: object = None
+
+
+def _forward_position(doc: SourceDocument) -> Callable[[int], tuple[int, int]]:
+    """``doc.position`` for offsets that never decrease, by a forward scan."""
+    starts, row = [0] + [i + 1 for i, ch in enumerate(doc.text) if ch == "\n"], 0
+
+    def position(offset: int) -> tuple[int, int]:
+        nonlocal row
+        while row + 1 < len(starts) and starts[row + 1] <= offset:
+            row += 1
+        return row + 1, offset - starts[row] + 1
+
+    return position
+
+
+_ORACLE_PUNCT2 = ("->", "<=", ">=")
+_ORACLE_PUNCT1 = "{}():,.=<>"
+_ORACLE_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
+_ORACLE_DIGITS = frozenset("0123456789")
+_ORACLE_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_ORACLE_IDENT_CONT = _ORACLE_IDENT_START | _ORACLE_DIGITS
+
+
+def oracle_tokenize(doc: SourceDocument, diags: list[Diagnostic]) -> list[OracleToken]:
+    text = doc.text
+    tokens: list[OracleToken] = []
+    i, n = 0, len(text)
+    position = _forward_position(doc)
+
+    def emit(kind: str, start: int, end: int, value: object = None) -> None:
+        line, col = position(start)
+        tokens.append(OracleToken(kind, text[start:end], start, line, col, value))
+
+    def err(start: int, message: str) -> None:
+        line, col = position(start)
+        diags.append(Diagnostic("error", message, doc.name, line, col))
+
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n":
+            i += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch in _ORACLE_IDENT_START:
+            start = i
+            while i < n and text[i] in _ORACLE_IDENT_CONT:
+                i += 1
+            word = text[start:i]
+            emit(word if word in _KEYWORDS else "ident", start, i)
+            continue
+        if ch in _ORACLE_DIGITS or (ch == "-" and i + 1 < n and text[i + 1] in _ORACLE_DIGITS):
+            start = i
+            if ch == "-":
+                i += 1
+            while i < n and text[i] in _ORACLE_DIGITS:
+                i += 1
+            is_double = False
+            if i + 1 < n and text[i] == "." and text[i + 1] in _ORACLE_DIGITS:
+                is_double = True
+                i += 1
+                while i < n and text[i] in _ORACLE_DIGITS:
+                    i += 1
+            raw = text[start:i]
+            if is_double:
+                emit("double", start, i, normalize_double(float(raw)))
+            else:
+                emit("int", start, i, int(raw))
+            continue
+        if ch == '"':
+            start = i
+            i += 1
+            out: list[str] = []
+            closed = False
+            while i < n:
+                c = text[i]
+                if c == '"':
+                    i += 1
+                    closed = True
+                    break
+                if c == "\n":
+                    break
+                if c == "\\" and i + 1 < n:
+                    esc = text[i + 1]
+                    out.append(_ORACLE_ESCAPES.get(esc, esc))
+                    i += 2
+                    continue
+                out.append(c)
+                i += 1
+            if not closed:
+                err(start, "unterminated string literal")
+            emit("string", start, i, "".join(out))
+            continue
+        two = text[i : i + 2]
+        if two in _ORACLE_PUNCT2:
+            emit(two, i, i + 2)
+            i += 2
+            continue
+        if ch in _ORACLE_PUNCT1:
+            emit(ch, i, i + 1)
+            i += 1
+            continue
+        err(i, f"unexpected character {ch!r}")
+        i += 1
+    line, col = position(n)
+    tokens.append(OracleToken("eof", "", n, line, col))
+    return tokens
 
 
 # ---------------------------------------------------------------------------

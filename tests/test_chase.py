@@ -707,6 +707,13 @@ def test_function_over_unset_existential_attribute_mints_nothing():
     (y,) = result.instance.carrier("S_Y")
     assert result.instance.get_attr(y, "b") == Const(BaseType.INT, 2)
     assert check_model(result.instance, constraints).ok
+    # a closed cycle computes y.c from no universal nor constant, whatever x.c is
+    cycle = "y.b = add(y.c, 1) and y.c = y.d and y.d = y.c"
+    for c in (None, 1):
+        result, constraints = _chase_one_x(_unset_existential_tgd(cycle), c, "c")
+        assert constraints[0].plan.stuck
+        assert (result.status, result.rounds, result.trace.entries) == (SATURATED, 1, []), c
+        assert [v.index for v in check_model(result.instance, constraints).violations()] == [1]
 
 
 def test_premise_atom_order_changes_no_chase():
@@ -1115,3 +1122,68 @@ def test_universality_matches_fresh_elements_by_their_null_classes():
     assert instances_same_data(sat, alt((x1, x2)))
     # both fresh cells share x1's null, and x2's null is on no Y
     assert not verify_universality(sat, alt((x1, x1))).isomorphic
+
+
+def _comparison_pairs() -> list[tuple[Instance, Instance]]:
+    """Pairs for the two comparisons: each fixture's parsed instances and
+    their copies, its saturation against the one in reversed constraint
+    order and against its input, and ``_NULL_PARTITION_CASE``'s partitions."""
+    pairs = []
+    for pipeline in (helpers.example1_pipeline, helpers.example2_pipeline):
+        env, combined, pre = pipeline()
+        cs = list(combined.schema.constraints)
+        fwd, rev = chase(pre, cs).instance, chase(pre, cs[::-1]).instance
+        pairs += [(inst, inst.copy()) for inst in env.instances.values()]
+        pairs += [(fwd, rev), (fwd, pre), (pre, pre.copy())]
+    pre, rules = _document_case(_NULL_PARTITION_CASE)
+    joined, apart = (chase(pre, [rule]).instance for rule in rules)
+    return pairs + [(joined, apart), (apart, joined), (apart, apart.copy())]
+
+
+def _verdicts(pairs: list[tuple[Instance, Instance]]) -> list[tuple[bool, bool]]:
+    return [(instances_same_data(a, b), verify_universality(a, b).isomorphic) for a, b in pairs]
+
+
+def test_comparisons_mint_no_labels_and_keep_their_verdicts():
+    env = helpers.load_fixture("example2.cmg")
+    for name in ("rec_model", "brick_model"):
+        inst = env.instances[name]
+        other = inst.copy()
+        assert instances_same_data(inst, other) and verify_universality(inst, other).isomorphic
+        assert (len(inst._null_parent), len(other._null_parent)) == (0, 0), name
+    pairs = _comparison_pairs()
+    labels = [(len(a._null_parent), len(b._null_parent)) for a, b in pairs]
+    verdicts = _verdicts(pairs)
+    assert labels == [(len(a._null_parent), len(b._null_parent)) for a, b in pairs]
+    assert {(True, True), (False, False)} <= set(verdicts)
+    # with every cell observed, as when both comparisons read each cell with
+    # get_attr, the verdicts are the same
+    with helpers.eager_nulls():
+        assert verdicts == _verdicts(_comparison_pairs())
+
+
+_UNOBSERVED_CASE = """
+schema S {
+  entities X
+  attributes a : X -> Int
+}
+instance i : S {
+  entity X { row x1 { }  row x2 { } }
+}
+"""
+
+
+def test_unobserved_cell_is_a_null_class_of_its_own():
+    unobserved = helpers.load_text(_UNOBSERVED_CASE).instances["i"]
+    x1, x2 = unobserved.carrier("X")
+    singletons, shared = unobserved.copy(), unobserved.copy()
+    assert singletons.get_attr(x1, "a") != singletons.get_attr(x2, "a")
+    shared.union_attrs(x1, "a", x2, "a")
+    assert shared.stored_attr(x1, "a") == shared.stored_attr(x2, "a")
+    # each unobserved cell pairs with a null no other cell holds ...
+    for a, b in ((unobserved, singletons), (singletons, unobserved), (unobserved, unobserved)):
+        assert instances_same_data(a, b) and verify_universality(a, b).isomorphic
+    # ... and two of them do not pair with one null that two cells share
+    for a, b in ((unobserved, shared), (shared, unobserved)):
+        assert not instances_same_data(a, b) and not verify_universality(a, b).isomorphic
+    assert [unobserved.stored_attr(x, "a") for x in (x1, x2)] == [None, None]

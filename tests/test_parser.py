@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import given, settings, strategies as st
+
 import helpers
 from catamerge import (
     classify_constraint,
@@ -14,6 +16,7 @@ from catamerge import (
     parse_schema,
     print_canonical,
 )
+from catamerge import parser as parser_module
 from catamerge.parser import SourceDocument, parse_document, tokenize
 from catamerge.schema import Cmp, Schema
 from catamerge.typeside import BaseType
@@ -301,15 +304,19 @@ instance i : S {
 def _assert_token_positions(text: str) -> list:
     doc = SourceDocument("t.cmg", text)
     tokens = tokenize(doc, [])
-    for tok in tokens:
-        assert (tok.line, tok.column) == doc.position(tok.pos), (text, tok)
+    expected = helpers.oracle_tokenize(doc, [])
+    assert len(tokens) == len(expected), text
+    for tok, want in zip(tokens, expected):
+        assert tok.pos == want.pos, (text, tok, want)
+        assert (want.line, want.column) == doc.position(tok.pos), (text, tok, want)
     return tokens
 
 
 def test_token_positions_match_random_access_position():
     for name in ("example1.cmg", "example2.cmg"):
-        tokens = _assert_token_positions((helpers.FIXTURES / name).read_text(encoding="utf-8"))
-        assert tokens[-1].line > 50
+        text = (helpers.FIXTURES / name).read_text(encoding="utf-8")
+        tokens = _assert_token_positions(text)
+        assert SourceDocument(name, text).position(tokens[-1].pos)[0] > 50
     hand_made = [
         "",
         "x",
@@ -323,19 +330,27 @@ def test_token_positions_match_random_access_position():
     for text in hand_made:
         tokens = _assert_token_positions(text)
         assert tokens[-1].kind == "eof" and tokens[-1].pos == len(text)
-    assert [(t.pos, t.line, t.column) for t in _assert_token_positions("x\r\ny")] == [
+    doc = SourceDocument("t.cmg", "x\r\ny")
+    assert [(t.pos, *doc.position(t.pos)) for t in _assert_token_positions(doc.text)] == [
         (0, 1, 1), (3, 2, 1), (4, 2, 2)
     ]
 
 
-def test_cursor_diagnostics_equal_binary_search(monkeypatch):
-    """The inputs of the acceptance fuzz give the same diagnostics whether
-    the tokenizer scans forward or binary-searches every position."""
+def _fuzz_texts(count: int) -> list[str]:
+    """The first ``count`` inputs of the acceptance fuzz."""
     rng = random.Random(0xC0FFEE)
-    texts = [
+    return [
         bytes(rng.randrange(256) for _ in range(rng.randrange(0, 64))).decode("latin-1")
-        for _ in range(2000)
+        for _ in range(count)
     ]
+
+
+def test_cursor_diagnostics_equal_binary_search(monkeypatch):
+    """The inputs of the acceptance fuzz give the same parser diagnostics
+    whether the tokens come from the compiled pattern, positioned by a binary
+    search per diagnostic, or from the oracle's character loop, positioned
+    by a forward scan over every token."""
+    texts = _fuzz_texts(2000)
 
     def diagnostics() -> list[list[str]]:
         return [
@@ -343,7 +358,53 @@ def test_cursor_diagnostics_equal_binary_search(monkeypatch):
             for i, t in enumerate(texts)
         ]
 
-    cursor = diagnostics()
-    monkeypatch.setattr(SourceDocument, "cursor", lambda doc: doc.position)
-    assert cursor == diagnostics()
-    assert any(":2:" in d for ds in cursor for d in ds)
+    pattern = diagnostics()
+    monkeypatch.setattr(parser_module, "tokenize", helpers.oracle_tokenize)
+    assert pattern == diagnostics()
+    assert any(":2:" in d for ds in pattern for d in ds)
+
+
+def _assert_tokens_match_oracle(text: str) -> None:
+    doc = SourceDocument("t.cmg", text)
+    diags: list = []
+    oracle_diags: list = []
+    got = [(t.kind, t.text, t.pos, t.value, type(t.value)) for t in tokenize(doc, diags)]
+    want = [
+        (t.kind, t.text, t.pos, t.value, type(t.value))
+        for t in helpers.oracle_tokenize(doc, oracle_diags)
+    ]
+    assert got == want, text
+    assert diags == oracle_diags, text
+
+
+def test_tokens_match_oracle_on_fixtures_and_fuzz():
+    for name in ("example1.cmg", "example2.cmg"):
+        _assert_tokens_match_oracle((helpers.FIXTURES / name).read_text(encoding="utf-8"))
+    for text in _fuzz_texts(2000):
+        _assert_tokens_match_oracle(text)
+
+
+def test_tokens_match_oracle_on_edge_cases():
+    cases = [
+        "x # a comment at the end with no newline",
+        "#",
+        'a "line one\\\nline two" b',  # a backslash escapes the newline
+        '"ends with a backslash \\',
+        "\\",
+        '"\\"',
+        "1.", "1.5.3", "-", "- 1", "-1", "-1.5", "->", "1->2", "x.1", "1.e",
+        '"\\n\\t\\"\\\\\\q"',
+        '"open\r\n"',
+        "\x0b\x0c\u00a0é٣",
+    ]
+    for text in cases:
+        _assert_tokens_match_oracle(text)
+
+
+_TOKEN_ALPHABET = '"\\#-0123456789.><={}():,\r\n\t abcxyzAZ_éß٣\u00a0\u2028😀'
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=_TOKEN_ALPHABET, max_size=80))
+def test_tokens_match_oracle_on_text(text):
+    _assert_tokens_match_oracle(text)
