@@ -343,7 +343,7 @@ def delta_project(combined: CombinedSchema, saturated: Instance, target: Schema)
                     out.set_fk(elem, fk.name, mapping[saturated.find(tgt)])
             for attr in target.attrs_of(entity):
                 combined_attr = combined.combined_member(target.name, entity, attr.name)
-                value = saturated.get_attr(root, combined_attr)
+                value = saturated.stored_attr(root, combined_attr)
                 if isinstance(value, Const):
                     out.set_attr(elem, attr.name, value)
     return out

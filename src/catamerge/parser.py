@@ -7,6 +7,12 @@ exception. ``#`` starts a line comment.
 
 A token keeps only its offset into the text. Line and column are computed
 from that offset only when a diagnostic is made.
+
+A well-formed instance row, ``row ID { member = value ... }``, is one token:
+the tokenizer matches it whole and decodes its id and bindings, each with its
+offset, into the token's value, from which the instance block builds the row.
+Only a row with a syntax error reaches the parser as single tokens, and the
+descent over them reports the error.
 """
 
 from __future__ import annotations
@@ -102,19 +108,63 @@ _KEYWORDS = frozenset(
 _TOP_LEVEL = frozenset({"schema", "instance", "extension", "query"})
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
 _ESCAPE = re.compile(r"\\(.)", re.S)
+_COMMENT = re.compile(r"#[^\n]*")
+_LITERAL_TYPES = {"string": BaseType.STRING, "int": BaseType.INT, "double": BaseType.DOUBLE}
+
+
+def _skip(group: str) -> str:
+    """Whitespace and ``#`` comments, skipped atomically. The lookahead
+    captures the longest skip and the backreference consumes it, so a match
+    that fails later never backtracks into the skip: it neither gives a
+    comment's tail back to the pattern after it nor retries shorter skips,
+    which can take time exponential in the skip's length. ``(?>...)`` would
+    do the same but needs Python 3.11."""
+    return rf"(?=(?P<{group}>[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*))(?P={group})"
+
+
+# The pieces of a well-formed instance row, each written once for the row
+# pattern and the token classes. Each ends where its token ends: a name at a
+# non-word character. A number needs no guard, since a shorter match would
+# leave a digit or a '.' where a name or the closing brace must follow. A
+# backslash in a string escapes any character, a newline too, whatever the
+# flags. A name may be a keyword here; ``_decode_row`` refuses the row then.
+_END = r"(?![A-Za-z0-9_])"
+_NAME = rf"[A-Za-z_][A-Za-z0-9_]*{_END}"
+_NUMBER = r"-?[0-9]+(?:\.[0-9]+)?"
+_STRING_BODY = r'[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*'
+_QUOTED = f'"{_STRING_BODY}"'
+_FLAGS = re.S | re.X
+
+
+def _dotted(tag: str) -> str:
+    return rf"{_NAME}(?:{_skip(tag + 'a')}\.{_skip(tag + 'b')}{_NAME})*"
+
+
+# One ``member = value`` and the skip after it, so that the bindings of a
+# row's body match one after the other with no gap between them.
+_BINDING_SOURCE = (
+    rf"(?P<member>{_NAME}){_skip('sm')}={_skip('se')}"
+    rf"(?P<value>(?:null|true|false){_END}|{_QUOTED}|{_NUMBER}|{_dotted('sr')})"
+    rf"{_skip('sv')}"
+)
+_BINDING = re.compile(_BINDING_SOURCE, _FLAGS)
+_ROW_SOURCE = (
+    rf"row{_END}{_skip('s1')}(?P<id>{_QUOTED}|{_dotted('si')}){_skip('s2')}"
+    rf"\{{{_skip('s3')}(?P<bindings>(?:{_BINDING_SOURCE})*)\}}"
+)
 # One match per token: skip whitespace and comments, then take one token
-# class; only at the end of the text is there no token. The skip is captured
-# in a lookahead and consumed by the backreference, so it is atomic and
-# never gives a comment's tail back to the other branches; ``(?>...)`` would
-# do the same but needs Python 3.11. Group 1 ends where the token starts.
+# class; only at the end of the text is there no token. The skip group ends
+# where the token starts. A well-formed ``row ID { member = value ... }`` is
+# one token; any other row is read on from its ``row`` keyword as a ``word``.
 _TOKEN = re.compile(
-    r"""(?=((?:[ \t\r\n]+|\#[^\n]*)*))\1
-    (?:(?P<word>[A-Za-z_][A-Za-z0-9_]*)
-      |(?P<number>-?[0-9]+(?P<fraction>\.[0-9]+)?)
-      |(?P<string>"(?P<body>[^"\\\n]*(?:\\.[^"\\\n]*)*\\?)(?P<close>"?))
-      |(?P<punct>->|<=|>=|[{}():,.=<>])
+    _skip("skip")
+    + rf"""(?:(?P<row>{_ROW_SOURCE})
+      |(?P<word>[A-Za-z_][A-Za-z0-9_]*)
+      |(?P<number>{_NUMBER})
+      |(?P<string>"(?P<body>{_STRING_BODY}\\?)(?P<close>"?))
+      |(?P<punct>->|<=|>=|[{{}}():,.=<>])
       |(?P<other>.))?""",
-    re.S | re.X,
+    _FLAGS,
 )
 
 
@@ -127,31 +177,113 @@ def tokenize(doc: SourceDocument, diags: list[Diagnostic]) -> list[Token]:
         line, col = doc.position(start)
         diags.append(Diagnostic("error", message, doc.name, line, col))
 
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind is None:  # only whitespace or a comment before the end
-            continue
-        start, lexeme = m.end(1), m[kind]
-        if kind == "word":
+    pos, match = 0, _TOKEN.match
+    while (kind := (m := match(text, pos)).lastgroup) != "skip":  # no token: the end
+        start, pos = m.end("skip"), m.end()
+        if kind == "row":
+            reported = len(diags)
+            row = _decode_row(m, err)
+            if row is None:  # a keyword where a name goes: scan it token by token
+                del diags[reported:]
+                pos = start + len("row")
+            append(Token("row", "row", start, row))
+        elif kind == "word":
+            lexeme = m[kind]
             append(Token(lexeme if lexeme in _KEYWORDS else "ident", lexeme, start))
         elif kind == "punct":
+            lexeme = m[kind]
             append(Token(lexeme, lexeme, start))
         elif kind == "number":
-            if m["fraction"]:
-                append(Token("double", lexeme, start, normalize_double(float(lexeme))))
-            else:
-                append(Token("int", lexeme, start, int(lexeme)))
+            lexeme = m[kind]
+            kind, value = _number(lexeme, start, err)
+            append(Token(kind, lexeme, start, value))
         elif kind == "string":
             if not m["close"]:
                 err(start, "unterminated string literal")
-            body = m["body"]
-            if "\\" in body:
-                body = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), body)
-            append(Token("string", lexeme, start, body))
+            append(Token("string", m[kind], start, _unescape(m["body"])))
         else:
-            err(start, f"unexpected character {lexeme!r}")
+            err(start, f"unexpected character {m[kind]!r}")
     tokens.append(Token("eof", "", len(text)))
     return tokens
+
+
+def _unescape(body: str) -> str:
+    return _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), body) if "\\" in body else body
+
+
+def _number(lexeme: str, start: int, err) -> tuple[str, object]:
+    """The kind and value of a number token."""
+    if "." in lexeme:
+        return "double", normalize_double(float(lexeme))
+    try:
+        return "int", int(lexeme)
+    except ValueError:  # more digits than the interpreter's int() converts
+        err(start, "integer literal too long")
+        return "int", 0
+
+
+def _join_dotted(raw: str) -> str:
+    """A dotted name as the token path joins its parts: without the
+    whitespace and comments between them."""
+    if raw.isidentifier():
+        return raw
+    if "#" in raw:
+        raw = _COMMENT.sub("", raw)
+    return "".join(raw.split())
+
+
+# A decoded row binding: (member, its offset, "null" | "lit" | "ref", None or
+# the literal's Const or the referenced row id, the value's offset).
+Binding = tuple[str, int, str, object, int]
+
+
+def _has_keyword(name: str) -> bool:
+    """Whether a plain or dotted name has a keyword as a part."""
+    return name in _KEYWORDS or ("." in name and not _KEYWORDS.isdisjoint(name.split(".")))
+
+
+def _decode_row(m: re.Match, err) -> Optional[tuple[str, int, list[Binding]]]:
+    """The row id, its offset and the bindings of a ``row`` match, as the
+    token path builds them from the row's tokens; None when a keyword
+    stands where a name goes, which the token path reports."""
+    raw = m["id"]
+    if raw[0] == '"':
+        row_id = _unescape(raw[1:-1])
+    elif _has_keyword(row_id := _join_dotted(raw)):
+        return None
+    bindings: list[Binding] = []
+    pos, end = m.span("bindings")
+    while pos < end:
+        b = _BINDING.match(m.string, pos)
+        assert b is not None  # the row pattern matched the bindings end to end
+        member, raw, at = b["member"], b["value"], b.start("value")
+        if member in _KEYWORDS:
+            return None
+        head = raw[0]
+        if head == '"':
+            kind, value = "lit", Const(BaseType.STRING, _unescape(raw[1:-1]))
+        elif head in "-0123456789":
+            kind, number = _number(raw, at, err)
+            kind, value = "lit", Const(_LITERAL_TYPES[kind], number)
+        elif raw == "null":
+            kind, value = "null", None
+        elif raw == "true" or raw == "false":
+            kind, value = "lit", Const(BaseType.BOOL, raw == "true")
+        elif _has_keyword(value := _join_dotted(raw)):
+            return None
+        else:
+            kind = "ref"
+        bindings.append((member, pos, kind, value, at))
+        pos = b.end()
+    return row_id, m.start("id"), bindings
+
+
+def _literal(tok: Token) -> Optional[Const]:
+    """The constant a literal token stands for; None for any other token."""
+    if tok.kind in ("true", "false"):
+        return Const(BaseType.BOOL, tok.kind == "true")
+    base = _LITERAL_TYPES.get(tok.kind)
+    return None if base is None else Const(base, tok.value)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +374,10 @@ class _Parser:
         return tok
 
     def error(self, token: Token, message: str, hint: Optional[str] = None) -> None:
-        line, col = self.doc.position(token.pos)
+        self.error_at(token.pos, message, hint)
+
+    def error_at(self, pos: int, message: str, hint: Optional[str] = None) -> None:
+        line, col = self.doc.position(pos)
         self.env.diagnostics.append(Diagnostic("error", message, self.doc.name, line, col, hint))
 
     def fail(self, token: Token, message: str, hint: Optional[str] = None) -> "_Abort":
@@ -433,18 +568,10 @@ class _Parser:
         if depth > _MAX_TERM_DEPTH:
             raise self.fail(self.peek(), "term nesting too deep")
         tok = self.peek()
-        if tok.kind == "string":
+        const = _literal(tok)
+        if const is not None:
             self.advance()
-            return RLit(tok, Const(BaseType.STRING, tok.value))
-        if tok.kind == "int":
-            self.advance()
-            return RLit(tok, Const(BaseType.INT, tok.value))
-        if tok.kind == "double":
-            self.advance()
-            return RLit(tok, Const(BaseType.DOUBLE, tok.value))
-        if tok.kind in ("true", "false"):
-            self.advance()
-            return RLit(tok, Const(BaseType.BOOL, tok.kind == "true"))
+            return RLit(tok, const)
         if tok.kind == "ident":
             name = self.advance()
             if self.peek().kind == "(":
@@ -655,7 +782,7 @@ class _Parser:
         if schema is None:
             raise self.fail(schema_tok, f"unknown schema '{schema_tok.text}'")
         self.expect("{")
-        rows: list[tuple[Token, Token, list[tuple[Token, tuple]]]] = []
+        rows: list[tuple[Token, str, int, list[Binding]]] = []
         while True:
             tok = self.peek()
             if tok.kind == "}":
@@ -667,130 +794,115 @@ class _Parser:
             entity_tok = self.expect("ident", "entity name")
             self.expect("{")
             while self.peek().kind == "row":
-                self.advance()
-                row_tok = self._parse_row_id()
+                decoded = self.advance().value
+                if decoded is not None:  # a well-formed row, decoded by the tokenizer
+                    rows.append((entity_tok, *decoded))
+                    continue
+                row_id, id_pos = self._parse_row_id()
                 self.expect("{")
-                bindings: list[tuple[Token, tuple]] = []
+                bindings: list[Binding] = []
                 while self.peek().kind == "ident":
                     member = self.advance()
                     self.expect("=")
-                    bindings.append((member, self._parse_binding_value()))
+                    bindings.append((member.text, member.pos, *self._parse_binding_value()))
                 self.expect("}")
-                rows.append((entity_tok, row_tok, bindings))
+                rows.append((entity_tok, row_id, id_pos, bindings))
             self.expect("}")
 
         inst = Instance(schema, name_tok.text)
         ok = True
-        for entity_tok, row_tok, _ in rows:
+        for entity_tok, row_id, id_pos, _ in rows:
             if not schema.has_entity(entity_tok.text):
                 self.error(entity_tok, f"'{entity_tok.text}' is not an entity of schema {schema.name}")
                 ok = False
                 continue
-            row_id = str(row_tok.value if row_tok.kind == "string" else row_tok.text)
             try:
                 inst.add_element(entity_tok.text, row_id)
             except InstanceError as err:
-                self.error(row_tok, str(err))
+                self.error_at(id_pos, str(err))
                 ok = False
-        for entity_tok, row_tok, bindings in rows:
+        for entity_tok, row_id, _, bindings in rows:
             if not schema.has_entity(entity_tok.text):
                 continue
-            row_id = str(row_tok.value if row_tok.kind == "string" else row_tok.text)
             elem = inst.element_named(entity_tok.text, row_id)
             if elem is None:
                 continue
-            for member, value in bindings:
-                ok &= self._apply_binding(inst, schema, entity_tok.text, elem, member, value)
+            for binding in bindings:
+                ok &= self._apply_binding(inst, schema, entity_tok.text, elem, binding)
         if name_tok.text in self.env.instances:
             self.error(name_tok, f"instance '{name_tok.text}' is already defined")
         elif ok:
             self.env.instances[name_tok.text] = inst
 
-    def _parse_row_id(self) -> Token:
+    def _parse_row_id(self) -> tuple[str, int]:
+        """A row id, or a reference to one, and its offset."""
         tok = self.peek()
         if tok.kind == "string":
-            return self.advance()
+            self.advance()
+            return tok.value, tok.pos
         first = self.expect("ident", "row id")
         text = first.text
         while self.peek().kind == ".":
             self.advance()
             text += "." + self.expect("ident", "row id part").text
-        first.text = text
-        return first
+        return text, first.pos
 
-    def _parse_binding_value(self) -> tuple:
+    def _parse_binding_value(self) -> tuple[str, object, int]:
+        """The last three fields of a ``Binding``."""
         tok = self.peek()
+        if tok.kind == "ident":
+            return ("ref", *self._parse_row_id())
         if tok.kind == "null":
             self.advance()
-            return ("null", tok)
-        if tok.kind == "string":
-            self.advance()
-            return ("lit", Const(BaseType.STRING, tok.value), tok)
-        if tok.kind == "int":
-            self.advance()
-            return ("lit", Const(BaseType.INT, tok.value), tok)
-        if tok.kind == "double":
-            self.advance()
-            return ("lit", Const(BaseType.DOUBLE, tok.value), tok)
-        if tok.kind in ("true", "false"):
-            self.advance()
-            return ("lit", Const(BaseType.BOOL, tok.kind == "true"), tok)
-        if tok.kind == "ident":
-            return ("ref", self._parse_row_id())
-        raise self.fail(tok, f"expected a literal, row id, or null, found '{tok.text}'")
+            return "null", None, tok.pos
+        const = _literal(tok)
+        if const is None:
+            raise self.fail(tok, f"expected a literal, row id, or null, found '{tok.text}'")
+        self.advance()
+        return "lit", const, tok.pos
 
-    def _apply_binding(
-        self,
-        inst: Instance,
-        schema: Schema,
-        entity: str,
-        elem,
-        member: Token,
-        value: tuple,
-    ) -> bool:
-        fk = schema.fk(entity, member.text)
-        attr = schema.attr(entity, member.text)
+    def _apply_binding(self, inst: Instance, schema: Schema, entity: str, elem, binding: Binding) -> bool:
+        member, member_pos, kind, value, at = binding
+        fk = schema.fk(entity, member)
+        attr = schema.attr(entity, member)
         if fk is not None:
-            if value[0] == "ref":
-                ref_tok, ref_name = value[1], value[1].text
-            elif value[0] == "lit" and value[1].type is BaseType.STRING:
-                ref_tok, ref_name = value[2], str(value[1].value)  # quoted row id
+            if kind == "ref":
+                ref_name = value
+            elif kind == "lit" and value.type is BaseType.STRING:
+                ref_name = str(value.value)  # quoted row id
             else:
-                self.error(value[-1], f"foreign key '{member.text}' expects a row id")
+                self.error_at(at, f"foreign key '{member}' expects a row id")
                 return False
             target = inst.element_named(fk.target, ref_name)
             if target is None:
-                self.error(ref_tok, f"'{ref_name}' is not a declared row of entity '{fk.target}'")
+                self.error_at(at, f"'{ref_name}' is not a declared row of entity '{fk.target}'")
                 return False
             try:
-                inst.set_fk(elem, member.text, target)
+                inst.set_fk(elem, member, target)
             except InstanceError as err:
-                self.error(ref_tok, str(err))
+                self.error_at(at, str(err))
                 return False
             return True
         if attr is not None:
-            if value[0] == "null":
+            if kind == "null":
                 return True
-            if value[0] == "ref":
-                self.error(value[1], f"attribute '{member.text}' expects a literal or null")
+            if kind == "ref":
+                self.error_at(at, f"attribute '{member}' expects a literal or null")
                 return False
-            const: Const = value[1]
+            const: Const = value
             if const.type != attr.type:
                 promoted = _promote_int_literal(const, const.type, attr.type)
                 if promoted is None:
-                    self.error(
-                        value[2],
-                        f"attribute '{member.text}' has type {attr.type}, got {const.type}",
-                    )
+                    self.error_at(at, f"attribute '{member}' has type {attr.type}, got {const.type}")
                     return False
                 const = promoted
             try:
-                inst.set_attr(elem, member.text, const)
+                inst.set_attr(elem, member, const)
             except InstanceError as err:
-                self.error(value[2], str(err))
+                self.error_at(at, str(err))
                 return False
             return True
-        self.error(member, f"'{member.text}' is not a foreign key or attribute of entity '{entity}'")
+        self.error_at(member_pos, f"'{member}' is not a foreign key or attribute of entity '{entity}'")
         return False
 
     # -- extension blocks -----------------------------------------------------------

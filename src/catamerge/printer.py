@@ -134,7 +134,7 @@ def _print_instance(inst: Instance) -> str:
                 if target is not None:
                     bindings.append(f"{fk.name} = {_row_id(inst.export_id(target))}")
             for attr in inst.schema.attrs_of(entity):
-                value = inst.get_attr(root, attr.name)
+                value = inst.stored_attr(root, attr.name)
                 if isinstance(value, Const):
                     bindings.append(f"{attr.name} = {_literal(value)}")
             body = " ".join(bindings)
@@ -212,7 +212,7 @@ def instance_csvs(inst: Instance) -> dict[str, str]:
                 target = inst.get_fk(root, fk.name)
                 row.append(inst.export_id(target) if target is not None else "")
             for a in attrs:
-                value = inst.get_attr(root, a.name)
+                value = inst.stored_attr(root, a.name)
                 row.append(render_constant(value) if isinstance(value, Const) else "")
             writer.writerow(row)
         out[entity] = buf.getvalue()

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path as FsPath
@@ -741,6 +742,9 @@ def oracle_tokenize(doc: SourceDocument, diags: list[Diagnostic]) -> list[Oracle
             raw = text[start:i]
             if is_double:
                 emit("double", start, i, normalize_double(float(raw)))
+            elif len(raw.lstrip("-")) > sys.get_int_max_str_digits() > 0:  # 0: no limit
+                err(start, "integer literal too long")
+                emit("int", start, i, 0)
             else:
                 emit("int", start, i, int(raw))
             continue

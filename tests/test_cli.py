@@ -30,6 +30,16 @@ def test_check_dangling_fk_exits_one(tmp_path, capsys):
     assert "Ghost" in err
 
 
+def test_check_integer_literal_too_long_exits_one(tmp_path, capsys):
+    bad = tmp_path / "big.cmg"
+    row = "    row r { n = " + "7" * 5000 + " }"
+    bad.write_text(f"schema S {{ entities X attributes n : X -> Int }}\ninstance i : S {{\n  entity X {{\n{row}\n  }}\n}}\n")
+    assert main(["check", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}:4:17: error: integer literal too long" in err
+    assert "Traceback" not in err
+
+
 def test_check_bad_extension_constraint_exits_one(tmp_path, capsys):
     text = (helpers.FIXTURES / "example1.cmg").read_text(encoding="utf-8")
     mutated = text.replace("p.timeseriesId = s.hasPropertySet.deviceId",

@@ -409,3 +409,30 @@ def test_roundtrip_report_reads_both_instances_without_minting():
         with helpers.eager_nulls():
             _, eager_reports = _roundtrip_reports(text, extension)
         assert reports == eager_reports
+
+
+def _printed_saturation(name: str, extension: str) -> tuple[int, int, tuple]:
+    """Labels of a fixture's saturated instance before and after it is
+    printed, tabled and projected, and those outputs."""
+    env = helpers.load_fixture(name)
+    combined = combine_schemas(env.extensions[extension])
+    sources = {inst.schema.name: inst for inst in env.instances.values()}
+    sat = chase(sigma_insert(combined, sources), list(combined.schema.constraints)).instance
+    before = len(sat._null_parent)
+    outputs = (
+        print_canonical(sat),
+        instance_csvs(sat),
+        {s.name: print_canonical(delta_project(combined, sat, s)) for s in combined.extension.schemas},
+    )
+    return before, len(sat._null_parent), outputs
+
+
+def test_printing_and_projection_read_without_minting():
+    for name, extension in (("example1.cmg", "Combined"), ("example2.cmg", "CombinedThreeWay")):
+        before, after, outputs = _printed_saturation(name, extension)
+        assert before == after
+        # with every cell observed, as when these read each one with get_attr,
+        # the outputs are the same
+        with helpers.eager_nulls():
+            _, _, eager_outputs = _printed_saturation(name, extension)
+        assert outputs == eager_outputs
