@@ -162,6 +162,9 @@ class ChaseResult:
     trace: ChaseTrace
     rounds: int
     clash: Optional[ConstantClash] = None
+    # On saturation, the 1-based indices of the constraints left with a
+    # pending match, which check_model reports as violated.
+    pending: tuple[int, ...] = ()
 
     @property
     def saturated(self) -> bool:
@@ -431,8 +434,8 @@ def chase(pre: Instance, constraints: list[Constraint], cfg: Optional[ChaseConfi
         except ConstantClash as clash:
             return ChaseResult(FAILED, None, trace, round_no, clash)
         changes, inst.changes = inst.changes, None
-        if not changed:
-            return ChaseResult(SATURATED, inst.freeze(), trace, round_no)
+        if not changed:  # every pending constraint was enumerated this round
+            return ChaseResult(SATURATED, inst.freeze(), trace, round_no, pending=tuple(sorted(pending)))
         merged = {mark[1] for mark in changes if mark[0] == MERGED}
         for index, c in ordered:
             if any(step.entity in merged for step in c.plan.premise):

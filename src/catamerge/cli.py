@@ -158,6 +158,12 @@ def _run_chase(manifest: RunManifest) -> tuple[int, Optional[ChaseResult]]:
     if result.status == EXHAUSTED:
         print(f"exhausted: no fixpoint after {result.rounds} round(s)", file=sys.stderr)
         return EXHAUSTED_CODE, result
+    if result.pending:
+        print(
+            f"warning: constraint(s) {', '.join(map(str, result.pending))} left a match pending "
+            "at the fixpoint (a function argument stayed unknown); check_model reports them violated",
+            file=sys.stderr,
+        )
     return OK, result
 
 

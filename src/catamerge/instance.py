@@ -335,6 +335,59 @@ class Instance:
             # anchor the null's class: cells unified with this one read the constant too
             self._unify_values(current, value, attr_name, root.name)
 
+    def copy_rows(
+        self,
+        src: "Instance",
+        roots: Iterable[ElementId],
+        images: dict[ElementId, ElementId],
+        fks: list[tuple[str, str]],
+        attrs: list[tuple[str, str]],
+        nulls: Optional[dict[str, tuple[ElementId, str]]] = None,
+    ) -> None:
+        """Copy the cells of ``src``'s classes ``roots`` onto their images.
+
+        ``images`` maps each of ``roots``, and each root a copied foreign
+        key reaches, to an element added to this instance and not written
+        yet; ``fks`` and ``attrs`` rename the members of the roots' entity,
+        in declaration order. A set foreign key points to its target's image; a
+        constant is copied as is. A null is dropped without ``nulls``;
+        with it, cells that share a null class in ``src`` share one here
+        (``nulls`` maps a ``src`` null root to its first cell). Nothing is
+        checked per cell: the caller checks once that the renamings are
+        between the two schemas, whose member types then agree.
+        """
+        self._mutable()
+        find, src_fks, src_attrs = src.find, src._fks, src._attrs
+        out_fks, out_attrs = self._fks, self._attrs
+        for root in roots:
+            image = images[root]
+            row = src_fks[root]
+            if row:
+                out_row = out_fks[image]
+                for name, out_name in fks:
+                    target = row.get(name)
+                    if target is not None:
+                        out_row[out_name] = images[find(target)]
+            row = src_attrs[root]
+            if not row:
+                continue
+            out_row = out_attrs[image]
+            for name, out_name in attrs:
+                value = row.get(name)
+                if value is None:
+                    continue
+                if isinstance(value, NullRef):
+                    value = src.resolve_value(value)
+                    if isinstance(value, NullRef):
+                        if nulls is not None:
+                            first = nulls.get(value.label)
+                            if first is None:
+                                nulls[value.label] = (image, out_name)
+                            else:
+                                self.union_attrs(image, out_name, *first)
+                        continue
+                out_row[out_name] = value
+
     # -- saturation-level mutators ----------------------------------------------
 
     def get_fk(self, elem: ElementId, fk_name: str) -> Optional[ElementId]:

@@ -130,6 +130,14 @@ def combine_schemas(ext: ExtensionSpec) -> CombinedSchema:
             nodes = class_nodes[root]
             if (s.name, e) != nodes[0]:
                 continue  # emit each class once, at its first-included member
+            # also through other schemas: delta_project maps each class to one entity
+            schema_names = [schema_name for schema_name, _ in nodes]
+            if len(set(schema_names)) < len(schema_names):
+                twice = next(n for n in schema_names if schema_names.count(n) > 1)
+                raise SchemaError(
+                    f"identifications in extension {ext.name} merge two entities of schema "
+                    f"'{twice}'; same-schema identifications are rejected"
+                )
             if len(nodes) > 1:
                 first = next(m for m in mentions if find(m) == root)
                 name = first[1]
@@ -251,59 +259,35 @@ def sigma_insert(combined: CombinedSchema, sources: dict[str, Instance]) -> Inst
 
     No constraint is enforced here; elements from different sources stay
     distinct until the chase merges them. Copied elements are named
-    ``<Schema>.<row id>`` and remember their origin.
+    ``<Schema>.<row id>`` and remember their origin. Each source must be
+    over the very schema the extension includes, not only one of that name.
     """
     ext = combined.extension
     out = Instance(combined.schema, name=f"{ext.name}_data")
-    mapping: dict[tuple[str, ElementId], ElementId] = {}
     for s in ext.schemas:
         src = sources.get(s.name)
         if src is None:
             continue
-        if src.schema.name != s.name:
+        if src.schema != s:
             raise SchemaError(
-                f"instance '{src.name}' is over schema '{src.schema.name}', expected '{s.name}'"
+                f"instance '{src.name}' is over schema '{src.schema.name}', "
+                f"expected the schema '{s.name}' of extension {ext.name}"
             )
-        null_map: dict[str, tuple[ElementId, str]] = {}
+        images: dict[ElementId, ElementId] = {}
+        carriers = []
         for entity in s.entities:
             combined_entity = combined.combined_entity(s.name, entity)
-            for root in src.carrier(entity):
-                row_id = src.export_id(root)
-                elem = out.add_element(
-                    combined_entity,
-                    f"{s.name}.{row_id}",
-                    fresh=root.fresh,
-                    origin=(s.name, row_id),
+            roots = src.carrier(entity)
+            for root in roots:
+                row_id = root.name  # a root is its class's export id
+                images[root] = out.add_element(
+                    combined_entity, f"{s.name}.{row_id}", fresh=root.fresh, origin=(s.name, row_id)
                 )
-                mapping[(s.name, root)] = elem
-        for entity in s.entities:
-            for root in src.carrier(entity):
-                elem = mapping[(s.name, root)]
-                for fk in s.fks_of(entity):
-                    target = src.get_fk(root, fk.name)
-                    if target is None:
-                        continue
-                    out.set_fk(
-                        elem,
-                        combined.combined_member(s.name, entity, fk.name),
-                        mapping[(s.name, target)],
-                    )
-                for attr in s.attrs_of(entity):
-                    # an unobserved cell shares its null with no other cell
-                    value = src.stored_attr(root, attr.name)
-                    if value is None:
-                        continue
-                    combined_attr = combined.combined_member(s.name, entity, attr.name)
-                    if isinstance(value, Const):
-                        out.set_attr(elem, combined_attr, value)
-                    else:
-                        # Preserve null sharing within one source.
-                        label = src.null_find(value.label)
-                        shared = null_map.get(label)
-                        if shared is None:
-                            null_map[label] = (elem, combined_attr)
-                        else:
-                            out.union_attrs(elem, combined_attr, shared[0], shared[1])
+            carriers.append((entity, roots))
+        nulls: dict[str, tuple[ElementId, str]] = {}  # null sharing within one source
+        for entity, roots in carriers:
+            fks, attrs = _renamings(combined, s, entity)
+            out.copy_rows(src, roots, images, fks, attrs, nulls)
     return out
 
 
@@ -313,40 +297,52 @@ def delta_project(combined: CombinedSchema, saturated: Instance, target: Schema)
     Every class of a combined entity whose identification class contains a
     target entity becomes a target element: rows that originated in the
     target schema keep their row ids, anything else becomes a new row named
-    by its class export id.
+    by its class export id. Only constants are copied. ``target`` must be a
+    schema the extension includes and ``saturated`` an instance over the
+    combined schema.
     """
-    if target.name not in {s.name for s in combined.extension.schemas}:
-        raise SchemaError(f"schema '{target.name}' is not part of extension {combined.extension.name}")
+    ext = combined.extension
+    if all(s != target for s in ext.schemas):
+        raise SchemaError(f"schema '{target.name}' is not part of extension {ext.name}")
+    if saturated.schema != combined.schema:
+        raise SchemaError(
+            f"instance '{saturated.name}' is over schema '{saturated.schema.name}', "
+            f"not the combined schema of extension {ext.name}"
+        )
     out = Instance(target, name=f"{saturated.name}_to_{target.name}")
-    mapping: dict[ElementId, ElementId] = {}
+    images: dict[ElementId, ElementId] = {}
+    carriers = []
     for entity in target.entities:
-        combined_entity = combined.combined_entity(target.name, entity)
-        for root in saturated.carrier(combined_entity):
+        roots = saturated.carrier(combined.combined_entity(target.name, entity))
+        for root in roots:
             own_ids = [
                 saturated.origins[m][1]
                 for m in saturated.members(root)
                 if saturated.origins.get(m, ("", ""))[0] == target.name
             ]
             if own_ids:
-                elem = out.add_element(entity, min(own_ids))
+                images[root] = out.add_element(entity, min(own_ids))
             else:
-                elem = out.add_element(entity, saturated.export_id(root), fresh=True)
-            mapping[root] = elem
-    for entity in target.entities:
-        combined_entity = combined.combined_entity(target.name, entity)
-        for root in saturated.carrier(combined_entity):
-            elem = mapping[root]
-            for fk in target.fks_of(entity):
-                combined_fk = combined.combined_member(target.name, entity, fk.name)
-                tgt = saturated.get_fk(root, combined_fk)
-                if tgt is not None:
-                    out.set_fk(elem, fk.name, mapping[saturated.find(tgt)])
-            for attr in target.attrs_of(entity):
-                combined_attr = combined.combined_member(target.name, entity, attr.name)
-                value = saturated.stored_attr(root, combined_attr)
-                if isinstance(value, Const):
-                    out.set_attr(elem, attr.name, value)
+                images[root] = out.add_element(entity, root.name, fresh=True)
+        carriers.append((entity, roots))
+    for entity, roots in carriers:
+        fks, attrs = _renamings(combined, target, entity)
+        out.copy_rows(
+            saturated, roots, images, [(c, n) for n, c in fks], [(c, n) for n, c in attrs]
+        )
     return out
+
+
+def _renamings(
+    combined: CombinedSchema, schema: Schema, entity: str
+) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
+    """The foreign keys and the attributes of an included schema's entity,
+    each as (its name, its combined name), in declaration order."""
+    member = combined.member_map
+    return (
+        [(fk.name, member[(schema.name, entity, fk.name)]) for fk in schema.fks_of(entity)],
+        [(a.name, member[(schema.name, entity, a.name)]) for a in schema.attrs_of(entity)],
+    )
 
 
 # ---------------------------------------------------------------------------

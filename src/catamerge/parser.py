@@ -17,6 +17,7 @@ descent over them reports the error.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -214,7 +215,11 @@ def _unescape(body: str) -> str:
 def _number(lexeme: str, start: int, err) -> tuple[str, object]:
     """The kind and value of a number token."""
     if "." in lexeme:
-        return "double", normalize_double(float(lexeme))
+        value = float(lexeme)
+        if math.isinf(value):  # past the float range: it would print as inf
+            err(start, "double literal out of range")
+            return "double", 0.0
+        return "double", normalize_double(value)
     try:
         return "int", int(lexeme)
     except ValueError:  # more digits than the interpreter's int() converts
@@ -1093,7 +1098,10 @@ def _promote_int_literal(term: Term, sort: object, wanted: object) -> Optional[C
         and wanted is BaseType.DOUBLE
         and isinstance(term, Const)
     ):
-        return Const(BaseType.DOUBLE, normalize_double(float(term.value)))  # type: ignore[arg-type]
+        try:
+            return Const(BaseType.DOUBLE, normalize_double(float(term.value)))  # type: ignore[arg-type]
+        except OverflowError:  # past the float range: the Int stays an Int
+            return None
     return None
 
 

@@ -53,7 +53,21 @@ def _quote(text: str) -> str:
 def _literal(c: Const) -> str:
     if c.type is BaseType.STRING:
         return _quote(str(c.value))
+    if c.type is BaseType.DOUBLE:
+        return _double_literal(float(c.value))
     return render_constant(c)
+
+
+def _double_literal(value: float) -> str:
+    """The shortest digits that read back as ``value``, as ``repr`` gives
+    them, but positional: the parser reads no exponent."""
+    text = repr(value)
+    if "e" not in text:
+        return text
+    from decimal import Decimal  # rare: imported only when needed
+
+    text = format(Decimal(text), "f")
+    return text if "." in text else f"{text}.0"
 
 
 def _row_id(name: str) -> str:

@@ -12,7 +12,8 @@ chase oracle re-enumerates every match of every constraint in every round
 and re-checks its premise before it re-fires it, the conclusion-shape
 oracle is the syntactic analysis ``fire_once`` first ran on every firing,
 the tokenizer oracle is the engine's first character loop with a line and
-column on every token, and the random constraint generators build inputs
+column on every token, the migration oracles copy cell by cell through the
+instance builder, and the random constraint generators build inputs
 from primitive templates only.
 """
 
@@ -45,7 +46,7 @@ from catamerge.chase import (
     ChaseTrace,
     fire_once,
 )
-from catamerge.errors import ConstantClash, QueryError
+from catamerge.errors import ConstantClash, IdentificationCollision, QueryError, SchemaError
 from catamerge.instance import (
     UNDEFINED,
     ElementId,
@@ -63,8 +64,10 @@ from catamerge.schema import (
     Attribute,
     Cmp,
     Eq,
+    ExtensionSpec,
     ForeignKey,
     FunApp,
+    Identification,
     PathApp,
     Schema,
     Term,
@@ -740,7 +743,10 @@ def oracle_tokenize(doc: SourceDocument, diags: list[Diagnostic]) -> list[Oracle
                 while i < n and text[i] in _ORACLE_DIGITS:
                     i += 1
             raw = text[start:i]
-            if is_double:
+            if is_double and float(raw) in (float("inf"), float("-inf")):
+                err(start, "double literal out of range")
+                emit("double", start, i, 0.0)
+            elif is_double:
                 emit("double", start, i, normalize_double(float(raw)))
             elif len(raw.lstrip("-")) > sys.get_int_max_str_digits() > 0:  # 0: no limit
                 err(start, "integer literal too long")
@@ -929,6 +935,215 @@ def oracle_chase(pre: Instance, constraints: list[Constraint], max_rounds: int =
         if not changed:
             return ChaseResult(SATURATED, inst.freeze(), trace, round_no)
     return ChaseResult(EXHAUSTED, None, trace, max_rounds)
+
+
+# ---------------------------------------------------------------------------
+# Migration oracles: the engine's first sigma_insert and delta_project, which
+# copy cell by cell through the builder (``set_fk``, ``set_attr``) and read
+# through ``get_fk`` and ``stored_attr``
+
+def oracle_sigma_insert(combined: CombinedSchema, sources: dict[str, Instance]) -> Instance:
+    ext = combined.extension
+    out = Instance(combined.schema, name=f"{ext.name}_data")
+    mapping: dict[tuple[str, ElementId], ElementId] = {}
+    for s in ext.schemas:
+        src = sources.get(s.name)
+        if src is None:
+            continue
+        if src.schema.name != s.name:
+            raise SchemaError(
+                f"instance '{src.name}' is over schema '{src.schema.name}', expected '{s.name}'"
+            )
+        null_map: dict[str, tuple[ElementId, str]] = {}
+        for entity in s.entities:
+            combined_entity = combined.combined_entity(s.name, entity)
+            for root in src.carrier(entity):
+                row_id = src.export_id(root)
+                elem = out.add_element(
+                    combined_entity,
+                    f"{s.name}.{row_id}",
+                    fresh=root.fresh,
+                    origin=(s.name, row_id),
+                )
+                mapping[(s.name, root)] = elem
+        for entity in s.entities:
+            for root in src.carrier(entity):
+                elem = mapping[(s.name, root)]
+                for fk in s.fks_of(entity):
+                    target = src.get_fk(root, fk.name)
+                    if target is None:
+                        continue
+                    out.set_fk(
+                        elem,
+                        combined.combined_member(s.name, entity, fk.name),
+                        mapping[(s.name, target)],
+                    )
+                for attr in s.attrs_of(entity):
+                    value = src.stored_attr(root, attr.name)
+                    if value is None:
+                        continue
+                    combined_attr = combined.combined_member(s.name, entity, attr.name)
+                    if isinstance(value, Const):
+                        out.set_attr(elem, combined_attr, value)
+                    else:
+                        label = src.null_find(value.label)
+                        shared = null_map.get(label)
+                        if shared is None:
+                            null_map[label] = (elem, combined_attr)
+                        else:
+                            out.union_attrs(elem, combined_attr, shared[0], shared[1])
+    return out
+
+
+def oracle_delta_project(combined: CombinedSchema, saturated: Instance, target: Schema) -> Instance:
+    if target.name not in {s.name for s in combined.extension.schemas}:
+        raise SchemaError(f"schema '{target.name}' is not part of extension {combined.extension.name}")
+    out = Instance(target, name=f"{saturated.name}_to_{target.name}")
+    mapping: dict[ElementId, ElementId] = {}
+    for entity in target.entities:
+        combined_entity = combined.combined_entity(target.name, entity)
+        for root in saturated.carrier(combined_entity):
+            own_ids = [
+                saturated.origins[m][1]
+                for m in saturated.members(root)
+                if saturated.origins.get(m, ("", ""))[0] == target.name
+            ]
+            if own_ids:
+                elem = out.add_element(entity, min(own_ids))
+            else:
+                elem = out.add_element(entity, saturated.export_id(root), fresh=True)
+            mapping[root] = elem
+    for entity in target.entities:
+        combined_entity = combined.combined_entity(target.name, entity)
+        for root in saturated.carrier(combined_entity):
+            elem = mapping[root]
+            for fk in target.fks_of(entity):
+                combined_fk = combined.combined_member(target.name, entity, fk.name)
+                tgt = saturated.get_fk(root, combined_fk)
+                if tgt is not None:
+                    out.set_fk(elem, fk.name, mapping[saturated.find(tgt)])
+            for attr in target.attrs_of(entity):
+                combined_attr = combined.combined_member(target.name, entity, attr.name)
+                value = saturated.stored_attr(root, combined_attr)
+                if isinstance(value, Const):
+                    out.set_attr(elem, attr.name, value)
+    return out
+
+
+def _random_source_schema(rng: random.Random, name: str) -> Schema:
+    entities = tuple(f"E{i}" for i in range(rng.randint(1, 3)))
+    fks = [
+        ForeignKey(f"f{i}_{k}", src, rng.choice(entities))
+        for i, src in enumerate(entities)
+        for k in range(rng.randint(0, 2))
+    ]
+    attrs = [
+        Attribute(f"a{i}_{k}", src, rng.choice((BaseType.INT, BaseType.STRING)))
+        for i, src in enumerate(entities)
+        for k in range(rng.randint(0, 3))
+    ]
+    return Schema(name, entities, tuple(fks), tuple(attrs))
+
+
+def _random_constant(rng: random.Random, base: BaseType) -> Const:
+    return Const(base, rng.randint(0, 2) if base is BaseType.INT else rng.choice("xyz"))
+
+
+def _try(inst: Instance, op: Callable[[Instance], object]) -> Instance:
+    """``op`` applied to a copy of ``inst``, or ``inst`` when it clashes."""
+    trial = inst.copy()
+    try:
+        op(trial)
+    except ConstantClash:
+        return inst
+    return trial
+
+
+def random_source_instance(rng: random.Random, schema: Schema) -> Instance:
+    """A programmatic instance: some entities empty, some elements fresh,
+    foreign keys set or not, cells constant, unobserved or sharing a null
+    through ``union_attrs`` (some of those classes anchored later), and a
+    few merged classes."""
+    inst = new_instance(schema, f"{schema.name.lower()}_src")
+    for entity in schema.entities:
+        if rng.random() < 0.2:
+            continue
+        for i in range(rng.randint(1, 5)):
+            inst.add_element(entity, f"{entity.lower()}_{i}", fresh=rng.random() < 0.2)
+    cells = [
+        (elem, attr)
+        for entity in schema.entities
+        for elem in inst.elements(entity)
+        for attr in schema.attrs_of(entity)
+    ]
+    for entity in schema.entities:
+        for elem in inst.elements(entity):
+            for fk in schema.fks_of(entity):
+                targets = inst.elements(fk.target)
+                if targets and rng.random() < 0.6:
+                    inst.set_fk(elem, fk.name, rng.choice(targets))
+    for elem, attr in cells:
+        if rng.random() < 0.4:
+            inst.set_attr(elem, attr.name, _random_constant(rng, attr.type))
+    for _ in range(rng.randint(0, 4) if len(cells) > 1 else 0):
+        (e1, a1), (e2, a2) = rng.sample(cells, 2)
+        if a1.type is a2.type:
+            inst = _try(inst, lambda i: i.union_attrs(e1, a1.name, e2, a2.name))
+    for _ in range(rng.randint(0, 2) if cells else 0):
+        elem, attr = rng.choice(cells)
+        value = _random_constant(rng, attr.type)
+        inst = _try(inst, lambda i: i.assign_attr(elem, attr.name, value))
+    for _ in range(rng.randint(0, 2)):
+        elems = inst.carrier(rng.choice(schema.entities))
+        if len(elems) > 1:
+            a, b = rng.sample(elems, 2)
+            inst = _try(inst, lambda i: i.merge_elements(a, b))
+    return inst
+
+
+def random_migration_case(rng: random.Random) -> tuple[CombinedSchema, dict[str, Instance]]:
+    """Two or three random schemas, some entities identified across them,
+    and a ``random_source_instance`` for most of them."""
+    while True:
+        schemas = tuple(_random_source_schema(rng, f"S{k}") for k in range(rng.randint(2, 3)))
+        idents = []
+        for _ in range(rng.randint(0, 3)):
+            a, b = rng.sample(schemas, 2)
+            idents.append(Identification(a.name, rng.choice(a.entities), b.name, rng.choice(b.entities)))
+        try:
+            combined = combine_schemas(ExtensionSpec("M", schemas, tuple(idents)))
+        except (SchemaError, IdentificationCollision):
+            continue
+        return combined, {s.name: random_source_instance(rng, s) for s in schemas if rng.random() < 0.9}
+
+
+def random_chase_like(rng: random.Random, pre: Instance) -> Instance:
+    """``pre`` after random saturation-level calls: merges, fresh elements,
+    fk definitions, anchoring and unions, as a chase might make them."""
+    schema, inst = pre.schema, pre.copy()
+    for k in range(rng.randint(0, 10)):
+        entity = rng.choice(schema.entities)
+        elems = inst.carrier(entity)
+        op = rng.randrange(5)
+        if op == 0 or not elems:
+            inst.add_element(entity, f"{entity}!{k}", fresh=True)
+        elif op == 1:
+            a, b = rng.choice(elems), rng.choice(elems)
+            inst = _try(inst, lambda i: i.merge_elements(a, b))
+        elif op == 2 and schema.fks_of(entity):
+            fk = rng.choice(schema.fks_of(entity))
+            targets = inst.carrier(fk.target)
+            if targets:
+                elem, target = rng.choice(elems), rng.choice(targets)
+                inst = _try(inst, lambda i: i.define_fk(elem, fk.name, target))
+        elif op == 3 and schema.attrs_of(entity):
+            elem, attr = rng.choice(elems), rng.choice(schema.attrs_of(entity))
+            value = _random_constant(rng, attr.type)
+            inst = _try(inst, lambda i: i.assign_attr(elem, attr.name, value))
+        elif op == 4 and schema.attrs_of(entity):
+            (e1, e2), attr = (rng.choice(elems), rng.choice(elems)), rng.choice(schema.attrs_of(entity))
+            inst = _try(inst, lambda i: i.union_attrs(e1, attr.name, e2, attr.name))
+    return inst.freeze()
 
 
 def deep_chain_document(n: int, k: int, deepest_first: bool = True) -> str:

@@ -799,6 +799,53 @@ def test_semi_naive_rounds_agree_with_oracle_on_pending_function_sides():
         _same_as_oracle(*_one_x(text, value, attr), max_rounds=20)
 
 
+# -- constraints left pending at the fixpoint ------------------------------------
+
+def _assert_pending_is_what_check_model_reports(result, constraints) -> tuple[int, ...]:
+    assert result.saturated
+    report = check_model(result.instance, constraints)
+    assert result.pending == tuple(v.index for v in report.violations())
+    assert (not result.pending) == report.ok
+    return result.pending
+
+
+def test_pending_matches_check_model_on_random_cases():
+    for seed in range(300):
+        _, pre, constraints = helpers.random_weakly_acyclic_case(random.Random(seed))
+        assert _assert_pending_is_what_check_model_reports(chase(pre, constraints), constraints) == ()
+
+
+def test_pending_matches_check_model_on_function_side_cases():
+    seen = set()
+    for text, value, attr in _function_side_cases():
+        result, constraints = _chase_one_x(text, value, attr)
+        seen.add(_assert_pending_is_what_check_model_reports(result, constraints))
+    rng = random.Random(5)
+    cfg = ChaseConfig(max_rounds=6, require_weak_acyclicity=False)
+    for _ in range(200):
+        c = helpers.random_function_side_constraint(rng)
+        inst = new_instance(helpers.FUNCTION_SIDE_SCHEMA)
+        for name in ("x1", "x2"):
+            x = inst.add_element("X", name)
+            for attr in ("b", "c"):
+                if rng.random() < 0.5:
+                    inst.set_attr(x, attr, Const(BaseType.INT, rng.randint(0, 3)))
+        result = chase(inst, [c], cfg)
+        if result.saturated:
+            seen.add(_assert_pending_is_what_check_model_reports(result, [c]))
+    assert seen == {(), (1,)}
+
+
+def test_pending_on_the_readme_example():
+    """``y.b = add(x.c, 1)`` with ``x.c`` null saturates with the rule pending."""
+    text = _unset_existential_tgd("y.b = add(x.c, 1)")
+    result, constraints = _chase_one_x(text, None, "c")
+    assert (result.status, result.rounds, result.pending) == (SATURATED, 1, (1,))
+    _assert_pending_is_what_check_model_reports(result, constraints)
+    known, _ = _chase_one_x(text, 1, "c")
+    assert (known.status, known.pending) == (SATURATED, ())
+
+
 def test_semi_naive_rounds_agree_with_oracle_on_constant_clash():
     env = helpers.load_text(helpers.clash_fixture_text(), "clash.cmg")
     combined = combine_schemas(env.extensions["CombinedThreeWay"])

@@ -72,6 +72,34 @@ extension E { include A B }
     assert main(["integrate", str(f), "--out", str(tmp_path / "o")]) == 0
 
 
+def test_integrate_warns_of_pending_constraints(tmp_path, capsys):
+    doc = """
+schema S {
+  entities X Y
+  attributes c : X -> Int  b : Y -> Int
+}
+instance i : S { entity X { row x1 { } } }
+extension E {
+  include S
+  constraints
+    forall x : X -> x.c = x.c
+    forall x : X -> exists y : Y , y.b = add(x.c, 1)
+}
+"""
+    f = tmp_path / "p.cmg"
+    f.write_text(doc)
+    assert main(["integrate", str(f), "--out", str(tmp_path / "o"), "--trace"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "warning: constraint(s) 2 left a match pending at the fixpoint "
+        "(a function argument stayed unknown); check_model reports them violated"
+    ]
+    assert "saturated after 1 round(s)" in captured.out
+    assert (tmp_path / "o" / "trace.log").read_text(encoding="utf-8") == ""
+    assert main(["integrate", EX1, "--out", str(tmp_path / "o1")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_integrate_clash_exits_two(tmp_path, capsys):
     f = tmp_path / "clash.cmg"
     f.write_text(helpers.clash_fixture_text(), encoding="utf-8")

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 
 import helpers
@@ -27,6 +30,7 @@ from catamerge.schema import (
     Schema,
 )
 from catamerge.generators import scaled_example1_document
+from catamerge.instance import NullRef
 from catamerge.schema import Const
 from catamerge.typeside import BaseType
 
@@ -436,3 +440,122 @@ def test_printing_and_projection_read_without_minting():
         with helpers.eager_nulls():
             _, _, eager_outputs = _printed_saturation(name, extension)
         assert outputs == eager_outputs
+
+
+def _null_classes(inst) -> int:
+    return len({
+        value.label
+        for entity in inst.schema.entities
+        for root in inst.carrier(entity)
+        for attr in inst.schema.attrs_of(entity)
+        if isinstance(value := inst.stored_attr(root, attr.name), NullRef)
+    })
+
+
+def _assert_same_migration(new, old) -> None:
+    assert instances_same_data(new, old)
+    assert [new.elements(e) for e in new.schema.entities] == [old.elements(e) for e in old.schema.entities]
+    assert new.origins == old.origins
+    assert _null_classes(new) == _null_classes(old)
+
+
+def test_migrations_match_the_oracles_on_fixtures(example1_saturated, example2_saturated):
+    for env, combined, _, result in (example1_saturated, example2_saturated):
+        sources = {inst.schema.name: inst for inst in env.instances.values()}
+        _assert_same_migration(
+            sigma_insert(combined, sources), helpers.oracle_sigma_insert(combined, sources)
+        )
+        for s in combined.extension.schemas:
+            _assert_same_migration(
+                delta_project(combined, result.instance, s),
+                helpers.oracle_delta_project(combined, result.instance, s),
+            )
+
+
+def test_migrations_match_the_oracles_on_random_sources():
+    shapes = Counter()
+    for seed in range(200):
+        rng = random.Random(seed)
+        combined, sources = helpers.random_migration_case(rng)
+        pre = sigma_insert(combined, sources)
+        _assert_same_migration(pre, helpers.oracle_sigma_insert(combined, sources))
+        sat = helpers.random_chase_like(rng, pre)
+        for s in combined.extension.schemas:
+            _assert_same_migration(
+                delta_project(combined, sat, s), helpers.oracle_delta_project(combined, sat, s)
+            )
+        for src in sources.values():
+            schema = src.schema
+            roots = [(e, r) for e in schema.entities for r in src.carrier(e)]
+            shapes["empty entity"] += any(not src.elements(e) for e in schema.entities)
+            shapes["fresh element"] += any(r.fresh for _, r in roots)
+            shapes["unset fk"] += any(
+                src.get_fk(r, fk.name) is None for e, r in roots for fk in schema.fks_of(e)
+            )
+            shapes["shared null"] += _null_classes(src) < sum(
+                isinstance(src.stored_attr(r, a.name), NullRef) for e, r in roots for a in schema.attrs_of(e)
+            )
+            shapes["merged class"] += any(len(src.members(r)) > 1 for _, r in roots)
+    assert min(shapes.values()) >= 20 and len(shapes) == 5, shapes
+
+
+_EXTRA_ATTRIBUTE = """
+schema A {
+  entities X
+  attributes a : X -> Int
+}
+extension E { include A }
+"""
+
+
+def test_sigma_rejects_a_source_over_a_same_named_schema():
+    env = helpers.load_text(_EXTRA_ATTRIBUTE)
+    combined = combine_schemas(env.extensions["E"])
+    wider = Schema(
+        "A", ("X",), (), (Attribute("a", "X", BaseType.INT), Attribute("b", "X", BaseType.INT))
+    )
+    source = new_instance(wider, "src")
+    x = source.add_element("X", "x1")
+    source.set_attr(x, "a", Const(BaseType.INT, 1))
+    source.set_attr(x, "b", Const(BaseType.INT, 2))
+    with pytest.raises(SchemaError, match="expected the schema 'A'"):
+        sigma_insert(combined, {"A": source})
+    # the cell-by-cell copy compared the names only, and lost b
+    copied = helpers.oracle_sigma_insert(combined, {"A": source})
+    assert [a.name for a in copied.schema.attrs_of("A_X")] == ["a"]
+
+
+def test_delta_rejects_an_instance_over_another_schema(example1_saturated, example2_saturated):
+    env, combined, pre, result = example1_saturated
+    ifc = env.schemas["IFC"]
+    with pytest.raises(SchemaError, match="not the combined schema"):
+        delta_project(combined, env.instances["ifc_model"], ifc)
+    _, other, _, other_result = example2_saturated
+    with pytest.raises(SchemaError, match="not the combined schema"):
+        delta_project(combined, other_result.instance, ifc)
+    narrower = Schema("IFC", ifc.entities, ifc.foreign_keys, ifc.attributes[1:])
+    with pytest.raises(SchemaError, match="not part of extension"):
+        delta_project(combined, result.instance, narrower)
+    delta_project(combined, pre, ifc)  # any instance over the combined schema
+
+
+def test_transitive_same_schema_identification_rejected():
+    a = Schema("A", ("X", "Z"))
+    b = Schema("B", ("Y",))
+    ext = ExtensionSpec(
+        "C", (a, b), (Identification("A", "X", "B", "Y"), Identification("B", "Y", "A", "Z"))
+    )
+    with pytest.raises(SchemaError, match="two entities of schema 'A'"):
+        combine_schemas(ext)
+    from catamerge.parser import SourceDocument, parse_document
+
+    text = """
+schema A { entities X Z }
+schema B { entities Y }
+extension E { include A B identify A.X = B.Y identify B.Y = A.Z }
+"""
+    env = parse_document(SourceDocument("t", text))
+    assert [d.message for d in env.diagnostics] == [
+        "identifications in extension E merge two entities of schema 'A'; "
+        "same-schema identifications are rejected"
+    ]

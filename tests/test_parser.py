@@ -23,7 +23,7 @@ from catamerge import parser as parser_module
 from catamerge.generators import scaled_example1_document
 from catamerge.parser import SourceDocument, parse_document, tokenize
 from catamerge.schema import Cmp, Schema
-from catamerge.typeside import BaseType
+from catamerge.typeside import BaseType, normalize_double
 
 IFC_TEXT = """\
 schema IFC {
@@ -696,6 +696,50 @@ def test_integer_literal_limit_is_the_interpreters(monkeypatch):
         sys.set_int_max_str_digits(limit)
     assert diags[:2] == ["integer literal too long"] * 2
     assert parse_document(SourceDocument("big.cmg", text.replace(" zz", ""))).ok
+
+
+def test_double_literal_out_of_range_is_a_diagnostic(monkeypatch):
+    """A Double literal past the float range would read as ``inf``, which
+    prints as a name; the parser reports it at the literal instead, on the
+    row path, on the token path and in a constraint, and reads an Int
+    literal past that range, given where a Double goes, as an Int."""
+    huge, tiny = "9" * 400 + ".5", "-" + "9" * 400 + ".0"
+    texts = [
+        _row_document([f"row x1 {{ d = {huge} }}"]),
+        _row_document([f"row x1 {{ d = {tiny} zz }}"]),  # malformed: the token path
+        _ROW_SCHEMA.replace("}\n", f"  constraints forall x : X where x.d = {huge} -> x.n = 1\n}}\n"),
+    ]
+    for text in texts:
+        diags = [str(d) for d in parse_document(SourceDocument("big.cmg", text)).diagnostics]
+        literal = huge if huge in text else tiny
+        line, col = SourceDocument("big.cmg", text).position(text.index(literal))
+        assert diags[0] == f"big.cmg:{line}:{col}: error: double literal out of range", text
+        _assert_tokens_match_oracle(text)
+    _assert_rows_parse_as_oracle(monkeypatch, texts)
+    big_int = "9" * 400
+    diags = [d.message for d in parse_document(
+        SourceDocument("big.cmg", _row_document([f"row x1 {{ d = {big_int} }}"]))
+    ).diagnostics]
+    assert diags == ["attribute 'd' has type Double, got Int"]
+    constraint = _ROW_SCHEMA.replace("}\n", f"  constraints forall x : X where x.d = {big_int} -> x.n = 1\n}}\n")
+    assert not parse_document(SourceDocument("big.cmg", constraint)).ok
+
+
+def test_printed_doubles_parse_back():
+    """``repr`` writes an exponent for large and small doubles; the printer
+    writes the same digits positionally, so that the parser reads them."""
+    largest = str(int(sys.float_info.max)) + ".0"
+    values = [largest, "-" + largest, "1" + "0" * 20 + ".0", "12345678901234567.5", "0.000001", "-0.00005", "2.5"]
+    rows = [f"row x{k} {{ d = {value} }}" for k, value in enumerate(values)]
+    env = helpers.load_text(_row_document(rows))
+    inst = env.instances["i"]
+    printed = print_canonical(inst)
+    assert "e" not in "".join(line.split("d = ")[1] for line in printed.splitlines() if "d = " in line)
+    again, diags = parse_instance(SourceDocument("rt", printed), env.schemas["S"])
+    assert not errors(diags) and instances_same_data(again, inst)
+    assert [again.stored_attr(x, "d").value for x in again.elements("X")] == [
+        normalize_double(float(value)) for value in values
+    ]
 
 
 def test_malformed_rows_with_long_skips_parse_in_linear_time():
