@@ -56,6 +56,7 @@ from .schema import (
     Schema,
     Term,
     Var,
+    _term_vars,
     check_constraint,
     check_weak_acyclicity,
     classify_constraint,
@@ -154,6 +155,10 @@ SATURATED = "saturated"
 FAILED = "failed"
 EXHAUSTED = "exhausted"
 
+# Why a match stays pending (ChaseResult.reasons).
+UNKNOWN_ARGUMENT = "unknown argument"
+UNDEFINED_RESULT = "undefined result"
+
 
 @dataclass
 class ChaseResult:
@@ -163,8 +168,10 @@ class ChaseResult:
     rounds: int
     clash: Optional[ConstantClash] = None
     # On saturation, the 1-based indices of the constraints left with a
-    # pending match, which check_model reports as violated.
+    # pending match, which check_model reports as violated, and per such
+    # index each reason its pending matches have, in that order.
     pending: tuple[int, ...] = ()
+    reasons: tuple[tuple[int, str], ...] = ()
 
     @property
     def saturated(self) -> bool:
@@ -416,7 +423,7 @@ def chase(pre: Instance, constraints: list[Constraint], cfg: Optional[ChaseConfi
                     collected.append((index, c, env))
         counter = itertools.count()
         changed = False
-        pending: set[int] = set()
+        pending: dict[int, set[str]] = {}
         inst.changes = set()
         try:
             for index, c, env in collected:
@@ -430,18 +437,44 @@ def chase(pre: Instance, constraints: list[Constraint], cfg: Optional[ChaseConfi
                     trace.entries.append(entry)
                     changed = True
                 if key not in done:
-                    pending.add(index)
+                    pending.setdefault(index, set()).add(_pending_reason(inst, c, env))
         except ConstantClash as clash:
             return ChaseResult(FAILED, None, trace, round_no, clash)
         changes, inst.changes = inst.changes, None
         if not changed:  # every pending constraint was enumerated this round
-            return ChaseResult(SATURATED, inst.freeze(), trace, round_no, pending=tuple(sorted(pending)))
+            indices = tuple(sorted(pending))
+            reasons = tuple((i, r) for i in indices for r in sorted(pending[i]))
+            return ChaseResult(SATURATED, inst.freeze(), trace, round_no, pending=indices, reasons=reasons)
         merged = {mark[1] for mark in changes if mark[0] == MERGED}
         for index, c in ordered:
             if any(step.entity in merged for step in c.plan.premise):
                 discharged[index] = {tuple(map(inst.find, key)) for key in discharged[index]}
-        stale = pending | {i for i, _ in ordered if not reads[i].isdisjoint(changes)}
+        stale = pending.keys() | {i for i, _ in ordered if not reads[i].isdisjoint(changes)}
     return ChaseResult(EXHAUSTED, None, trace, cfg.max_rounds)
+
+
+def _pending_reason(inst: Instance, c: Constraint, env: dict[str, Value]) -> str:
+    """Why ``fire_once`` left a premise match pending: ``UNDEFINED_RESULT``
+    when a function it needs has only constant arguments and still no value
+    (a division by zero, or a result no literal holds), ``UNKNOWN_ARGUMENT``
+    otherwise, for an argument that is a null or an undefined path."""
+    live = solve_pins(inst, c, {step.var: inst.find(env[step.var]) for step in c.plan.premise})
+    if c.plan.stuck:
+        return UNKNOWN_ARGUMENT
+    sides = list(c.plan.defer)
+    sides += [side for eq in c.conclusion for side in (eq.left, eq.right) if isinstance(side, FunApp)]
+    for side in sides:
+        if _term_vars(side) <= live.keys() and not isinstance(eval_term(inst, live, side), Const):
+            return _failure(inst, live, side)
+    return UNKNOWN_ARGUMENT
+
+
+def _failure(inst: Instance, env: dict[str, Value], term: FunApp) -> str:
+    """Why a function term is not a constant under ``env``."""
+    for arg in term.args:
+        if not isinstance(eval_term(inst, env, arg), Const):
+            return _failure(inst, env, arg) if isinstance(arg, FunApp) else UNKNOWN_ARGUMENT
+    return UNDEFINED_RESULT
 
 
 def premise_reads(c: Constraint, schema: Schema) -> frozenset[tuple]:

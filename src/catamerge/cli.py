@@ -13,7 +13,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NoReturn, Optional
 
-from .chase import EXHAUSTED, FAILED, ChaseConfig, ChaseResult, chase
+from .chase import (
+    EXHAUSTED,
+    FAILED,
+    UNDEFINED_RESULT,
+    UNKNOWN_ARGUMENT,
+    ChaseConfig,
+    ChaseResult,
+    chase,
+)
 from .errors import CatamergeError
 from .instance import Instance, new_instance
 from .integrate import CombinedSchema, combine_schemas, delta_project, roundtrip_report
@@ -135,6 +143,13 @@ def _build_manifest(args: argparse.Namespace) -> Optional[RunManifest]:
     )
 
 
+# The pending-match warnings, one per reason, in this order.
+_PENDING_WHY = (
+    (UNKNOWN_ARGUMENT, "a function argument stayed unknown"),
+    (UNDEFINED_RESULT, "a function result is undefined"),
+)
+
+
 def _run_chase(manifest: RunManifest) -> tuple[int, Optional[ChaseResult]]:
     """Insert the sources and chase; returns the exit code with the result.
 
@@ -158,12 +173,14 @@ def _run_chase(manifest: RunManifest) -> tuple[int, Optional[ChaseResult]]:
     if result.status == EXHAUSTED:
         print(f"exhausted: no fixpoint after {result.rounds} round(s)", file=sys.stderr)
         return EXHAUSTED_CODE, result
-    if result.pending:
-        print(
-            f"warning: constraint(s) {', '.join(map(str, result.pending))} left a match pending "
-            "at the fixpoint (a function argument stayed unknown); check_model reports them violated",
-            file=sys.stderr,
-        )
+    for reason, why in _PENDING_WHY:
+        indices = [str(index) for index, r in result.reasons if r == reason]
+        if indices:
+            print(
+                f"warning: constraint(s) {', '.join(indices)} left a match pending "
+                f"at the fixpoint ({why}); check_model reports them violated",
+                file=sys.stderr,
+            )
     return OK, result
 
 

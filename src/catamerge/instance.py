@@ -3,10 +3,18 @@
 An instance tracks a union-find over its elements (entity merges propagate a
 congruence closure through valued foreign keys) and a second union-find over
 attribute-null labels with constant anchoring. Attribute valuations are total:
-a cell that was never set, read or unified is its element's unobserved
-labelled null, and is given a fresh label the first time it is used.
+a cell that was never set or unified is its element's unobserved labelled
+null, and is given a fresh label the first time it is written. Term
+evaluation never mints one: it reads an unobserved cell as the cell itself
+(``UnobservedCell``), which equals only another read of that same cell.
 Constants overwrite nulls, never other constants. Labels are internal: their
 numbers follow first use and no output shows them.
+
+For equality joins the instance keeps, per (entity, attribute), the classes
+whose cell is observed, and builds from them a hash index by join key
+(``Instance.observed_cells``). Both are cached until a cell is observed, a
+value changes or classes merge, so every rule of a chase round, and every
+constraint ``check_model`` checks, shares one index per attribute.
 
 While ``Instance.changes`` holds a set, ``add_element`` and the
 saturation-level mutators add to it a mark for each change that can give a
@@ -37,7 +45,7 @@ from .schema import (
     Term,
     Var,
 )
-from .typeside import apply_predicate
+from .typeside import apply_function, apply_predicate
 
 
 class ElementId(NamedTuple):
@@ -63,6 +71,15 @@ class NullRef:
 
 
 AttrValue = Union[Const, NullRef]
+
+
+class UnobservedCell(NamedTuple):
+    """A read of a cell that holds no value yet: the cell itself, by its
+    class root and attribute. Its null is the cell's own, so it equals only
+    another read of the same cell, of the same state of the instance."""
+
+    root: ElementId
+    attr: str
 
 
 class _UndefinedType:
@@ -124,6 +141,12 @@ class Instance:
         self._frozen = False
         # Per entity, the sorted carrier; dropped by add_element and merges.
         self._carriers: dict[str, list[ElementId]] = {}
+        # Per (entity, attribute), the classes whose cell is observed; built
+        # on first use, then kept current. Dropped by copy_rows.
+        self._observed: Optional[dict[tuple[str, str], set[ElementId]]] = None
+        # Per (entity, attribute), observed_cells' lists and index; dropped
+        # when a cell is observed, a value changes or classes merge.
+        self._indexes: dict[tuple[str, str], tuple] = {}
         # Provenance of elements copied out of source instances: (schema, row id).
         self.origins: dict[ElementId, tuple[str, str]] = {}
         # Change marks, while a caller collects them; a copy starts with None.
@@ -188,6 +211,39 @@ class Instance:
     def element_named(self, entity: str, name: str) -> Optional[ElementId]:
         return self._elements.get(entity, {}).get(name)
 
+    def observed_cells(
+        self, entity: str, attr: str
+    ) -> tuple[list[ElementId], dict[object, list[ElementId]]]:
+        """The classes of ``entity`` whose ``attr`` cell is observed, in
+        carrier order, and the same classes by the ``_join_key`` of that
+        cell's value, each bucket in carrier order.
+
+        Built once, and shared until a cell is observed, a value changes or
+        classes merge; callers only read them."""
+        cached = self._indexes.get((entity, attr))
+        if cached is None:
+            observed = self._observed
+            if observed is None:
+                observed = self._observed = {}
+                for root, cells in self._attrs.items():
+                    for name in cells:
+                        observed.setdefault((root.entity, name), set()).add(root)
+            # one entity's elements sort by name, as the carrier does
+            roots = sorted(observed.get((entity, attr), ()))
+            index: dict[object, list[ElementId]] = {}
+            attrs = self._attrs
+            for root in roots:
+                key = _join_key(self, self.resolve_value(attrs[root][attr]))
+                index.setdefault(key, []).append(root)
+            cached = self._indexes[(entity, attr)] = (roots, index)
+        return cached
+
+    def _observe(self, root: ElementId, attr: str) -> None:
+        """Note that ``root``'s ``attr`` cell now holds a value."""
+        if self._observed is not None:
+            self._observed.setdefault((root.entity, attr), set()).add(root)
+        self._indexes.clear()
+
     # -- union-find over elements --------------------------------------------
 
     def find(self, e: ElementId) -> ElementId:
@@ -249,6 +305,7 @@ class Instance:
             winner, loser = (ra, rb) if ra < rb else (rb, ra)
             self._null_parent[loser] = winner
         self._record(NULLS)
+        self._indexes.clear()
         return True
 
     def _record(self, mark: tuple) -> None:
@@ -331,6 +388,7 @@ class Instance:
             )
         if current is None:
             cells[attr_name] = value
+            self._observe(root, attr_name)
         else:
             # anchor the null's class: cells unified with this one read the constant too
             self._unify_values(current, value, attr_name, root.name)
@@ -357,6 +415,8 @@ class Instance:
         between the two schemas, whose member types then agree.
         """
         self._mutable()
+        self._observed = None  # rebuilt on first use, not kept cell by cell
+        self._indexes.clear()
         find, src_fks, src_attrs = src.find, src._fks, src._attrs
         out_fks, out_attrs = self._fks, self._attrs
         for root in roots:
@@ -395,7 +455,16 @@ class Instance:
         return self.find(target) if target is not None else None
 
     def get_attr(self, elem: ElementId, attr_name: str) -> AttrValue:
+        """The cell's value, minting its null if the cell is unobserved."""
         return self.resolve_value(self._cell(self.find(elem), attr_name))
+
+    def read_attr(self, elem: ElementId, attr_name: str) -> Union[AttrValue, UnobservedCell]:
+        """``get_attr`` without minting: an unobserved cell reads as itself."""
+        root = self.find(elem)
+        value = self._attrs[root].get(attr_name)
+        if value is None:
+            return UnobservedCell(root, attr_name)
+        return self.resolve_value(value)
 
     def stored_attr(self, elem: ElementId, attr_name: str) -> Optional[AttrValue]:
         """``get_attr`` without minting: None for an unobserved cell, whose
@@ -411,14 +480,16 @@ class Instance:
     def _cell(self, root: ElementId, attr_name: str) -> AttrValue:
         """The value stored in a cell, minting its null on first use.
 
-        A read mints too, also on a frozen instance: the label is an internal
-        cache, and storing it makes two reads of one cell equal values."""
+        ``get_attr`` mints too, also on a frozen instance: the label is an
+        internal cache, and storing it makes two reads of one cell equal
+        values. The engine's own reads go through ``read_attr``."""
         cells = self._attrs[root]
         value = cells.get(attr_name)
         if value is None:
             if self.schema.attr(root.entity, attr_name) is None:
                 raise InstanceError(f"'{attr_name}' is not an attribute of entity '{root.entity}'")
             value = cells[attr_name] = self.fresh_null()
+            self._observe(root, attr_name)
         return value
 
     def define_fk(self, elem: ElementId, fk_name: str, target: ElementId) -> bool:
@@ -466,6 +537,7 @@ class Instance:
             report.pairs.append((winner, loser))
             self._record((MERGED, winner.entity))
             self._carriers.pop(winner.entity, None)
+            self._indexes.clear()
             self._parent[loser] = winner
             self._members.setdefault(winner, [winner]).extend(self._members.pop(loser, (loser,)))
             loser_fks = self._fks.pop(loser)
@@ -480,15 +552,22 @@ class Instance:
             # attribute whatever order the cells were first used in.
             loser_attrs = self._attrs.pop(loser)
             winner_attrs = self._attrs[winner]
-            for attr in self.schema.attrs_of(winner.entity):
-                value = loser_attrs.get(attr.name)
-                if value is None:
-                    continue
-                current = winner_attrs.get(attr.name)
+            names = list(loser_attrs)
+            if len(names) > 1:
+                rank, entity = self.schema.attr_rank, winner.entity
+                names.sort(key=lambda name: rank[(entity, name)])
+            observed = self._observed
+            for name in names:
+                value = loser_attrs[name]
+                if observed is not None:
+                    cells = observed[(winner.entity, name)]
+                    cells.discard(loser)
+                    cells.add(winner)
+                current = winner_attrs.get(name)
                 if current is None:
-                    winner_attrs[attr.name] = value
+                    winner_attrs[name] = value
                 else:
-                    self._unify_values(current, value, attr.name, winner.name)
+                    self._unify_values(current, value, name, winner.name)
         return report
 
 
@@ -500,7 +579,7 @@ def new_instance(schema: Schema, name: str = "instance") -> Instance:
 # ---------------------------------------------------------------------------
 # Path and term evaluation
 
-Value = Union[ElementId, VirtualElem, Const, NullRef, _UndefinedType]
+Value = Union[ElementId, VirtualElem, Const, NullRef, UnobservedCell, _UndefinedType]
 
 
 def eval_path(inst: Instance, elem: ElementId, path: Path) -> Value:
@@ -535,7 +614,9 @@ def eval_term(
     With ``virtual=True`` an undefined foreign-key application yields a
     VirtualElem denoting the term itself (two such terms compare equal iff
     their bases are merged and the steps agree); attribute reads on virtual
-    elements are UNDEFINED either way.
+    elements are UNDEFINED either way. Attribute reads mint nothing
+    (``Instance.read_attr``). A function is UNDEFINED unless every argument
+    is a constant and its result is defined (``typeside.apply_function``).
     """
     if isinstance(term, Var):
         return env[term.name]
@@ -548,11 +629,8 @@ def eval_term(
             if not isinstance(v, Const):
                 return UNDEFINED
             args.append(v.value)
-        try:
-            result = term.fn.impl(*args)
-        except ZeroDivisionError:
-            return UNDEFINED
-        return Const(term.fn.result, result)
+        result = apply_function(term.fn, args)
+        return UNDEFINED if result is None else Const(term.fn.result, result)
     assert isinstance(term, PathApp)
     current: Value = env[term.var]
     for fk_name in term.path.fks:
@@ -571,7 +649,7 @@ def eval_term(
     if term.path.attr is None:
         return current
     if isinstance(current, ElementId):
-        return inst.get_attr(current, term.path.attr)
+        return inst.read_attr(current, term.path.attr)
     return UNDEFINED
 
 
@@ -586,7 +664,7 @@ def values_equal(inst: Instance, a: Value, b: Value) -> bool:
         return a.type == b.type and a.value == b.value
     if isinstance(a, NullRef) and isinstance(b, NullRef):
         return inst.null_find(a.label) == inst.null_find(b.label)
-    return False
+    return isinstance(a, UnobservedCell) and a == b
 
 
 Evaluator = Callable[[Instance, dict[str, Value], Term], Value]
@@ -640,8 +718,17 @@ def _atom_holds(
 
 
 def _join_key(inst: Instance, value: Value) -> object:
-    """A hash key such that ``values_equal(a, b)`` implies equal keys; None
-    for UNDEFINED, which equals nothing."""
+    """A hash key for a value, None for UNDEFINED, which equals nothing.
+
+    Both directions hold, for two values read from one state of ``inst``:
+    ``values_equal(a, b)`` implies equal keys, and equal keys (not None)
+    imply ``values_equal(a, b)``. An element keys by its class, a virtual
+    element by its base's class and steps, a constant by its type and
+    value, a null by its class root and an unobserved cell by the cell
+    itself; no two kinds share a key. The second direction needs every
+    constant to equal itself: the typeside computes no NaN
+    (``typeside.representable``).
+    """
     if isinstance(value, ElementId):
         return inst.find(value)
     if isinstance(value, VirtualElem):
@@ -650,16 +737,20 @@ def _join_key(inst: Instance, value: Value) -> object:
         return (value.type, value.value)
     if isinstance(value, NullRef):
         return inst.null_find(value.label)
+    if isinstance(value, UnobservedCell):
+        return value
     return None
 
 
 class _Binder:
     """Binds the variables of a list of plan steps, depth first, in place.
 
-    Pins and probes only prune: a candidate must pass its step's ``checks``,
-    and the caller checks any other atom. Carriers and hash indexes are
-    built at most once per binder, from the instance as it is then, so a
-    binder is used up before the instance changes.
+    A probe yields exactly the candidates that satisfy its equation (the
+    ``_join_key`` contract); a pin or a walk of observed cells only prunes.
+    A candidate must pass its step's ``checks``, and the caller checks any
+    other atom. Carriers and hash indexes are taken at most once per binder,
+    from the instance as it is then, so a binder is used up before the
+    instance changes.
     """
 
     def __init__(
@@ -668,7 +759,7 @@ class _Binder:
         self.inst = inst
         self.steps = steps
         self.evaluate = evaluate
-        self.pools: list = [None] * len(steps)  # per step: carrier or hash index
+        self.pools: list = [None] * len(steps)  # per step: carrier, walk or hash index
 
     @cached_property
     def passed(self) -> list[list[int]]:
@@ -704,12 +795,27 @@ class _Binder:
         pool = self.pools[depth]
         if pool is None:
             pool = self.pools[depth] = self._pool(step)
-        if step.probe is None or not pool:  # an empty pool needs no probe value
+        if step.probe is None:
             return pool
-        return pool.get(_join_key(inst, self.evaluate(inst, env, step.probe[1])), ())
+        if not pool and step.observed is None:  # an empty carrier needs no probe value
+            return ()
+        key = _join_key(inst, self.evaluate(inst, env, step.probe[1]))
+        bucket = pool.get(key)
+        if bucket is not None:
+            return bucket
+        # an unobserved cell is in no index, and equals only reads of itself
+        if (isinstance(key, UnobservedCell) and key.attr == step.observed
+                and key.root.entity == step.entity):
+            return (key.root,)
+        return ()
 
     def _pool(self, step: BindStep) -> Union[list[ElementId], dict[object, list[ElementId]]]:
-        """The carrier, or with a probe its hash index; buckets keep carrier order."""
+        """The carrier, or with a probe its hash index; buckets keep carrier
+        order. A step with ``observed`` takes the shared lists of
+        ``Instance.observed_cells`` instead."""
+        if step.observed is not None:
+            roots, index = self.inst.observed_cells(step.entity, step.observed)
+            return roots if step.probe is None else index
         carrier = self.inst.carrier(step.entity)
         if step.probe is None:
             return carrier
@@ -725,13 +831,14 @@ class _Binder:
 def enumerate_matches(inst: Instance, c: Constraint) -> Iterator[dict[str, Value]]:
     """All premise matches, in lexicographic assignment order.
 
-    The enumerated universals are bound by index probes or carrier scans
-    (``Constraint.plan``); ``solve_pins`` then solves the pinned ones, and
-    every premise atom is checked.
+    The enumerated universals are bound by index probes, walks of observed
+    cells or carrier scans (``Constraint.plan``); ``solve_pins`` then solves
+    the pinned ones, and every premise atom no probe decided is checked.
     """
-    for env in _Binder(inst, c.plan.premise).bind({}):
+    plan = c.plan
+    for env in _Binder(inst, plan.premise).bind({}):
         match = solve_pins(inst, c, dict(env))
-        if all(_atom_holds(inst, match, atom) for atom in c.premise):
+        if all(_atom_holds(inst, match, atom) for atom in plan.checks):
             yield match
 
 

@@ -17,7 +17,6 @@ descent over them reports the error.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -49,6 +48,7 @@ from .typeside import (
     FUNCTION_NAMES,
     normalize_double,
     predicate_defined,
+    representable,
     resolve_function,
 )
 
@@ -216,11 +216,11 @@ def _number(lexeme: str, start: int, err) -> tuple[str, object]:
     """The kind and value of a number token."""
     if "." in lexeme:
         value = float(lexeme)
-        if math.isinf(value):  # past the float range: it would print as inf
+        if not representable(value):  # past the float range: it would print as inf
             err(start, "double literal out of range")
             return "double", 0.0
         return "double", normalize_double(value)
-    try:
+    try:  # int() applies the digit limit that representable() reads
         return "int", int(lexeme)
     except ValueError:  # more digits than the interpreter's int() converts
         err(start, "integer literal too long")

@@ -172,10 +172,15 @@ class Schema:
     _attrs_by_entity: dict[str, tuple[Attribute, ...]] = field(
         default_factory=dict, compare=False, repr=False
     )
+    # (entity, attribute) -> declaration position
+    attr_rank: dict[tuple[str, str], int] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         self._fk_index = {(fk.source, fk.name): fk for fk in self.foreign_keys}
         self._attr_index = {(a.source, a.name): a for a in self.attributes}
+        self.attr_rank = {key: rank for rank, key in enumerate(self._attr_index)}
         self._fks_by_entity = _by_source(self.foreign_keys)
         self._attrs_by_entity = _by_source(self.attributes)
 
@@ -434,6 +439,12 @@ class BindStep(NamedTuple):
     variables enumerated earlier, the candidates are one bucket of a hash
     index over the carrier. With neither, the whole carrier is scanned. Each
     candidate must then pass the ``checks``, in order.
+
+    With ``observed``, an attribute of this variable's entity, the classes
+    whose cell of it is observed stand in for the carrier: a probe on that
+    plain attribute looks up their shared index, and otherwise they are
+    walked. A walk is planned only where a later probe reads the attribute
+    against a different one, which an unobserved cell never equals.
     """
 
     var: str
@@ -441,11 +452,13 @@ class BindStep(NamedTuple):
     pin: Optional[Term] = None
     probe: Optional[tuple[Term, Term]] = None
     checks: tuple[Atom, ...] = ()
+    observed: Optional[str] = None
 
 
 class BindingPlan(NamedTuple):
     pins: tuple[BindStep, ...]  # the solved universals, in solving order
     premise: tuple[BindStep, ...]  # the enumerated universals, in declaration order
+    checks: tuple[Atom, ...]  # the premise atoms no probe decides, checked per match
     conclusion: tuple[BindStep, ...]  # the existentials, in solving order
     enforce: tuple[tuple[Eq, bool], ...]  # conclusion equations in order; True if entity-sorted
     defer: tuple[Term, ...]  # function sides over universals that must be constants to fire
@@ -462,7 +475,10 @@ def binding_plan(c: Constraint) -> BindingPlan:
     pins left form a cycle, the first of them is enumerated instead. The
     enumerated universals keep their declaration order, so matches come out
     in lexicographic carrier order. Each probes with the first premise
-    equation joining it to the universals enumerated before it. The next
+    equation joining it to the universals enumerated before it, which the
+    probe decides, so ``checks`` leaves it out; one not probing walks the
+    observed cells of an attribute where a later probe allows it
+    (``BindStep.observed``). The next
     existential bound is the first one pinned by a conclusion equation
     ``y = t`` with ``t`` over bound variables; when none is, the first
     remaining one in declaration order is scanned. The conclusion's shape
@@ -489,8 +505,16 @@ def binding_plan(c: Constraint) -> BindingPlan:
     earlier: set[str] = set()
     for name, entity in c.universals:
         if name not in solved:
-            premise.append(BindStep(name, entity, probe=_probe(c.premise, name, earlier)))
+            probe = _probe(c.premise, name, earlier)
+            observed = _plain_attr(probe[0]) if probe is not None else None
+            premise.append(BindStep(name, entity, probe=probe, observed=observed))
             earlier.add(name)
+    for i, step in enumerate(premise):
+        if step.probe is None:
+            premise[i] = step._replace(observed=_walk(step, premise[i + 1:]))
+    decided = {step.probe for step in premise if step.probe is not None}
+    checks = tuple(atom for atom in c.premise if not (isinstance(atom, Eq) and (
+        (atom.left, atom.right) in decided or (atom.right, atom.left) in decided)))
     bound = set(universals)
     pending = list(c.existentials)
     conclusion: list[BindStep] = []
@@ -500,7 +524,29 @@ def binding_plan(c: Constraint) -> BindingPlan:
         name, entity = pending.pop(at)
         conclusion.append(BindStep(name, entity, pin=pin))
         bound.add(name)
-    return BindingPlan(tuple(pins), tuple(premise), tuple(conclusion), *_conclusion_shape(c))
+    return BindingPlan(tuple(pins), tuple(premise), checks, tuple(conclusion), *_conclusion_shape(c))
+
+
+def _plain_attr(term: Term, var: Optional[str] = None) -> Optional[str]:
+    """The attribute ``term`` reads when it is one with no foreign keys (of
+    ``var``, when given)."""
+    if isinstance(term, PathApp) and not term.path.fks and (var is None or term.var == var):
+        return term.path.attr
+    return None
+
+
+def _walk(step: BindStep, later: list[BindStep]) -> Optional[str]:
+    """An attribute whose observed cells can stand in for the carrier of
+    ``step``: one that a later probe on a plain attribute compares with its
+    own, when the two are never one cell. The probe's equation then holds
+    only where this variable's cell is observed."""
+    for other in later:
+        if other.probe is None or other.observed is None:
+            continue
+        attr = _plain_attr(other.probe[1], step.var)
+        if attr is not None and (other.entity, other.observed) != (step.entity, attr):
+            return attr
+    return None
 
 
 def _conclusion_shape(c: Constraint) -> tuple[tuple[tuple[Eq, bool], ...], tuple[Term, ...], bool]:

@@ -8,8 +8,10 @@ reference must resolve to exactly one signature.
 from __future__ import annotations
 
 import enum
+import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 from .errors import SchemaError
 
@@ -77,6 +79,31 @@ class FnSig:
     arg_types: tuple[BaseType, ...]
     result: BaseType
     impl: Callable[..., PyValue]
+
+
+def representable(value: PyValue) -> bool:
+    """Can a literal hold ``value``, so that it prints and parses back?
+
+    A Double must be finite; an Int must have no more digits than the
+    interpreter's ``str`` writes and ``int`` reads
+    (``sys.get_int_max_str_digits``, 0 for no limit)."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, int):
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        # 8 ** limit < 10 ** limit, so the bit length settles most values
+        return not limit or value.bit_length() <= 3 * limit or abs(value) < 10**limit
+    return True
+
+
+def apply_function(fn: FnSig, args: list[PyValue]) -> Optional[PyValue]:
+    """``fn`` applied to constant arguments; None where it is undefined: a
+    division by zero, or a result no literal can hold (``representable``)."""
+    try:
+        result = fn.impl(*args)
+    except ZeroDivisionError:
+        return None
+    return result if representable(result) else None
 
 
 def _int_div(a: int, b: int) -> int:

@@ -3,8 +3,10 @@
 The oracles here deliberately avoid the engine's own evaluation paths: the
 query oracle materializes the full cross product with its own term walker,
 the matcher oracle is the engine's first premise matcher with its own pin
-choice and order, the witness oracle is the engine's first carrier-scanning
-witness search, the identity oracles are the engine's first export-id rule
+choice and order, the binder oracle is the per-binder pool matcher that read
+cells by minting their nulls and checked every premise atom, the witness
+oracle is the engine's first carrier-scanning witness search, the identity
+oracles are the engine's first export-id rule
 and name scan, the cycle oracle is a plain DFS over hand-reachable edges,
 the member oracles scan every fk and attribute of the schema, the
 eager-null oracle mints every cell's null when its element is added, the
@@ -54,8 +56,10 @@ from catamerge.instance import (
     Value,
     VirtualElem,
     _atom_holds,
+    _join_key,
     enumerate_matches,
     eval_term,
+    solve_pins,
     values_equal,
 )
 from catamerge.parser import _KEYWORDS, Diagnostic, Document, SourceDocument, parse_document
@@ -77,7 +81,13 @@ from catamerge.schema import (
     _term_vars,
     check_constraint,
 )
-from catamerge.typeside import BaseType, apply_predicate, normalize_double, resolve_function
+from catamerge.typeside import (
+    BaseType,
+    apply_function,
+    apply_predicate,
+    normalize_double,
+    resolve_function,
+)
 
 FIXTURES = FsPath(__file__).parent / "fixtures"
 
@@ -338,6 +348,84 @@ def oracle_conclusion_satisfied(inst: Instance, c: Constraint, env: dict) -> boo
         else:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Binder oracle: the premise matcher before observed-cell indexes. Each binder
+# scans the carrier for every enumerated variable and hashes it by a probe's
+# side, a read mints the cell's null (``Instance.get_attr``), and every
+# premise atom is checked again on each match.
+
+def minting_value(inst: Instance, env: dict, term: Term) -> Value:
+    """``eval_term(..., virtual=True)`` as it read cells before reads stopped
+    minting: an unobserved cell gets its null minted and stored."""
+    if isinstance(term, PathApp) and term.path.attr is not None:
+        prefix = PathApp(term.var, Path(term.path.root, term.path.fks))
+        owner = eval_term(inst, env, prefix, virtual=True)
+        return inst.get_attr(owner, term.path.attr) if isinstance(owner, ElementId) else UNDEFINED
+    if isinstance(term, FunApp):
+        args = [minting_value(inst, env, a) for a in term.args]
+        if not all(isinstance(a, Const) for a in args):
+            return UNDEFINED
+        result = apply_function(term.fn, [a.value for a in args])
+        return UNDEFINED if result is None else Const(term.fn.result, result)
+    return eval_term(inst, env, term, virtual=True)
+
+
+class OracleBinder:
+    """The per-binder pool matcher: a pin's class, the carrier, or one
+    bucket of a hash index over the carrier by the probe side's value."""
+
+    def __init__(self, inst: Instance, steps: tuple):
+        self.inst = inst
+        self.steps = steps
+        self.pools: list = [None] * len(steps)
+
+    def bind(self, env: dict, depth: int = 0) -> Iterator[dict]:
+        if depth == len(self.steps):
+            yield env
+            return
+        step = self.steps[depth]
+        for elem in self._candidates(depth, env):
+            env[step.var] = elem
+            yield from self.bind(env, depth + 1)
+
+    def _candidates(self, depth: int, env: dict):
+        inst, step = self.inst, self.steps[depth]
+        if step.pin is not None:
+            value = minting_value(inst, env, step.pin)
+            if isinstance(value, ElementId) and value.entity == step.entity:
+                return (inst.find(value),)
+            return ()
+        pool = self.pools[depth]
+        if pool is None:
+            pool = self.pools[depth] = self._pool(step)
+        if step.probe is None or not pool:
+            return pool
+        return pool.get(_join_key(inst, minting_value(inst, env, step.probe[1])), ())
+
+    def _pool(self, step):
+        carrier = self.inst.carrier(step.entity)
+        if step.probe is None:
+            return carrier
+        index: dict = {}
+        for elem in carrier:
+            key = _join_key(self.inst, minting_value(self.inst, {step.var: elem}, step.probe[0]))
+            if key is not None:
+                index.setdefault(key, []).append(elem)
+        return index
+
+
+def oracle_binder_matches(inst: Instance, c: Constraint) -> list[dict]:
+    """The premise matches the per-binder pool matcher gives, in its order.
+    It mints in a copy of ``inst``, which it leaves as it is."""
+    inst = inst.copy()
+    matches = []
+    for env in OracleBinder(inst, c.plan.premise).bind({}):
+        match = solve_pins(inst, c, dict(env))
+        if all(_atom_holds(inst, match, atom, minting_value) for atom in c.premise):
+            matches.append(match)
+    return matches
 
 
 # ---------------------------------------------------------------------------
@@ -665,6 +753,107 @@ def random_weakly_acyclic_case(rng: random.Random):
             return schema, random_instance(rng, schema), constraints
 
 
+def random_join_case(rng: random.Random) -> tuple[Instance, list[Constraint]]:
+    """A frozen instance whose String cells are constants, shared nulls or
+    unobserved, with merged classes and foreign keys into shared targets,
+    and equality rules that join on them: same-attribute self-joins, joins
+    of two attributes, of two foreign-key paths or a path and an attribute,
+    across entities, of three variables, and against a constant."""
+    st = BaseType.STRING
+    schema = Schema(
+        "J",
+        ("X", "Y"),
+        (ForeignKey("g", "X", "Y"), ForeignKey("f", "X", "X")),
+        (Attribute("a", "X", st), Attribute("b", "X", st), Attribute("a", "Y", st),
+         Attribute("c", "Y", st)),
+    )
+    inst = new_instance(schema, "joins")
+    xs = [inst.add_element("X", f"x{i}") for i in range(rng.randint(2, 7))]
+    ys = [inst.add_element("Y", f"y{i}") for i in range(rng.randint(1, 4))]
+    cells = [(e, a.name) for e in xs + ys for a in schema.attrs_of(e.entity)]
+    for elem, attr in cells:
+        if rng.random() < 0.3:
+            inst.set_attr(elem, attr, Const(st, rng.choice("pq")))
+    for _ in range(rng.randint(0, 3)):
+        (e1, a1), (e2, a2) = rng.choice(cells), rng.choice(cells)
+        inst = _try(inst, lambda i: i.union_attrs(e1, a1, e2, a2))
+    for x in xs:
+        if rng.random() < 0.7:
+            inst.set_fk(x, "g", rng.choice(ys))
+        if rng.random() < 0.4:
+            inst.set_fk(x, "f", rng.choice(xs))
+    if rng.random() < 0.4:
+        inst = _try(inst, lambda i: i.merge_elements(*rng.sample(xs, 2)))
+
+    def at(v: str, entity: str, attr: str, *fks: str) -> PathApp:
+        return PathApp(v, Path(entity, fks, attr))
+
+    p, q, r = (("p", "X"),), (("q", "X"),), (("r", "X"),)
+    qy = (("q", "Y"),)
+    templates = [
+        (p + q, (Eq(at("p", "X", "a"), at("q", "X", "a")),)),
+        (p + q, (Eq(at("q", "X", "b"), at("p", "X", "b")),)),
+        (p + q, (Eq(at("p", "X", "a"), at("q", "X", "b")),)),
+        (p + q, (Eq(at("p", "X", "a", "g"), at("q", "X", "a", "g")),)),
+        (p + qy, (Eq(at("p", "X", "a", "g"), at("q", "Y", "a")),)),
+        (p + qy, (Eq(at("p", "X", "a"), at("q", "Y", "a")),)),
+        (qy + p, (Eq(at("q", "Y", "c"), at("p", "X", "a", "g")),)),
+        (p + q, (Eq(at("p", "X", "a", "f"), at("q", "X", "a")),)),
+        (p + q + r, (Eq(at("p", "X", "a"), at("q", "X", "b")),
+                     Eq(at("r", "X", "a"), at("q", "X", "a")))),
+        (p + q, (Eq(at("p", "X", "a"), at("q", "X", "a")),
+                 Eq(at("p", "X", "b"), at("q", "X", "b")))),
+        (p, (Eq(Const(st, rng.choice("pq")), at("p", "X", rng.choice("ab"))),)),
+    ]
+    constraints = []
+    for universals, premise in rng.sample(templates, rng.randint(1, 4)):
+        if rng.random() < 0.5 and universals[:2] == p + q:
+            conclusion = (Eq(Var("p"), Var("q")),)
+        else:
+            (v, ev), (w, ew) = universals[0], universals[-1]
+            attr = {"X": "b", "Y": "c"}
+            conclusion = (Eq(at(v, ev, attr[ev]), at(w, ew, attr[ew])),)
+        constraints.append(Constraint(universals, premise, (), conclusion))
+    return inst.freeze(), constraints
+
+
+def many_schemas_document(k: int, m: int) -> str:
+    """k schemas ``Si``, each with m ``Space`` rows named ``namei`` and m
+    ``Device`` rows pointing to them by ``ini``; extension ``Star``
+    identifies every ``Si.Space`` with ``S0.Space`` and has the k - 1 rules
+    ``forall a b : Space where a.name0 = b.namei -> a = b``."""
+    lines = []
+    for i in range(k):
+        lines += [
+            f"schema S{i} {{",
+            "  entities Space Device",
+            f"  foreign_keys in{i} : Device -> Space",
+            f"  attributes name{i} : Space -> String  dev{i} : Device -> String",
+            "}",
+            f"instance d{i} : S{i} {{",
+            "  entity Space {",
+            *(f'    row s{j} {{ name{i} = "room {j}" }}' for j in range(m)),
+            "  }",
+            "  entity Device {",
+            *(f'    row v{j} {{ dev{i} = "dev {i}.{j}" in{i} = s{j} }}' for j in range(m)),
+            "  }",
+            "}",
+        ]
+    lines += ["extension Star {", "  include " + " ".join(f"S{i}" for i in range(k))]
+    lines += [f"  identify S{i}.Space = S0.Space" for i in range(1, k)]
+    lines += ["  constraints"]
+    lines += [f"    forall a b : Space where a.name0 = b.name{i} -> a = b" for i in range(1, k)]
+    return "\n".join(lines + ["}", ""])
+
+
+def many_schemas_case(k: int, m: int) -> tuple[Instance, list[Constraint]]:
+    """The pre-instance and rules of ``many_schemas_document``."""
+    env = load_text(many_schemas_document(k, m), "many.cmg")
+    combined = combine_schemas(env.extensions["Star"])
+    sources = {inst.schema.name: inst for inst in env.instances.values()}
+    return sigma_insert(combined, sources), list(combined.schema.constraints)
+
+
 # ---------------------------------------------------------------------------
 # Tokenizer oracle: the engine's first tokenizer, a loop over characters that
 # gives every token its line and column by a forward scan over line starts
@@ -881,6 +1070,8 @@ def eager_nulls() -> Iterator[None]:
     def eager(self: Instance, entity: str, name: str, **kwargs) -> ElementId:
         elem = add_element(self, entity, name, **kwargs)
         self._attrs[elem] = {a.name: self.fresh_null() for a in self.schema.attrs_of(entity)}
+        for name in self._attrs[elem]:
+            self._observe(elem, name)
         return elem
 
     Instance.add_element = eager  # type: ignore[method-assign]

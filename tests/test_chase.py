@@ -23,7 +23,7 @@ from catamerge import (
 )
 from catamerge.chase import EXHAUSTED, FAILED, SATURATED, MergePair, replay
 import catamerge.instance
-from catamerge.instance import conclusion_satisfied, enumerate_matches, values_equal
+from catamerge.instance import UnobservedCell, conclusion_satisfied, enumerate_matches, values_equal
 from catamerge.schema import (
     Attribute,
     Cmp,
@@ -285,6 +285,160 @@ def test_enumerate_matches_joins_agree_with_oracle():
         got = [list(env.items()) for env in enumerate_matches(inst, c)]
         assert got == [list(env.items()) for env in helpers.oracle_matches(inst, c)]
         assert [tuple(elem.name for _, elem in env) for env in got] == want, c
+
+
+SAME_CELL_DOC = """
+schema S {
+  entities L
+  attributes k : L -> String  m : L -> Int
+}
+instance i : S { entity L { row a { k = "x" } row b { } } }
+extension E {
+  include S
+  constraints
+    forall p q : L where p.k = q.k -> p.m = 1
+}
+"""
+
+
+def test_same_attribute_join_matches_an_unobserved_cell_with_itself():
+    """``p.k = q.k`` holds for ``p = q = b`` although ``b.k`` is unset: both
+    sides read the one cell. So ``b`` gets ``m = 1`` like ``a``."""
+    env = helpers.load_text(SAME_CELL_DOC)
+    combined = combine_schemas(env.extensions["E"])
+    pre = sigma_insert(combined, {"S": env.instances["i"]})
+    (rule,) = combined.schema.constraints
+    matches = list(enumerate_matches(pre, rule))
+    assert [(m["p"].name, m["q"].name) for m in matches] == [("S.a", "S.a"), ("S.b", "S.b")]
+    sat = helpers.saturate(pre, [rule]).instance
+    one = Const(BaseType.INT, 1)
+    assert [sat.stored_attr(m["p"], "m") for m in matches] == [one, one]
+    assert check_model(sat, [rule]).ok
+
+
+def test_fk_join_matches_pairs_that_share_an_unset_target():
+    """``p.g.k = q.g.k`` holds for every pair whose ``g`` reaches the same
+    unset ``k``: ``p1`` and ``p2`` both point to ``y1``."""
+    st = BaseType.STRING
+    schema = Schema("F", ("X", "Y"), (ForeignKey("g", "X", "Y"),), (Attribute("k", "Y", st),))
+    inst = new_instance(schema, "shared")
+    y1, y2 = inst.add_element("Y", "y1"), inst.add_element("Y", "y2")
+    p1, p2, p3 = (inst.add_element("X", f"p{i}") for i in (1, 2, 3))
+    inst.set_fk(p1, "g", y1)
+    inst.set_fk(p2, "g", y1)
+    inst.set_fk(p3, "g", y2)
+    inst.set_attr(y2, "k", Const(st, "z"))
+    gk = lambda v: PathApp(v, Path("X", ("g",), "k"))  # noqa: E731
+    rule = Constraint(
+        (("p", "X"), ("q", "X")), (Eq(gk("p"), gk("q")),), (), (Eq(Var("p"), Var("q")),)
+    )
+    pairs = [(m["p"].name, m["q"].name) for m in enumerate_matches(inst, rule)]
+    assert pairs == [("p1", "p1"), ("p1", "p2"), ("p2", "p1"), ("p2", "p2"), ("p3", "p3")]
+    assert pairs == [(m["p"].name, m["q"].name) for m in helpers.oracle_binder_matches(inst, rule)]
+    sat = helpers.saturate(inst, [rule]).instance
+    assert sat.same(p1, p2) and not sat.same(p1, p3)
+
+
+def _binder_oracle_cases() -> list[tuple[Instance, Constraint]]:
+    """Both fixtures and the many-schema shape at k = 5, 10 and 20, before
+    and after their chase, and 300 seeded ``random_join_case``s, each also
+    after its chase when that saturates."""
+    cases = []
+    pipelines = [helpers.example1_pipeline(), helpers.example2_pipeline()]
+    instances = [(pre, list(combined.schema.constraints)) for _, combined, pre in pipelines]
+    instances += [helpers.many_schemas_case(k, 50) for k in (5, 10, 20)]
+    rng = random.Random(16)
+    instances += [helpers.random_join_case(rng) for _ in range(300)]
+    for pre, constraints in instances:
+        result = helpers.saturate(pre, constraints)
+        for inst in (pre, result.instance) if result.saturated else (pre,):
+            cases.extend((inst, c) for c in constraints)
+    return cases
+
+
+def test_enumerate_matches_agrees_with_binder_oracle():
+    """The observed-cell indexes and walks give the per-binder pool
+    matcher's matches in its order, and the corpus reaches both kinds of
+    match an unobserved cell makes."""
+    self_pairs = through_fks = 0
+    for inst, c in _binder_oracle_cases():
+        got = [list(env.items()) for env in enumerate_matches(inst, c)]
+        assert got == [list(env.items()) for env in helpers.oracle_binder_matches(inst, c)], c
+        left = c.premise[0].left if c.premise else Var(c.universals[0][0])
+        for env in map(dict, got):
+            # a match made by an unobserved cell, read on both sides
+            if isinstance(catamerge.instance.eval_term(inst, env, left), UnobservedCell):
+                if left.path.fks:
+                    through_fks += 1
+                else:
+                    self_pairs += 1
+    assert self_pairs > 50 and through_fks > 50, (self_pairs, through_fks)
+
+
+def test_chase_agrees_with_binder_oracle_on_join_cases(monkeypatch):
+    """Traces, statuses and pending constraints are those of a chase whose
+    matches come from the per-binder pool matcher."""
+    rng = random.Random(17)
+    cases = [helpers.random_join_case(rng) for _ in range(300)]
+    got = [chase(inst, cs) for inst, cs in cases]
+    monkeypatch.setattr(importlib.import_module("catamerge.chase"), "enumerate_matches",
+                        helpers.oracle_binder_matches)
+    want = [chase(inst, cs) for inst, cs in cases]
+    assert {r.status for r in got} == {SATURATED, FAILED}
+    def outcome(r):
+        return r.status, r.rounds, r.pending, r.trace.render()
+
+    assert list(map(outcome, got)) == list(map(outcome, want))
+
+
+def test_join_reads_mint_no_null():
+    """Index builds, probes and premise checks read cells without minting:
+    the many-schema chase mints no null, and neither does ``check_model``
+    on a saturation."""
+    pre, constraints = helpers.many_schemas_case(5, 20)
+    result = helpers.saturate(pre, constraints)
+    sat = result.instance
+    assert result.saturated and sat._null_seq == pre._null_seq == 0
+    _, combined, pre2 = helpers.example2_pipeline()
+    sat2 = helpers.saturate(pre2, combined.schema.constraints).instance
+    before = sat2._null_seq
+    assert check_model(sat2, list(combined.schema.constraints)).ok
+    assert sat2._null_seq == before
+
+
+def test_index_reads_grow_linearly_in_schemas(monkeypatch):
+    """The elements read to build hash indexes and walks, in chase plus
+    check_model of the many-schema shape at m = 50: each rule used to scan
+    the whole combined carrier (x4 per doubling of k); shared indexes over
+    observed cells read each cell once per round."""
+    def reads(k: int) -> int:
+        count = 0
+        Instance = catamerge.instance.Instance
+        observed_cells, pool = Instance.observed_cells, catamerge.instance._Binder._pool
+
+        def counting_cells(self, entity, attr):
+            nonlocal count
+            built = (entity, attr) not in self._indexes
+            roots, index = observed_cells(self, entity, attr)
+            count += len(roots) if built else 0
+            return roots, index
+
+        def counting_pool(self, step):
+            nonlocal count
+            if step.observed is None:
+                count += len(self.inst.carrier(step.entity))
+            return pool(self, step)
+
+        pre, constraints = helpers.many_schemas_case(k, 50)
+        with monkeypatch.context() as m:
+            m.setattr(Instance, "observed_cells", counting_cells)
+            m.setattr(catamerge.instance._Binder, "_pool", counting_pool)
+            result = chase(pre, constraints)
+            assert result.saturated and check_model(result.instance, constraints).ok
+        return count
+
+    counts = [reads(k) for k in (5, 10, 20)]
+    assert all(b <= 2.2 * a for a, b in zip(counts, counts[1:])), counts
 
 
 def _witness_cases() -> list[tuple[Instance, Constraint]]:

@@ -100,6 +100,70 @@ extension E {
     assert capsys.readouterr().err == ""
 
 
+ARITHMETIC_DOC = """
+schema S {{
+  entities X
+  attributes a : X -> {type}  b : X -> {type}
+}}
+instance i : S {{ entity X {{ row x1 {{ a = {a} }} }} }}
+extension E {{
+  include S
+  constraints
+    forall x : X -> x.b = {function}
+}}
+"""
+
+
+@pytest.mark.parametrize("type_, a, function", [
+    ("Int", "7" * 3000, "mul(x.a, x.a)"),  # 6,000 digits: more than str writes
+    ("Double", "1" + "0" * 200 + ".0", "mul(x.a, x.a)"),  # overflows to inf
+    ("Int", "5", "div(x.a, 0)"),
+], ids=["int-too-long", "double-overflow", "division-by-zero"])
+def test_integrate_leaves_an_undefined_result_pending(tmp_path, capsys, type_, a, function):
+    """A built-in whose result no literal holds is undefined, as a division
+    by zero is: the run exits 0, warns of an undefined result rather than
+    an unknown argument, leaves ``b`` unset, and its output checks."""
+    f = tmp_path / "u.cmg"
+    f.write_text(ARITHMETIC_DOC.format(type=type_, a=a, function=function))
+    out = tmp_path / "o"
+    assert main(["integrate", str(f), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "warning: constraint(s) 1 left a match pending at the fixpoint "
+        "(a function result is undefined); check_model reports them violated"
+    ]
+    assert "b =" not in (out / "saturated.cmg").read_text(encoding="utf-8")
+    assert main(["check", str(out / "combined.cmg"), str(out / "saturated.cmg")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_pending_warning_names_each_reason(tmp_path, capsys):
+    """One warning per reason, each listing its constraints."""
+    doc = """
+schema S {
+  entities X
+  attributes a : X -> Int  b : X -> Int  c : X -> Int
+}
+instance i : S { entity X { row x1 { a = 5 } } }
+extension E {
+  include S
+  constraints
+    forall x : X -> x.b = add(x.c, 1)
+    forall x : X -> x.b = div(x.a, 0)
+    forall x : X -> x.c = add(div(x.a, 0), 1)
+}
+"""
+    f = tmp_path / "r.cmg"
+    f.write_text(doc)
+    assert main(["integrate", str(f), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: constraint(s) 1 left a match pending at the fixpoint "
+        "(a function argument stayed unknown); check_model reports them violated",
+        "warning: constraint(s) 2, 3 left a match pending at the fixpoint "
+        "(a function result is undefined); check_model reports them violated",
+    ]
+
+
 def test_integrate_clash_exits_two(tmp_path, capsys):
     f = tmp_path / "clash.cmg"
     f.write_text(helpers.clash_fixture_text(), encoding="utf-8")

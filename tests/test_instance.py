@@ -26,7 +26,15 @@ from catamerge import (
     sigma_insert,
 )
 from catamerge.generators import scaled_example1_document
-from catamerge.instance import ElementId, NullRef, VirtualElem, _join_key, instances_same_data
+from catamerge.instance import (
+    ElementId,
+    NullRef,
+    UnobservedCell,
+    VirtualElem,
+    _join_key,
+    instances_same_data,
+    values_equal,
+)
 from catamerge.integrate import combine_schemas
 from catamerge.parser import SourceDocument, parse_document
 from catamerge.schema import Attribute, Const, ForeignKey, Path, Schema
@@ -618,3 +626,74 @@ def test_lazy_cells_agree_with_eager_nulls_on_random_calls():
         outcomes.update(type(r).__name__ if not isinstance(r, tuple) else r[0] for r in lazy_out)
     # constants, nulls, merges and both kinds of error all occur
     assert {"Const", "str", "MergeReport", "InstanceError", "ConstantClash"} <= outcomes, outcomes
+
+
+def _assert_observed_cells(inst: Instance) -> None:
+    """``observed_cells`` equals a scan of the carrier's cells, and a copy,
+    which rebuilds the lists from the cells, gives the same."""
+    copy = inst.copy()
+    for entity in inst.schema.entities:
+        for attr in inst.schema.attrs_of(entity):
+            roots, index = inst.observed_cells(entity, attr.name)
+            cells = {r: inst.stored_attr(r, attr.name) for r in inst.carrier(entity)}
+            want_roots = [r for r, value in cells.items() if value is not None]
+            want_index: dict = {}
+            for root in want_roots:
+                want_index.setdefault(_join_key(inst, cells[root]), []).append(root)
+            assert (roots, index) == (want_roots, want_index)
+            assert copy.observed_cells(entity, attr.name) == (roots, index)
+
+
+def test_observed_cells_follow_every_change():
+    """Built before a change and kept current by it, or rebuilt after it,
+    the observed lists and their index match the cells after Σ's row copy,
+    builder writes, minting reads, anchoring, unions, merges and new
+    elements."""
+    rng = random.Random(21)
+    for _ in range(60):
+        combined, sources = helpers.random_migration_case(rng)
+        inst = sigma_insert(combined, sources)
+        schema = inst.schema
+        _assert_observed_cells(inst)
+        try:
+            for k in range(15):
+                entity = rng.choice(schema.entities)
+                elems, attrs = inst.carrier(entity), schema.attrs_of(entity)
+                op = rng.randrange(6)
+                if op == 0 or not elems:
+                    inst.add_element(entity, f"{entity}!{k}", fresh=True)
+                elif op == 1:
+                    inst.merge_elements(rng.choice(elems), rng.choice(elems))
+                elif attrs:
+                    elem, attr = rng.choice(elems), rng.choice(attrs)
+                    choices = (0, 1) if attr.type is BaseType.INT else "xy"
+                    value = Const(attr.type, rng.choice(choices))
+                    if op == 2:
+                        inst.assign_attr(elem, attr.name, value)
+                    elif op == 3:
+                        inst.union_attrs(elem, attr.name, rng.choice(elems), attr.name)
+                    elif op == 4:
+                        inst.get_attr(elem, attr.name)
+                    else:
+                        inst.set_attr(elem, attr.name, value)
+                _assert_observed_cells(inst)
+        except (ConstantClash, InstanceError):
+            continue  # a clash or a builder conflict ends the case
+
+
+def test_join_keys_are_equal_exactly_when_values_are():
+    """Both directions of the ``_join_key`` contract, over every pair of
+    values that elements, virtual elements, constants, shared and anchored
+    nulls and unobserved cells read as."""
+    rng = random.Random(22)
+    for _ in range(40):
+        inst, _ = helpers.random_join_case(rng)
+        elems = [e for entity in inst.schema.entities for e in inst.elements(entity)]
+        values = list(elems) + [VirtualElem(e, ("g",)) for e in elems if e.entity == "X"]
+        values += [inst.read_attr(e, a.name) for e in elems for a in inst.schema.attrs_of(e.entity)]
+        values += [Const(BaseType.STRING, "p"), Const(BaseType.INT, 1), Const(BaseType.DOUBLE, 1.0)]
+        values.append(UNDEFINED)
+        assert any(isinstance(v, UnobservedCell) for v in values)
+        for a, b in itertools.product(values, repeat=2):
+            ka, kb = _join_key(inst, a), _join_key(inst, b)
+            assert values_equal(inst, a, b) == (ka is not None and ka == kb), (a, b)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import functools
+import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,10 +11,12 @@ from hypothesis import given, settings, strategies as st
 from catamerge import SchemaError
 from catamerge.typeside import (
     BaseType,
+    apply_function,
     apply_predicate,
     levenshtein,
     normalize_double,
     predicate_defined,
+    representable,
     resolve_function,
 )
 
@@ -122,3 +126,32 @@ def test_predicates_on_base_types():
 def test_normalize_double_kills_representation_noise():
     assert normalize_double(18.680000001) == 18.68
     assert normalize_double(26.0) == 26.0
+
+
+def test_representable_is_what_a_literal_holds():
+    """Finite Doubles, and Ints with at most as many digits as ``str``
+    writes; ``inf`` would print as a name and NaN equals nothing."""
+    limit = sys.get_int_max_str_digits()
+    assert all(map(representable, ("", "x", True, 0, -(10**limit - 1), 10**limit - 1, 1e308, -0.0)))
+    assert not any(map(representable, (10**limit, -(10**limit), math.inf, -math.inf, math.nan)))
+    for value in (10**limit - 1, 10**limit, 2 ** (3 * limit), 2 ** (3 * limit + 1)):
+        try:
+            written = len(str(abs(value))) <= limit
+        except ValueError:
+            written = False
+        assert representable(value) == written
+
+
+def test_functions_are_undefined_where_no_literal_holds_the_result():
+    """A built-in is total: a division by zero, an overflowing Double and an
+    Int too long to print are all undefined (None), never a value."""
+    ints, dbls = (BaseType.INT, BaseType.INT), (BaseType.DOUBLE, BaseType.DOUBLE)
+    mul_i, mul_d = resolve_function("mul", ints), resolve_function("mul", dbls)
+    big = 10 ** (sys.get_int_max_str_digits() // 2 + 1)
+    assert apply_function(resolve_function("div", ints), [1, 0]) is None
+    assert apply_function(resolve_function("div", dbls), [1.0, 0.0]) is None
+    assert apply_function(mul_i, [big, big]) is None
+    assert apply_function(mul_i, [big, 7]) == 7 * big
+    assert apply_function(mul_d, [1e200, 1e200]) is None
+    assert apply_function(resolve_function("add", dbls), [1e308, 1e308]) is None
+    assert apply_function(resolve_function("sub", dbls), [1e308, 1.0]) == 1e308
