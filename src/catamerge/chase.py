@@ -617,7 +617,7 @@ def _locally_compatible(
         return False
     nulls = {} if nulls is None else nulls
     for attr in sat.schema.attrs_of(a.entity):
-        if not cells_match(sat.stored_attr(a, attr.name), alt.stored_attr(b, attr.name), nulls):
+        if not cells_match(sat.get_attr(a, attr.name), alt.get_attr(b, attr.name), nulls):
             return False
     for fk in sat.schema.fks_of(a.entity):
         if (sat.get_fk(a, fk.name) is None) != (alt.get_fk(b, fk.name) is None):

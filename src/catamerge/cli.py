@@ -42,13 +42,12 @@ MAX_ROUNDS_ENV = "CATAMERGE_MAX_ROUNDS"
 
 @dataclass
 class RunManifest:
-    files: list[Path]
     extension: ExtensionSpec
     combined: CombinedSchema
     sources: dict[str, Instance]
     out_dir: Path
+    max_rounds: int
     trace: bool = False
-    max_rounds: int = 10000
     env: Document = field(default_factory=Document)
 
 
@@ -86,7 +85,7 @@ def _default_max_rounds() -> Optional[int]:
     error) when it is not an integer of at least 1."""
     raw = os.environ.get(MAX_ROUNDS_ENV)
     if raw is None:
-        return 10000
+        return ChaseConfig.max_rounds
     try:
         return _max_rounds(raw)
     except argparse.ArgumentTypeError as err:
@@ -132,7 +131,6 @@ def _build_manifest(args: argparse.Namespace) -> Optional[RunManifest]:
         print(f"error: {err}", file=sys.stderr)
         return None
     return RunManifest(
-        files=[Path(f) for f in args.files],
         extension=ext,
         combined=combined,
         sources=sources,
@@ -298,7 +296,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
             "--max-rounds",
             type=_max_rounds,
             help="chase round budget, at least 1 (env CATAMERGE_MAX_ROUNDS overrides "
-            "the default of 10000)",
+            f"the default of {ChaseConfig.max_rounds})",
         )
         if with_trace:
             p.add_argument("--trace", action="store_true", help="write trace.log")

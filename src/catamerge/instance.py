@@ -4,8 +4,9 @@ An instance tracks a union-find over its elements (entity merges propagate a
 congruence closure through valued foreign keys) and a second union-find over
 attribute-null labels with constant anchoring. Attribute valuations are total:
 a cell that was never set or unified is its element's unobserved labelled
-null, and is given a fresh label the first time it is written. Term
-evaluation never mints one: it reads an unobserved cell as the cell itself
+null, and is given a fresh label the first time a writer (``assign_attr``,
+``union_attrs``) unifies it. Reads never write: ``get_attr``, and term and
+path evaluation through it, read an unobserved cell as the cell itself
 (``UnobservedCell``), which equals only another read of that same cell.
 Constants overwrite nulls, never other constants. Labels are internal: their
 numbers follow first use and no output shows them.
@@ -454,35 +455,20 @@ class Instance:
         target = self._fks[self.find(elem)].get(fk_name)
         return self.find(target) if target is not None else None
 
-    def get_attr(self, elem: ElementId, attr_name: str) -> AttrValue:
-        """The cell's value, minting its null if the cell is unobserved."""
-        return self.resolve_value(self._cell(self.find(elem), attr_name))
-
-    def read_attr(self, elem: ElementId, attr_name: str) -> Union[AttrValue, UnobservedCell]:
-        """``get_attr`` without minting: an unobserved cell reads as itself."""
-        root = self.find(elem)
-        value = self._attrs[root].get(attr_name)
-        if value is None:
-            return UnobservedCell(root, attr_name)
-        return self.resolve_value(value)
-
-    def stored_attr(self, elem: ElementId, attr_name: str) -> Optional[AttrValue]:
-        """``get_attr`` without minting: None for an unobserved cell, whose
-        null no other cell shares."""
+    def get_attr(self, elem: ElementId, attr_name: str) -> Union[AttrValue, UnobservedCell]:
+        """The cell's resolved constant or null; an unobserved cell reads as
+        itself (``UnobservedCell``). A read never writes."""
         root = self.find(elem)
         value = self._attrs[root].get(attr_name)
         if value is None:
             if self.schema.attr(root.entity, attr_name) is None:
                 raise InstanceError(f"'{attr_name}' is not an attribute of entity '{root.entity}'")
-            return None
+            return UnobservedCell(root, attr_name)
         return self.resolve_value(value)
 
     def _cell(self, root: ElementId, attr_name: str) -> AttrValue:
-        """The value stored in a cell, minting its null on first use.
-
-        ``get_attr`` mints too, also on a frozen instance: the label is an
-        internal cache, and storing it makes two reads of one cell equal
-        values. The engine's own reads go through ``read_attr``."""
+        """The value stored in a cell, minting its null on first use. Only
+        the writers call it, after ``_mutable``: a read never mints."""
         cells = self._attrs[root]
         value = cells.get(attr_name)
         if value is None:
@@ -585,7 +571,8 @@ Value = Union[ElementId, VirtualElem, Const, NullRef, UnobservedCell, _Undefined
 def eval_path(inst: Instance, elem: ElementId, path: Path) -> Value:
     """Follow a path from an element through canonical representatives.
 
-    Returns UNDEFINED as soon as an unset foreign key is hit.
+    Returns UNDEFINED as soon as an unset foreign key is hit; an
+    unobserved cell reads as itself, as in ``Instance.get_attr``.
     """
     current = inst.find(elem)
     if current.entity != path.root:
@@ -615,7 +602,7 @@ def eval_term(
     VirtualElem denoting the term itself (two such terms compare equal iff
     their bases are merged and the steps agree); attribute reads on virtual
     elements are UNDEFINED either way. Attribute reads mint nothing
-    (``Instance.read_attr``). A function is UNDEFINED unless every argument
+    (``Instance.get_attr``). A function is UNDEFINED unless every argument
     is a constant and its result is defined (``typeside.apply_function``).
     """
     if isinstance(term, Var):
@@ -649,7 +636,7 @@ def eval_term(
     if term.path.attr is None:
         return current
     if isinstance(current, ElementId):
-        return inst.read_attr(current, term.path.attr)
+        return inst.get_attr(current, term.path.attr)
     return UNDEFINED
 
 
@@ -907,19 +894,21 @@ def instances_same_data(a: Instance, b: Instance) -> bool:
                 if ta is not None and tb is not None and a.export_id(ta) != b.export_id(tb):
                     return False
             for attr in a.schema.attrs_of(entity):
-                va, vb = a.stored_attr(ea, attr.name), b.stored_attr(eb, attr.name)
+                va, vb = a.get_attr(ea, attr.name), b.get_attr(eb, attr.name)
                 if not cells_match(va, vb, nulls):
                     return False
     return True
 
 
-def cells_match(va: Optional[AttrValue], vb: Optional[AttrValue], nulls: dict) -> bool:
-    """Do two cells read by ``stored_attr``, one of each of two instances,
+def cells_match(
+    va: Union[AttrValue, UnobservedCell], vb: Union[AttrValue, UnobservedCell], nulls: dict
+) -> bool:
+    """Do two cells read by ``get_attr``, one of each of two instances,
     agree? Constants must be equal; nulls must pair up in ``nulls``, the
     bijection between the two instances' null classes that this call
-    extends. An unobserved cell (None) is a null class of its own."""
+    extends. An unobserved cell is a null class of its own."""
     if isinstance(va, Const) or isinstance(vb, Const):
         return va == vb
-    la = object() if va is None else va.label
-    lb = object() if vb is None else vb.label
+    la = va if isinstance(va, UnobservedCell) else va.label
+    lb = vb if isinstance(vb, UnobservedCell) else vb.label
     return nulls.setdefault((0, la), lb) == lb and nulls.setdefault((1, lb), la) == la

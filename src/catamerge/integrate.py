@@ -12,7 +12,6 @@ against its recovery cell by cell.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .errors import IdentificationCollision, SchemaError
 from .instance import Const, ElementId, Instance
@@ -393,8 +392,7 @@ class RoundTripReport:
 
 def roundtrip_report(original: Instance, recovered: Instance) -> RoundTripReport:
     """Cell-wise diff: gained = null resolved to a constant, lost = an
-    original constant with no matching counterpart. Reads both instances
-    without minting a null label in either."""
+    original constant with no matching counterpart."""
     if original.schema.name != recovered.schema.name:
         raise SchemaError("round-trip instances must share a schema")
     schema = original.schema
@@ -414,11 +412,8 @@ def roundtrip_report(original: Instance, recovered: Instance) -> RoundTripReport
         for rid, orig_root in orig_rows.items():
             rec_root = rec_rows.get(rid) if rid in matched else None
             for attr in schema.attrs_of(entity):
-                # read without minting: None is an unobserved null
-                ov = original.stored_attr(orig_root, attr.name)
-                rv: Optional[object] = (
-                    recovered.stored_attr(rec_root, attr.name) if rec_root is not None else None
-                )
+                ov = original.get_attr(orig_root, attr.name)
+                rv = recovered.get_attr(rec_root, attr.name) if rec_root is not None else None
                 if isinstance(ov, Const):
                     if not (isinstance(rv, Const) and rv.type == ov.type and rv.value == ov.value):
                         delta.attributes_lost += 1

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .errors import CatamergeError, InstanceError, SchemaError
 from .instance import Instance
@@ -247,6 +247,12 @@ def _has_keyword(name: str) -> bool:
     return name in _KEYWORDS or ("." in name and not _KEYWORDS.isdisjoint(name.split(".")))
 
 
+_PLAIN_PART = rf"(?!(?:{'|'.join(sorted(_KEYWORDS))}){_END}){_NAME}"
+# A row id that reads back unquoted: a plain or dotted name with no keyword
+# as a part (``_has_keyword``), in one match, since the printer tests each id.
+_PLAIN_ID = re.compile(rf"{_PLAIN_PART}(?:\.{_PLAIN_PART})*")
+
+
 def _decode_row(m: re.Match, err) -> Optional[tuple[str, int, list[Binding]]]:
     """The row id, its offset and the bindings of a ``row`` match, as the
     token path builds them from the row's tokens; None when a keyword
@@ -324,6 +330,15 @@ class RCall:
 
 
 RawTerm = Union[RName, RLit, RCall]
+
+
+def _raw_names(term: RawTerm) -> Iterator[RName]:
+    """The names in a raw term, at any depth, left to right."""
+    if isinstance(term, RName):
+        yield term
+    elif isinstance(term, RCall):
+        for arg in term.args:
+            yield from _raw_names(arg)
 
 
 @dataclass
@@ -629,9 +644,10 @@ class _Parser:
         universal_names = {n for n, _ in universals}
         for atom in raw.premise:
             for side in (atom.left, atom.right):
-                if isinstance(side, RName) and side.parts[0].text in binders:
-                    if side.parts[0].text not in universal_names:
-                        self.error(side.parts[0], "premise mentions an existential variable")
+                for name in _raw_names(side):
+                    head = name.parts[0]
+                    if head.text in binders and head.text not in universal_names:
+                        self.error(head, "premise mentions an existential variable")
                         ok = False
         conclusion: list[Eq] = []
         for atom in raw.conclusion:
@@ -1019,7 +1035,10 @@ class _Parser:
             ext = self.env.extensions.get(ext_tok.text)
             if ext is None:
                 raise self.fail(ext_tok, f"unknown extension '{ext_tok.text}'")
-            combined = combine_schemas(ext)
+            try:
+                combined = combine_schemas(ext)
+            except CatamergeError as err:
+                raise self.fail(ext_tok, str(err))
         schema = combined.schema
         alias = _entity_aliases(combined)
         self.expect("{")

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import csv
 import io
-import re
 
 from .instance import Const, Instance
 from .integrate import CombinedSchema
+from .parser import _PLAIN_ID
 from .query import QuerySpec, ResultTable
 from .schema import (
     Constraint,
@@ -24,15 +24,6 @@ from .schema import (
     Var,
 )
 from .typeside import BaseType
-
-_PLAIN_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*$")
-
-_KEYWORDS = {
-    "schema", "instance", "extension", "query", "entities", "foreign_keys",
-    "attributes", "constraints", "include", "identify", "entity", "row",
-    "forall", "where", "exists", "and", "from", "null", "true", "false",
-}
-
 
 def render_constant(c: Const) -> str:
     if c.type is BaseType.STRING:
@@ -71,9 +62,7 @@ def _double_literal(value: float) -> str:
 
 
 def _row_id(name: str) -> str:
-    if _PLAIN_ID.match(name) and name not in _KEYWORDS:
-        return name
-    return _quote(name)
+    return name if _PLAIN_ID.fullmatch(name) else _quote(name)
 
 
 def render_term(t: Term) -> str:
@@ -148,7 +137,7 @@ def _print_instance(inst: Instance) -> str:
                 if target is not None:
                     bindings.append(f"{fk.name} = {_row_id(inst.export_id(target))}")
             for attr in inst.schema.attrs_of(entity):
-                value = inst.stored_attr(root, attr.name)
+                value = inst.get_attr(root, attr.name)
                 if isinstance(value, Const):
                     bindings.append(f"{attr.name} = {_literal(value)}")
             body = " ".join(bindings)
@@ -226,7 +215,7 @@ def instance_csvs(inst: Instance) -> dict[str, str]:
                 target = inst.get_fk(root, fk.name)
                 row.append(inst.export_id(target) if target is not None else "")
             for a in attrs:
-                value = inst.stored_attr(root, a.name)
+                value = inst.get_attr(root, a.name)
                 row.append(render_constant(value) if isinstance(value, Const) else "")
             writer.writerow(row)
         out[entity] = buf.getvalue()

@@ -98,12 +98,16 @@ def representable(value: PyValue) -> bool:
 
 def apply_function(fn: FnSig, args: list[PyValue]) -> Optional[PyValue]:
     """``fn`` applied to constant arguments; None where it is undefined: a
-    division by zero, or a result no literal can hold (``representable``)."""
+    division by zero, or a result no literal can hold (``representable``).
+    A Double result is normalized as a literal is, so that it prints and
+    parses back as the same value."""
     try:
         result = fn.impl(*args)
     except ZeroDivisionError:
         return None
-    return result if representable(result) else None
+    if not representable(result):
+        return None
+    return normalize_double(result) if fn.result is BaseType.DOUBLE else result
 
 
 def _int_div(a: int, b: int) -> int:
@@ -174,5 +178,6 @@ def apply_predicate(op: str, left: PyValue, right: PyValue) -> bool:
 
 
 def normalize_double(value: float) -> float:
-    """Doubles are normalized at parse time so equality is exact."""
+    """Doubles are normalized when parsed and when computed, so equality is
+    exact."""
     return round(float(value), 6)

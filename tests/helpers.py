@@ -53,6 +53,7 @@ from catamerge.instance import (
     UNDEFINED,
     ElementId,
     NullRef,
+    UnobservedCell,
     Value,
     VirtualElem,
     _atom_holds,
@@ -137,6 +138,12 @@ def clash_fixture_text() -> str:
     return text.replace(needle, 'row rm_1 { roomName = "Room 240" roomArea = 99.9 }')
 
 
+def minting_read(inst: Instance, elem: ElementId, attr: str):
+    """A cell read as the engine first did it: an unobserved cell gets its
+    null minted and stored, also on a frozen instance."""
+    return inst.resolve_value(inst._cell(inst.find(elem), attr))
+
+
 # ---------------------------------------------------------------------------
 # Query oracle: full cross product, private term walker
 
@@ -154,7 +161,7 @@ def _oracle_eval(inst: Instance, env: dict[str, ElementId], term: Term):
             current = nxt
         if term.path.attr is None:
             return current
-        return inst.get_attr(current, term.path.attr)
+        return minting_read(inst, current, term.path.attr)
     # function application over constants
     args = []
     for a in term.args:
@@ -353,7 +360,7 @@ def oracle_conclusion_satisfied(inst: Instance, c: Constraint, env: dict) -> boo
 # ---------------------------------------------------------------------------
 # Binder oracle: the premise matcher before observed-cell indexes. Each binder
 # scans the carrier for every enumerated variable and hashes it by a probe's
-# side, a read mints the cell's null (``Instance.get_attr``), and every
+# side, a read mints the cell's null (``minting_read``), and every
 # premise atom is checked again on each match.
 
 def minting_value(inst: Instance, env: dict, term: Term) -> Value:
@@ -362,7 +369,7 @@ def minting_value(inst: Instance, env: dict, term: Term) -> Value:
     if isinstance(term, PathApp) and term.path.attr is not None:
         prefix = PathApp(term.var, Path(term.path.root, term.path.fks))
         owner = eval_term(inst, env, prefix, virtual=True)
-        return inst.get_attr(owner, term.path.attr) if isinstance(owner, ElementId) else UNDEFINED
+        return minting_read(inst, owner, term.path.attr) if isinstance(owner, ElementId) else UNDEFINED
     if isinstance(term, FunApp):
         args = [minting_value(inst, env, a) for a in term.args]
         if not all(isinstance(a, Const) for a in args):
@@ -1131,7 +1138,7 @@ def oracle_chase(pre: Instance, constraints: list[Constraint], max_rounds: int =
 # ---------------------------------------------------------------------------
 # Migration oracles: the engine's first sigma_insert and delta_project, which
 # copy cell by cell through the builder (``set_fk``, ``set_attr``) and read
-# through ``get_fk`` and ``stored_attr``
+# through ``get_fk`` and ``get_attr``
 
 def oracle_sigma_insert(combined: CombinedSchema, sources: dict[str, Instance]) -> Instance:
     ext = combined.extension
@@ -1170,8 +1177,8 @@ def oracle_sigma_insert(combined: CombinedSchema, sources: dict[str, Instance]) 
                         mapping[(s.name, target)],
                     )
                 for attr in s.attrs_of(entity):
-                    value = src.stored_attr(root, attr.name)
-                    if value is None:
+                    value = src.get_attr(root, attr.name)
+                    if isinstance(value, UnobservedCell):
                         continue
                     combined_attr = combined.combined_member(s.name, entity, attr.name)
                     if isinstance(value, Const):
@@ -1215,7 +1222,7 @@ def oracle_delta_project(combined: CombinedSchema, saturated: Instance, target: 
                     out.set_fk(elem, fk.name, mapping[saturated.find(tgt)])
             for attr in target.attrs_of(entity):
                 combined_attr = combined.combined_member(target.name, entity, attr.name)
-                value = saturated.stored_attr(root, combined_attr)
+                value = saturated.get_attr(root, combined_attr)
                 if isinstance(value, Const):
                     out.set_attr(elem, attr.name, value)
     return out

@@ -23,7 +23,13 @@ from catamerge import (
 )
 from catamerge.chase import EXHAUSTED, FAILED, SATURATED, MergePair, replay
 import catamerge.instance
-from catamerge.instance import UnobservedCell, conclusion_satisfied, enumerate_matches, values_equal
+from catamerge.instance import (
+    NullRef,
+    UnobservedCell,
+    conclusion_satisfied,
+    enumerate_matches,
+    values_equal,
+)
 from catamerge.schema import (
     Attribute,
     Cmp,
@@ -312,7 +318,7 @@ def test_same_attribute_join_matches_an_unobserved_cell_with_itself():
     assert [(m["p"].name, m["q"].name) for m in matches] == [("S.a", "S.a"), ("S.b", "S.b")]
     sat = helpers.saturate(pre, [rule]).instance
     one = Const(BaseType.INT, 1)
-    assert [sat.stored_attr(m["p"], "m") for m in matches] == [one, one]
+    assert [sat.get_attr(m["p"], "m") for m in matches] == [one, one]
     assert check_model(sat, [rule]).ok
 
 
@@ -1357,8 +1363,8 @@ def test_comparisons_mint_no_labels_and_keep_their_verdicts():
     verdicts = _verdicts(pairs)
     assert labels == [(len(a._null_parent), len(b._null_parent)) for a, b in pairs]
     assert {(True, True), (False, False)} <= set(verdicts)
-    # with every cell observed, as when both comparisons read each cell with
-    # get_attr, the verdicts are the same
+    # with every cell observed, each holding its own null from the start, the
+    # verdicts are the same
     with helpers.eager_nulls():
         assert verdicts == _verdicts(_comparison_pairs())
 
@@ -1376,15 +1382,21 @@ instance i : S {
 
 def test_unobserved_cell_is_a_null_class_of_its_own():
     unobserved = helpers.load_text(_UNOBSERVED_CASE).instances["i"]
+    with helpers.eager_nulls():
+        singletons = helpers.load_text(_UNOBSERVED_CASE).instances["i"]
     x1, x2 = unobserved.carrier("X")
-    singletons, shared = unobserved.copy(), unobserved.copy()
-    assert singletons.get_attr(x1, "a") != singletons.get_attr(x2, "a")
+    shared = unobserved.copy()
+    a1, a2 = singletons.get_attr(x1, "a"), singletons.get_attr(x2, "a")
+    assert isinstance(a1, NullRef) and isinstance(a2, NullRef) and a1 != a2
     shared.union_attrs(x1, "a", x2, "a")
-    assert shared.stored_attr(x1, "a") == shared.stored_attr(x2, "a")
+    assert shared.get_attr(x1, "a") == shared.get_attr(x2, "a")
     # each unobserved cell pairs with a null no other cell holds ...
     for a, b in ((unobserved, singletons), (singletons, unobserved), (unobserved, unobserved)):
         assert instances_same_data(a, b) and verify_universality(a, b).isomorphic
     # ... and two of them do not pair with one null that two cells share
     for a, b in ((unobserved, shared), (shared, unobserved)):
         assert not instances_same_data(a, b) and not verify_universality(a, b).isomorphic
-    assert [unobserved.stored_attr(x, "a") for x in (x1, x2)] == [None, None]
+    assert [unobserved.get_attr(x, "a") for x in (x1, x2)] == [
+        UnobservedCell(x1, "a"),
+        UnobservedCell(x2, "a"),
+    ]

@@ -3,12 +3,16 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import helpers
+from catamerge import instances_same_data, print_canonical
 from catamerge.cli import main
+from catamerge.parser import Document, SourceDocument, parse_document
 
 EX1 = str(helpers.FIXTURES / "example1.cmg")
 EX2 = str(helpers.FIXTURES / "example2.cmg")
@@ -331,8 +335,6 @@ def test_non_utf8_file_exits_one(tmp_path, capsys):
 def test_integrate_artifacts_reparse_cleanly(tmp_path):
     out = tmp_path / "out"
     assert main(["integrate", EX2, "--out", str(out)]) == 0
-    from catamerge.parser import Document, SourceDocument, parse_document
-
     env = Document()
     for name in ("combined.cmg", "saturated.cmg"):
         text = (out / name).read_text(encoding="utf-8")
@@ -341,6 +343,71 @@ def test_integrate_artifacts_reparse_cleanly(tmp_path):
     assert "CombinedThreeWay" in env.schemas
     sat = next(iter(env.instances.values()))
     assert len(sat.carrier("Location")) == 5
+
+
+_KEYWORD_IDS_DOC = """
+schema S {
+  entities A B
+  foreign_keys f : B -> A
+  attributes k : A -> String
+}
+instance i : S {
+  entity A { row "a.row" { k = "x" } row "entity" { k = "y" } row "x.null" { } }
+  entity B { row b1 { f = "a.row" } row b2 { f = "entity" } row b3 { f = "x.null" } }
+}
+extension E { include S }
+"""
+
+
+def test_row_ids_with_keyword_parts_print_quoted_and_parse_back(tmp_path, capsys):
+    """A row id with a keyword as a part is quoted wherever it is printed:
+    as a row of the source, and as ``S.entity`` after Σ in saturated.cmg."""
+    env = helpers.load_text(_KEYWORD_IDS_DOC)
+    printed = print_canonical(env.instances["i"])
+    for quoted in ('"a.row"', '"entity"', '"x.null"'):
+        assert f"row {quoted} " in printed and f"f = {quoted} " in printed
+    again = Document(schemas=dict(env.schemas))
+    parse_document(SourceDocument("printed.cmg", printed), again)
+    assert again.ok, [str(d) for d in again.diagnostics]
+    assert instances_same_data(again.instances["i"], env.instances["i"])
+
+    doc, out = tmp_path / "ids.cmg", tmp_path / "out"
+    doc.write_text(_KEYWORD_IDS_DOC, encoding="utf-8")
+    assert main(["integrate", str(doc), "--out", str(out)]) == 0
+    assert 'row "S.entity" ' in (out / "saturated.cmg").read_text(encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", str(out / "combined.cmg"), str(out / "saturated.cmg")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+_NESTED_EXISTENTIAL_DOC = """schema S {
+  entities A
+  attributes a : A -> Int
+}
+extension E {
+  include S
+  constraints
+    forall x : A where add(y.a, 1) = x.a -> exists y : A , y.a = x.a
+}
+"""
+_QUERY_BLOCK = "query Q : E {\n  from x : S_A\n  attributes v -> x.a\n}\n"
+
+
+@pytest.mark.parametrize("query", ["", _QUERY_BLOCK], ids=["extension", "with-query"])
+@pytest.mark.parametrize("command", ["check", "integrate"])
+def test_existential_inside_a_premise_term_exits_one(tmp_path, capsys, command, query):
+    """An existential read inside a function of the premise is reported at
+    the variable, so the extension is refused before any combined schema is
+    built from it, and a query over it gets a diagnostic, not a traceback."""
+    doc = tmp_path / "nested.cmg"
+    doc.write_text(_NESTED_EXISTENTIAL_DOC + query, encoding="utf-8")
+    argv = [command, str(doc)] + (["--out", str(tmp_path / "out")] if command == "integrate" else [])
+    capsys.readouterr()
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == f"{doc}:8:28: error: premise mentions an existential variable"
+    assert all(line.startswith(f"{doc}:") and ": error: " in line for line in lines), lines
+    assert not (tmp_path / "out").exists()
 
 
 _FUZZ_NAME = st.sampled_from([None] * 6 + ["Combined", "CombinedThreeWay", "TenantBilling", "q",
@@ -408,3 +475,98 @@ def test_cli_arguments_fuzz_never_traceback(tmp_path, capsys, monkeypatch, comma
     err = capsys.readouterr().err
     assert code in {0, 1, 2, 3}, argv
     assert "Traceback" not in err, argv
+
+
+# Extreme literals: the longest Int a literal holds and one digit more, the
+# largest Double and one past the float range, and small and signed values.
+_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 4300)() or 4300
+_LARGEST = str(int(sys.float_info.max)) + ".0"
+_INTS = st.sampled_from(["0", "1", "-1", "7", "9" * _DIGITS, "-" + "9" * _DIGITS,
+                         "9" * (_DIGITS + 1), str(2**64)])
+_DOUBLES = st.sampled_from(["0.0", "2.5", "-0.5", "0.000001", _LARGEST, "-" + _LARGEST,
+                            "1" + "0" * 400 + ".0"])
+# Row ids that need quotes or have a keyword as a part.
+_ROW_IDS = st.sampled_from(["a.row", "entity", "x.null", "from", "x.true.y", "plain", "a.b",
+                            "two words", 'q"uote', "back\\slash", "new\nline", "_9", "9a"])
+_RULES = (
+    "forall x : X -> x.b = mul(x.a, x.a)",
+    "forall x : X -> x.b = add(x.a, {int})",
+    "forall x : X -> x.b = div(x.a, {int})",
+    "forall x : X where x.a > {int} -> x.b = sub(x.a, {int})",
+    "forall x : X -> x.e = mul(x.d, x.d)",
+    "forall x : X -> x.e = div(x.d, {double})",
+    "forall x : X -> x.e = add(x.d, {double})",
+    "forall p q : X where p.k = q.k -> p = q",
+    "forall x : X -> x.g.v = x.b",
+    "forall x : X -> exists y : Y , y.v = x.a",
+)
+_SCHEMA_DOC = """schema S {
+  entities X Y
+  foreign_keys g : X -> Y
+  attributes a : X -> Int  b : X -> Int  d : X -> Double  e : X -> Double
+    k : X -> String  v : Y -> Int
+}
+"""
+
+
+def _id_literal(name: str) -> str:
+    escaped = name.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return f'"{escaped}"'
+
+
+def _maybe(values: st.SearchStrategy) -> st.SearchStrategy:
+    """A member's value: absent, null or one of ``values``."""
+    return st.one_of(st.none(), st.just("null"), values)
+
+
+def _row(draw, name: str, members: dict[str, st.SearchStrategy]) -> str:
+    bindings = [f"{m} = {v}" for m, s in members.items() if (v := draw(s)) is not None]
+    return f"row {_id_literal(name)} {{ {' '.join(bindings)} }}"
+
+
+@st.composite
+def _arithmetic_documents(draw) -> str:
+    """A source with rows named by ``_ROW_IDS`` and an extension whose rules
+    compute over ``_INTS`` and ``_DOUBLES``."""
+    ys = draw(st.lists(_ROW_IDS, max_size=3, unique=True))
+    targets = st.sampled_from([None] + [_id_literal(y) for y in ys])
+    x_members = {"a": _maybe(_INTS), "d": _maybe(_DOUBLES),
+                 "k": _maybe(st.sampled_from(['"p"', '"q"'])), "g": targets}
+    x_rows = [_row(draw, x, x_members)
+              for x in draw(st.lists(_ROW_IDS, min_size=1, max_size=4, unique=True))]
+    y_rows = [_row(draw, y, {"v": _maybe(_INTS)}) for y in ys]
+    rules = [
+        draw(st.sampled_from(_RULES)).format(int=draw(_INTS), double=draw(_DOUBLES))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return (
+        _SCHEMA_DOC
+        + f"instance i : S {{\n  entity X {{ {' '.join(x_rows)} }}\n"
+        + f"  entity Y {{ {' '.join(y_rows)} }}\n}}\n"
+        + "extension E {\n  include S\n  constraints\n    " + "\n    ".join(rules) + "\n}\n"
+    )
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_arithmetic_documents())
+def test_integrate_outputs_parse_back_on_generated_documents(tmp_path, capsys, text):
+    """``integrate`` on any generated document exits 0, 1, 2 or 3 with no
+    traceback; on 0 its ``combined.cmg`` and ``saturated.cmg`` parse back
+    with no diagnostic, and reprinting the parsed instance gives
+    ``saturated.cmg`` byte for byte."""
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    doc, out = work / "doc.cmg", work / "out"
+    doc.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    code = main(["integrate", str(doc), "--out", str(out)])
+    assert code in {0, 1, 2, 3}
+    assert "Traceback" not in capsys.readouterr().err
+    if code != 0:
+        return
+    env = Document()
+    for name in ("combined.cmg", "saturated.cmg"):
+        parse_document(SourceDocument(name, (out / name).read_text(encoding="utf-8")), env)
+    assert [str(d) for d in env.diagnostics] == []
+    (saturated,) = env.instances.values()
+    assert print_canonical(saturated) == (out / "saturated.cmg").read_text(encoding="utf-8")

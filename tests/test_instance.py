@@ -23,7 +23,9 @@ from catamerge import (
     new_instance,
     print_canonical,
     result_table_csv,
+    roundtrip_report,
     sigma_insert,
+    verify_universality,
 )
 from catamerge.generators import scaled_example1_document
 from catamerge.instance import (
@@ -88,8 +90,10 @@ def test_set_attr_null_stores_labelled_null(example2):
     inst = new_instance(brick)
     sp = inst.add_element("SetPoint", "sp1")
     inst.set_attr(sp, "setPointValue", None)
-    value = inst.get_attr(sp, "setPointValue")
-    assert isinstance(value, NullRef)
+    # the cell keeps its own labelled null, unobserved: it reads as the cell
+    # itself, and the read mints no label
+    assert inst.get_attr(sp, "setPointValue") == UnobservedCell(sp, "setPointValue")
+    assert inst._null_seq == 0 and not inst._attrs[sp]
 
 
 def test_set_fk_wrong_target_entity(example1):
@@ -449,22 +453,25 @@ def test_get_attr_reads_null_classes_and_anchors():
     e = inst.add_element("E", "e")
     f = inst.add_element("E", "f")
 
-    # each cell's own label, read before any union
-    labels = {elem: [inst.get_attr(elem, attr).label for attr in ("a", "b")] for elem in (e, f)}
+    # before any union each cell reads as itself, and no read mints a label
     for elem in (e, f):
-        for attr, label in zip(("a", "b"), labels[elem]):
-            assert inst.get_attr(elem, attr) == NullRef(inst.null_find(label)) == NullRef(label)
+        for attr in ("a", "b"):
+            assert inst.get_attr(elem, attr) == UnobservedCell(elem, attr)
+    assert inst._null_seq == 0
     inst.union_attrs(e, "a", f, "b")
     inst.union_attrs(f, "b", e, "b")
-    for elem in (e, f):
-        for attr, label in zip(("a", "b"), labels[elem]):
-            assert inst.get_attr(elem, attr) == NullRef(inst.null_find(label))
+    seq = inst._null_seq
+    for elem, attr in ((e, "a"), (e, "b"), (f, "b")):
+        label = inst._attrs[elem][attr].label
+        assert inst.get_attr(elem, attr) == NullRef(inst.null_find(label))
     merged = inst.get_attr(e, "a")
     assert inst.get_attr(e, "b") == inst.get_attr(f, "b") == merged != inst.get_attr(f, "a")
+    assert inst.get_attr(f, "a") == UnobservedCell(f, "a")
     inst.assign_attr(f, "b", Const(BaseType.INT, 7))
     for elem, attr in ((e, "a"), (e, "b"), (f, "b")):
         assert inst.get_attr(elem, attr) == Const(BaseType.INT, 7)
-    assert isinstance(inst.get_attr(f, "a"), NullRef)
+    assert inst.get_attr(f, "a") == UnobservedCell(f, "a")
+    assert inst._null_seq == seq
 
 
 @pytest.mark.parametrize("fixture", ["example1_saturated", "example2_saturated"])
@@ -515,11 +522,58 @@ def test_fully_set_rows_mint_no_null():
     pre = sigma_insert(combined, sources)
     for inst in (*sources.values(), pre):
         assert len(inst._null_parent) == 0, inst.name
-    # a read mints the null of an unset cell once and keeps it
+    # a read of an unset cell returns the cell itself and mints no null
     (equipment, *_) = pre.carrier("Equipment")
     first = pre.get_attr(equipment, "equipmentName")
-    assert isinstance(first, NullRef) and pre.get_attr(equipment, "equipmentName") == first
-    assert len(pre._null_parent) == 1
+    assert first == UnobservedCell(equipment, "equipmentName")
+    assert pre.get_attr(equipment, "equipmentName") == first
+    assert len(pre._null_parent) == 0 and pre._null_seq == 0
+
+
+def _cell_state(inst: Instance) -> tuple:
+    """What a write to a cell or a null label would change."""
+    cells = {root: dict(row) for root, row in inst._attrs.items()}
+    return cells, dict(inst._null_parent), dict(inst._null_anchor), inst._null_seq
+
+
+@pytest.mark.parametrize("pipeline", [helpers.example1_pipeline, helpers.example2_pipeline])
+def test_reads_never_write(pipeline):
+    """Every public read of a frozen saturation, of the sources it came from
+    and of its projections leaves their cells and null labels as they were;
+    so does ``get_attr`` on the unfrozen result of Σ."""
+    env, combined, pre = pipeline()
+    constraints = list(combined.schema.constraints)
+    sat = helpers.saturate(pre, constraints).instance
+    other = helpers.saturate(pre, constraints[::-1]).instance
+    assert sat.frozen and not pre.frozen
+    sources = {inst.schema.name: inst for inst in env.instances.values()}
+    projections = {s.name: delta_project(combined, sat, s) for s in combined.extension.schemas}
+    instances = [pre, sat, other, *sources.values(), *projections.values()]
+    before = [_cell_state(inst) for inst in instances]
+    unobserved = 0
+    for inst in (pre, sat):
+        schema = inst.schema
+        for entity in schema.entities:
+            for root in inst.carrier(entity):
+                for attr in schema.attrs_of(entity):
+                    value = inst.get_attr(root, attr.name)
+                    unobserved += isinstance(value, UnobservedCell)
+                    assert eval_path(inst, root, Path(entity, (), attr.name)) == value
+                for fk in schema.fks_of(entity):
+                    for attr in schema.attrs_of(schema.fk(entity, fk.name).target):
+                        eval_path(inst, root, Path(entity, (fk.name,), attr.name))
+    assert check_model(sat, constraints).ok
+    for q in env.queries.values():
+        evaluate(q, sat)
+        explain(q, sat)
+    print_canonical(sat)
+    instance_csvs(sat)
+    for name, source in sources.items():
+        delta_project(combined, sat, source.schema)
+        roundtrip_report(source, projections[name])
+    assert instances_same_data(sat, other) and verify_universality(sat, other).isomorphic
+    assert [_cell_state(inst) for inst in instances] == before
+    assert unobserved > 0
 
 
 def _outputs(pipeline):
@@ -601,14 +655,15 @@ def _random_ops(rng: random.Random, count: int) -> list[tuple[str, tuple]]:
 
 
 def _apply(inst: Instance, ops: list[tuple[str, tuple]]) -> list:
-    """Each call's result, a null as "null", or the error it raised."""
+    """Each call's result, a null or an unobserved cell as "null", or the
+    error it raised."""
     out = []
     for name, args in ops:
         try:
             result = getattr(inst, name)(*args)
         except CatamergeError as exc:
             result = (type(exc).__name__, str(exc))
-        out.append("null" if isinstance(result, NullRef) else result)
+        out.append("null" if isinstance(result, (NullRef, UnobservedCell)) else result)
     return out
 
 
@@ -635,8 +690,8 @@ def _assert_observed_cells(inst: Instance) -> None:
     for entity in inst.schema.entities:
         for attr in inst.schema.attrs_of(entity):
             roots, index = inst.observed_cells(entity, attr.name)
-            cells = {r: inst.stored_attr(r, attr.name) for r in inst.carrier(entity)}
-            want_roots = [r for r, value in cells.items() if value is not None]
+            cells = {r: inst.get_attr(r, attr.name) for r in inst.carrier(entity)}
+            want_roots = [r for r, value in cells.items() if not isinstance(value, UnobservedCell)]
             want_index: dict = {}
             for root in want_roots:
                 want_index.setdefault(_join_key(inst, cells[root]), []).append(root)
@@ -647,8 +702,7 @@ def _assert_observed_cells(inst: Instance) -> None:
 def test_observed_cells_follow_every_change():
     """Built before a change and kept current by it, or rebuilt after it,
     the observed lists and their index match the cells after Σ's row copy,
-    builder writes, minting reads, anchoring, unions, merges and new
-    elements."""
+    builder writes, reads, anchoring, unions, merges and new elements."""
     rng = random.Random(21)
     for _ in range(60):
         combined, sources = helpers.random_migration_case(rng)
@@ -690,7 +744,7 @@ def test_join_keys_are_equal_exactly_when_values_are():
         inst, _ = helpers.random_join_case(rng)
         elems = [e for entity in inst.schema.entities for e in inst.elements(entity)]
         values = list(elems) + [VirtualElem(e, ("g",)) for e in elems if e.entity == "X"]
-        values += [inst.read_attr(e, a.name) for e in elems for a in inst.schema.attrs_of(e.entity)]
+        values += [inst.get_attr(e, a.name) for e in elems for a in inst.schema.attrs_of(e.entity)]
         values += [Const(BaseType.STRING, "p"), Const(BaseType.INT, 1), Const(BaseType.DOUBLE, 1.0)]
         values.append(UNDEFINED)
         assert any(isinstance(v, UnobservedCell) for v in values)

@@ -375,8 +375,8 @@ def test_sigma_reads_source_cells_without_minting():
     labels, outputs = _example2_outputs()
     assert all(before == after for before, after in labels.values()), labels
     assert labels["BRICK"] == (0, 0) and labels["REC"] == (0, 0)
-    # with every source cell observed, as when sigma read each one with
-    # get_attr, the combined instance and every output are the same
+    # with every source cell observed, each holding its own null from the
+    # start, the combined instance and every output are the same
     with helpers.eager_nulls():
         eager_labels, eager_outputs = _example2_outputs()
     assert eager_labels["REC"][0] > 0
@@ -408,8 +408,8 @@ def test_roundtrip_report_reads_both_instances_without_minting():
     for text, extension in cases:
         labels, reports = _roundtrip_reports(text, extension)
         assert all(before == after for before, after in labels.values()), labels
-        # with every cell observed, as when the report read each one with
-        # get_attr, the reports are the same
+        # with every cell observed, each holding its own null from the start,
+        # the reports are the same
         with helpers.eager_nulls():
             _, eager_reports = _roundtrip_reports(text, extension)
         assert reports == eager_reports
@@ -435,7 +435,7 @@ def test_printing_and_projection_read_without_minting():
     for name, extension in (("example1.cmg", "Combined"), ("example2.cmg", "CombinedThreeWay")):
         before, after, outputs = _printed_saturation(name, extension)
         assert before == after
-        # with every cell observed, as when these read each one with get_attr,
+        # with every cell observed, each holding its own null from the start,
         # the outputs are the same
         with helpers.eager_nulls():
             _, _, eager_outputs = _printed_saturation(name, extension)
@@ -448,7 +448,7 @@ def _null_classes(inst) -> int:
         for entity in inst.schema.entities
         for root in inst.carrier(entity)
         for attr in inst.schema.attrs_of(entity)
-        if isinstance(value := inst.stored_attr(root, attr.name), NullRef)
+        if isinstance(value := inst.get_attr(root, attr.name), NullRef)
     })
 
 
@@ -493,7 +493,7 @@ def test_migrations_match_the_oracles_on_random_sources():
                 src.get_fk(r, fk.name) is None for e, r in roots for fk in schema.fks_of(e)
             )
             shapes["shared null"] += _null_classes(src) < sum(
-                isinstance(src.stored_attr(r, a.name), NullRef) for e, r in roots for a in schema.attrs_of(e)
+                isinstance(src.get_attr(r, a.name), NullRef) for e, r in roots for a in schema.attrs_of(e)
             )
             shapes["merged class"] += any(len(src.members(r)) > 1 for _, r in roots)
     assert min(shapes.values()) >= 20 and len(shapes) == 5, shapes

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 import time
@@ -12,6 +13,7 @@ from catamerge import (
     classify_constraint,
     combine_schemas,
     instances_same_data,
+    new_instance,
     parse_constraint,
     parse_extension,
     parse_instance,
@@ -22,7 +24,7 @@ from catamerge import (
 from catamerge import parser as parser_module
 from catamerge.generators import scaled_example1_document
 from catamerge.parser import SourceDocument, parse_document, tokenize
-from catamerge.schema import Cmp, Schema
+from catamerge.schema import Cmp, Constraint, Eq, ExtensionSpec, Path, PathApp, Schema
 from catamerge.typeside import BaseType, normalize_double
 
 IFC_TEXT = """\
@@ -216,6 +218,36 @@ def test_parse_query_unbound_variable(example1):
     q, diags = parse_query(SourceDocument("bad.cmg", text), combined)
     assert q is None
     assert any("unbound" in d.message for d in errors(diags))
+
+
+def test_every_row_id_prints_as_the_parser_reads_it():
+    """The printer writes an id bare only where the parser reads it bare, a
+    plain or dotted name with no keyword as a part, and quotes any other."""
+    parts = ["a", "row", "rowx", "_9", "9a", "null", "entity", "", "a b", "true"]
+    names = sorted({".".join(c) for k in (1, 2, 3) for c in itertools.product(parts, repeat=k)})
+    schema = Schema("S", ("X",))
+    inst = new_instance(schema, "i")
+    for name in names:
+        inst.add_element("X", name)
+    printed = print_canonical(inst)
+    assert "row a.rowx { }" in printed and 'row "a.row" { }' in printed
+    again, diags = parse_instance(SourceDocument("ids.cmg", printed), schema)
+    assert not diags and [e.name for e in again.elements("X")] == names
+
+
+def test_query_over_an_invalid_extension_is_a_diagnostic():
+    """``parse_document`` also reads queries over extensions built through
+    the API; one whose combined schema is invalid gives a diagnostic at its
+    name in the query header."""
+    env = helpers.load_text("schema S { entities A attributes a : A -> Int }")
+    y_a, x_a = (PathApp(var, Path("S_A", (), "a")) for var in "yx")
+    bad = Constraint((("x", "S_A"),), (Eq(y_a, x_a),), (("y", "S_A"),), (Eq(y_a, x_a),))
+    env.extensions["E"] = ExtensionSpec("E", (env.schemas["S"],), (), (bad,))
+    parse_document(SourceDocument("q.cmg", "query Q : E { from x : S_A attributes v -> x.a }"), env)
+    (diag,) = errors(env.diagnostics)
+    assert (diag.line, diag.column) == (1, 11)
+    assert diag.message.startswith("combined schema for E is invalid")
+    assert "Q" not in env.queries
 
 
 def test_roundtrip_schema_instance_extension_query(example2):
@@ -679,7 +711,7 @@ def test_integer_literal_too_long_is_a_diagnostic(monkeypatch):
     _assert_rows_parse_as_oracle(monkeypatch, texts)
     env = parse_document(SourceDocument("ok.cmg", _row_document([f"row x1 {{ n = {longest} }}"])))
     inst = env.instances["i"]
-    assert env.ok and inst.stored_attr(inst.element_named("X", "x1"), "n").value == int(longest)
+    assert env.ok and inst.get_attr(inst.element_named("X", "x1"), "n").value == int(longest)
 
 
 def test_integer_literal_limit_is_the_interpreters(monkeypatch):
@@ -737,7 +769,7 @@ def test_printed_doubles_parse_back():
     assert "e" not in "".join(line.split("d = ")[1] for line in printed.splitlines() if "d = " in line)
     again, diags = parse_instance(SourceDocument("rt", printed), env.schemas["S"])
     assert not errors(diags) and instances_same_data(again, inst)
-    assert [again.stored_attr(x, "d").value for x in again.elements("X")] == [
+    assert [again.get_attr(x, "d").value for x in again.elements("X")] == [
         normalize_double(float(value)) for value in values
     ]
 

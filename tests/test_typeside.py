@@ -155,3 +155,13 @@ def test_functions_are_undefined_where_no_literal_holds_the_result():
     assert apply_function(mul_d, [1e200, 1e200]) is None
     assert apply_function(resolve_function("add", dbls), [1e308, 1e308]) is None
     assert apply_function(resolve_function("sub", dbls), [1e308, 1.0]) == 1e308
+
+
+def test_double_results_are_normalized_as_literals_are():
+    """A computed Double is rounded as a parsed literal is, so that a
+    printed instance reads back with the same values."""
+    dbls = (BaseType.DOUBLE, BaseType.DOUBLE)
+    mul_d, div_d = resolve_function("mul", dbls), resolve_function("div", dbls)
+    assert apply_function(mul_d, [0.000001, 0.000001]) == 0.0
+    assert apply_function(div_d, [1.0, 3.0]) == normalize_double(1.0 / 3.0) == 0.333333
+    assert apply_function(resolve_function("add", dbls), [0.1, 0.2]) == 0.3
