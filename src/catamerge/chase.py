@@ -13,14 +13,16 @@ Rounds are semi-naive. Merges, fk definitions, anchoring and unions never
 make a premise or a conclusion that holds for a tuple of classes stop
 holding. So ``fire_once`` takes a match of the start-of-round instance, or
 of any earlier state in the same chase, as a match of the live one: it
-re-derives the pins but checks no premise atom again. A match whose
-conclusion held or was fully enforced is discharged, keyed by the classes
-of its enumerated universals, and never fired again; and a constraint whose
-last enumeration left no match pending is not enumerated again until a
-round changes something its premise reads (``Instance.changes`` against
-``premise_reads``). Every firing skipped is one that would have done
-nothing, so traces, round counts and fresh names are those of
-re-enumerating every match each round.
+re-derives the pins but checks no premise atom again. ``fire_once``
+records each match's outcome in its constraint's record, keyed by the
+classes of its enumerated universals: a match whose conclusion held or was
+fully enforced is discharged and never fired again, and a pending one keeps
+its reason and the witnesses a firing cut short minted, which its retry
+reuses. A constraint whose last enumeration left no match pending is not
+enumerated again until a round changes something its premise reads
+(``Instance.changes`` against ``premise_reads``). Every firing skipped is
+one that would have done nothing, so traces, round counts and fresh names
+are those of re-enumerating every match each round.
 
 Termination is guarded by the weak-acyclicity check unless disabled.
 """
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import ChasePreconditionError, ConstantClash
 from .instance import (
@@ -56,7 +58,6 @@ from .schema import (
     Schema,
     Term,
     Var,
-    _term_vars,
     check_constraint,
     check_weak_acyclicity,
     classify_constraint,
@@ -180,6 +181,22 @@ class ChaseResult:
 
 # -- firing -----------------------------------------------------------------
 
+DISCHARGED = "discharged"
+
+
+class Pending(NamedTuple):
+    """Why a match is left pending and, when its firing was cut short, the
+    existentials it bound, which the next firing binds instead of minting."""
+
+    reason: str
+    witnesses: tuple[ElementId, ...] = ()
+
+
+# What happened to each match of one constraint, keyed by the classes of its
+# enumerated universals: DISCHARGED, or Pending.
+Record = dict[tuple[ElementId, ...], Union[str, Pending]]
+
+
 class _Firing:
     """Applies one constraint firing against the live instance."""
 
@@ -188,7 +205,7 @@ class _Firing:
         self.round_no = round_no
         self.counter = counter
         self.mutations: list[Mutation] = []
-        self.cut_short = False  # an equation waits on an unknown function argument
+        self.cut_short: Optional[str] = None  # why an equation waits on a function
 
     def fresh(self, entity: str) -> ElementId:
         name = f"{entity}!{self.round_no}.{next(self.counter)}"
@@ -212,9 +229,6 @@ class _Firing:
             current = nxt
         return current
 
-    def walk_prefix(self, start: ElementId, fks: tuple[str, ...]) -> ElementId:
-        return self.materialize(VirtualElem(start, fks)) if fks else self.inst.find(start)
-
     def merge(self, a: ElementId, b: ElementId) -> None:
         if self.inst.same(a, b):
             return
@@ -229,95 +243,60 @@ class _Firing:
         else:
             self.merge(current, target)
 
-    def enforce_entity_eq(self, eq: Eq, env: dict[str, Value]) -> None:
-        left = self._entity_side(eq.left, env)
-        right = self._entity_side(eq.right, env)
-        lelem, relem = left[2], right[2]
-        if lelem is not None and relem is not None:
-            self.merge(lelem, relem)
-        elif lelem is not None:
-            assert right[0] is not None and right[1] is not None
-            self.define(right[0], right[1], lelem)
-        elif relem is not None:
-            assert left[0] is not None and left[1] is not None
-            self.define(left[0], left[1], relem)
-        else:
-            # Both sides end in an unset foreign key: witness with one fresh
-            # element shared by both.
-            assert left[0] is not None and left[1] is not None
-            fk = self.inst.schema.fk(self.inst.find(left[0]).entity, left[1])
-            assert fk is not None
-            z = self.fresh(fk.target)
-            self.define(left[0], left[1], z)
-            assert right[0] is not None and right[1] is not None
-            self.define(right[0], right[1], z)
-
-    def _entity_side(
-        self, term: Term, env: dict[str, Value]
-    ) -> tuple[Optional[ElementId], Optional[str], Optional[ElementId]]:
-        """Evaluate an entity-sorted conclusion term.
-
-        Returns (owner, fk, element): the element when the term is fully
-        defined, otherwise the owner element and final foreign key awaiting
-        assignment (the prefix is materialized on demand).
-        """
-        if isinstance(term, Var):
-            value = env[term.name]
-            assert isinstance(value, ElementId)
-            return None, None, self.inst.find(value)
-        assert isinstance(term, PathApp) and term.path.attr is None
-        base = env[term.var]
-        assert isinstance(base, ElementId)
-        if not term.path.fks:
-            return None, None, self.inst.find(base)
-        owner = self.walk_prefix(self.inst.find(base), term.path.fks[:-1])
-        assert isinstance(owner, ElementId)
-        last = term.path.fks[-1]
-        target = self.inst.get_fk(owner, last)
-        if target is not None:
-            return None, None, target
-        return owner, last, None
-
-    def enforce_base_eq(self, eq: Eq, env: dict[str, Value]) -> None:
-        left = self._base_side(eq.left, env)
-        right = self._base_side(eq.right, env)
-        if left is None or right is None:
-            self.cut_short = True  # a function argument is still unknown; later rounds retry
-            return
-        if isinstance(left, Const) and isinstance(right, Const):
-            if left.type != right.type or left.value != right.value:
-                raise ConstantClash("conclusion", left.value, right.value)
-            return
-        if isinstance(left, Const):
-            elem, attr = right  # type: ignore[misc]
-            if self.inst.assign_attr(elem, attr, left):
-                self.mutations.append(AssignAttr(self.inst.find(elem), attr, left))
-            return
-        if isinstance(right, Const):
-            elem, attr = left
-            if self.inst.assign_attr(elem, attr, right):
-                self.mutations.append(AssignAttr(self.inst.find(elem), attr, right))
-            return
-        (e1, a1), (e2, a2) = left, right  # type: ignore[misc]
-        if self.inst.union_attrs(e1, a1, e2, a2):
-            self.mutations.append(
-                UnionAttrs(self.inst.find(e1), a1, self.inst.find(e2), a2)
-            )
-
-    def _base_side(
-        self, term: Term, env: dict[str, Value]
-    ) -> Union[Const, tuple[ElementId, str], None]:
+    def _side(self, term: Term, env: dict[str, Value]) -> Union[Const, ElementId, tuple, None]:
+        """A conclusion side: a constant (None while a function is not yet
+        one), an element, or the ``(owner, member)`` that an attribute path
+        or an unset foreign key ends in, with the foreign keys before that
+        member materialized."""
         if isinstance(term, Const):
             return term
         if isinstance(term, FunApp):
             value = eval_term(self.inst, env, term)
             return value if isinstance(value, Const) else None
-        assert isinstance(term, PathApp) and term.path.attr is not None
-        base = env[term.var]
-        assert isinstance(base, ElementId)
-        owner = self.walk_prefix(self.inst.find(base), term.path.fks)
-        assert isinstance(owner, ElementId)
-        return owner, term.path.attr
+        if isinstance(term, Var):
+            return self.inst.find(env[term.name])
+        assert isinstance(term, PathApp)
+        base, fks, attr = env[term.var], term.path.fks, term.path.attr
+        if attr is None and not fks:
+            return self.inst.find(base)
+        prefix = fks if attr is not None else fks[:-1]
+        owner = self.materialize(VirtualElem(base, prefix)) if prefix else self.inst.find(base)
+        if attr is not None:
+            return owner, attr
+        target = self.inst.get_fk(owner, fks[-1])
+        return (owner, fks[-1]) if target is None else target
+
+    def enforce(self, eq: Eq, entity_sorted: bool, env: dict[str, Value]) -> None:
+        left, right = self._side(eq.left, env), self._side(eq.right, env)
+        if left is None or right is None:  # a function is not a constant yet; a later firing retries
+            if self.cut_short is None:
+                self.cut_short = _failure(self.inst, env, eq.left if left is None else eq.right)
+            return
+        # an (owner, member) pair is a plain tuple; a value, if any, goes first
+        if type(left) is tuple and type(right) is not tuple:
+            left, right = right, left
+        if type(right) is not tuple:
+            if entity_sorted:
+                self.merge(left, right)
+            elif left != right:
+                raise ConstantClash("conclusion", left.value, right.value)
+        elif type(left) is not tuple:
+            if entity_sorted:
+                self.define(*right, left)
+            elif self.inst.assign_attr(*right, left):
+                self.mutations.append(AssignAttr(self.inst.find(right[0]), right[1], left))
+        elif entity_sorted:
+            # Both sides end in an unset foreign key: witness with one fresh
+            # element shared by both.
+            fk = self.inst.schema.fk(left[0].entity, left[1])
+            assert fk is not None
+            z = self.fresh(fk.target)
+            self.define(*left, z)
+            self.define(*right, z)
+        elif self.inst.union_attrs(*left, *right):
+            self.mutations.append(
+                UnionAttrs(self.inst.find(left[0]), left[1], self.inst.find(right[0]), right[1])
+            )
 
 
 def fire_once(
@@ -327,7 +306,7 @@ def fire_once(
     *,
     round_no: int = 1,
     counter: Optional[itertools.count] = None,
-    discharged: Optional[set[tuple[ElementId, ...]]] = None,
+    record: Optional[Record] = None,
 ) -> Optional[TraceEntry]:
     """Fire one premise match; returns None when nothing needed doing.
 
@@ -345,33 +324,39 @@ def fire_once(
     side, a function over premise values, possibly reached through an
     existential's attribute, is not yet a constant. Otherwise the equations
     are enforced in ``plan.enforce`` order: those with a function side last,
-    each after those that set a path it reads.
+    each after those that set a path it reads; one whose function is not yet
+    a constant cuts the firing short.
 
-    With ``discharged``, adds to it the live classes of the enumerated
-    universals (``c.plan.premise``) when the conclusion was witnessed or
-    every equation was enforced; a later call for those classes would then
-    return None. A pending firing, or one cut short by a function argument
-    still unknown, adds nothing.
+    With ``record``, writes the match's outcome into it under the live
+    classes of the enumerated universals (``c.plan.premise``): DISCHARGED
+    when the conclusion was witnessed or every equation was enforced, else
+    Pending with its reason and, when cut short, the existentials it bound,
+    which the match's next firing binds again instead of minting.
     """
     live = {step.var: inst.find(env[step.var]) for step in c.plan.premise}
     key = tuple(live.values())
     live_env = solve_pins(inst, c, live)
+    record = {} if record is None else record
     if conclusion_satisfied(inst, c, live_env):
-        if discharged is not None:
-            discharged.add(key)
+        record[key] = DISCHARGED
         return None
     plan = c.plan
-    if plan.stuck or any(not isinstance(eval_term(inst, live_env, t), Const) for t in plan.defer):
+    failures = (_failure(inst, live_env, t) for t in plan.defer)
+    reason = UNKNOWN_ARGUMENT if plan.stuck else next(filter(None, failures), None)
+    if reason is not None:
+        record[key] = Pending(reason)
         return None
     firing = _Firing(inst, round_no, counter if counter is not None else itertools.count())
     for step in plan.pins:  # materialize the pins that are still virtual
         live_env[step.var] = firing.materialize(live_env[step.var])
-    for name, entity in c.existentials:
-        live_env[name] = firing.fresh(entity)
+    earlier = record.get(key)
+    witnesses = earlier.witnesses if isinstance(earlier, Pending) else ()
+    for k, (name, entity) in enumerate(c.existentials):
+        live_env[name] = inst.find(witnesses[k]) if witnesses else firing.fresh(entity)
     for eq, entity_sorted in plan.enforce:
-        (firing.enforce_entity_eq if entity_sorted else firing.enforce_base_eq)(eq, live_env)
-    if discharged is not None and not firing.cut_short:
-        discharged.add(key)
+        firing.enforce(eq, entity_sorted, live_env)
+    record[key] = DISCHARGED if firing.cut_short is None else Pending(
+        firing.cut_short, tuple(live_env[name] for name, _ in c.existentials))
     if not firing.mutations:
         return None
     # every variable is bound to an element now
@@ -412,7 +397,7 @@ def chase(pre: Instance, constraints: list[Constraint], cfg: Optional[ChaseConfi
     ordered = [(i, c) for i, c in indexed if classify_constraint(c) == "EGD"]
     ordered += [(i, c) for i, c in indexed if classify_constraint(c) == "TGD"]
     reads = {i: premise_reads(c, inst.schema) for i, c in ordered}
-    discharged: dict[int, set[tuple[ElementId, ...]]] = {i: set() for i, _ in ordered}
+    record: dict[int, Record] = {i: {} for i, _ in ordered}
     stale = set(reads)  # the constraints to enumerate this round
 
     for round_no in range(1, cfg.max_rounds + 1):
@@ -427,17 +412,18 @@ def chase(pre: Instance, constraints: list[Constraint], cfg: Optional[ChaseConfi
         inst.changes = set()
         try:
             for index, c, env in collected:
-                done = discharged[index]
+                table = record[index]
                 key = tuple(inst.find(env[step.var]) for step in c.plan.premise)
-                if key in done:
+                if table.get(key) is DISCHARGED:
                     continue
-                entry = fire_once(inst, c, env, round_no=round_no, counter=counter, discharged=done)
+                entry = fire_once(inst, c, env, round_no=round_no, counter=counter, record=table)
                 if entry is not None:
                     entry.constraint_index = index
                     trace.entries.append(entry)
                     changed = True
-                if key not in done:
-                    pending.setdefault(index, set()).add(_pending_reason(inst, c, env))
+                outcome = table[key]
+                if outcome is not DISCHARGED:
+                    pending.setdefault(index, set()).add(outcome.reason)
         except ConstantClash as clash:
             return ChaseResult(FAILED, None, trace, round_no, clash)
         changes, inst.changes = inst.changes, None
@@ -448,33 +434,21 @@ def chase(pre: Instance, constraints: list[Constraint], cfg: Optional[ChaseConfi
         merged = {mark[1] for mark in changes if mark[0] == MERGED}
         for index, c in ordered:
             if any(step.entity in merged for step in c.plan.premise):
-                discharged[index] = {tuple(map(inst.find, key)) for key in discharged[index]}
+                record[index] = {tuple(map(inst.find, key)): out for key, out in record[index].items()}
         stale = pending.keys() | {i for i, _ in ordered if not reads[i].isdisjoint(changes)}
     return ChaseResult(EXHAUSTED, None, trace, cfg.max_rounds)
 
 
-def _pending_reason(inst: Instance, c: Constraint, env: dict[str, Value]) -> str:
-    """Why ``fire_once`` left a premise match pending: ``UNDEFINED_RESULT``
-    when a function it needs has only constant arguments and still no value
-    (a division by zero, or a result no literal holds), ``UNKNOWN_ARGUMENT``
-    otherwise, for an argument that is a null or an undefined path."""
-    live = solve_pins(inst, c, {step.var: inst.find(env[step.var]) for step in c.plan.premise})
-    if c.plan.stuck:
+def _failure(inst: Instance, env: dict[str, Value], term: Term) -> Optional[str]:
+    """Why a term is not a constant under ``env``, or None when it is one:
+    ``UNDEFINED_RESULT`` for a function with constant arguments and no
+    value (a division by zero, or a result no literal holds), and
+    ``UNKNOWN_ARGUMENT`` for an argument that is a null or undefined."""
+    if isinstance(eval_term(inst, env, term), Const):
+        return None
+    if not isinstance(term, FunApp):
         return UNKNOWN_ARGUMENT
-    sides = list(c.plan.defer)
-    sides += [side for eq in c.conclusion for side in (eq.left, eq.right) if isinstance(side, FunApp)]
-    for side in sides:
-        if _term_vars(side) <= live.keys() and not isinstance(eval_term(inst, live, side), Const):
-            return _failure(inst, live, side)
-    return UNKNOWN_ARGUMENT
-
-
-def _failure(inst: Instance, env: dict[str, Value], term: FunApp) -> str:
-    """Why a function term is not a constant under ``env``."""
-    for arg in term.args:
-        if not isinstance(eval_term(inst, env, arg), Const):
-            return _failure(inst, env, arg) if isinstance(arg, FunApp) else UNKNOWN_ARGUMENT
-    return UNDEFINED_RESULT
+    return next(filter(None, (_failure(inst, env, arg) for arg in term.args)), UNDEFINED_RESULT)
 
 
 def premise_reads(c: Constraint, schema: Schema) -> frozenset[tuple]:

@@ -7,7 +7,6 @@ Exit codes are a stable contract: 0 success, 1 usage or validation error,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,8 +35,6 @@ from .query import evaluate
 from .schema import ExtensionSpec, Schema
 
 OK, USAGE, UNSATISFIABLE, EXHAUSTED_CODE = 0, 1, 2, 3
-
-MAX_ROUNDS_ENV = "CATAMERGE_MAX_ROUNDS"
 
 
 @dataclass
@@ -80,23 +77,7 @@ def _max_rounds(text: str) -> int:
     return value
 
 
-def _default_max_rounds() -> Optional[int]:
-    """The round budget from the environment, or None (after printing an
-    error) when it is not an integer of at least 1."""
-    raw = os.environ.get(MAX_ROUNDS_ENV)
-    if raw is None:
-        return ChaseConfig.max_rounds
-    try:
-        return _max_rounds(raw)
-    except argparse.ArgumentTypeError as err:
-        print(f"error: {MAX_ROUNDS_ENV}: {err}", file=sys.stderr)
-        return None
-
-
 def _build_manifest(args: argparse.Namespace) -> Optional[RunManifest]:
-    max_rounds = args.max_rounds if args.max_rounds is not None else _default_max_rounds()
-    if max_rounds is None:
-        return None
     env = _load(args.files)
     if env is None or not env.ok:
         return None
@@ -136,7 +117,7 @@ def _build_manifest(args: argparse.Namespace) -> Optional[RunManifest]:
         sources=sources,
         out_dir=Path(args.out),
         trace=getattr(args, "trace", False),
-        max_rounds=max_rounds,
+        max_rounds=args.max_rounds,
         env=env,
     )
 
@@ -295,8 +276,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--max-rounds",
             type=_max_rounds,
-            help="chase round budget, at least 1 (env CATAMERGE_MAX_ROUNDS overrides "
-            f"the default of {ChaseConfig.max_rounds})",
+            default=ChaseConfig.max_rounds,
+            help=f"chase round budget, at least 1 (default: {ChaseConfig.max_rounds})",
         )
         if with_trace:
             p.add_argument("--trace", action="store_true", help="write trace.log")

@@ -661,18 +661,12 @@ def _virtual_value(inst: Instance, env: dict[str, Value], term: Term) -> Value:
     return eval_term(inst, env, term, virtual=True)
 
 
-def render_value(inst: Instance, v: Value) -> str:
-    from .printer import render_constant  # local import to avoid a cycle
-
-    if v is UNDEFINED:
-        return "<undefined>"
-    if isinstance(v, ElementId):
-        return inst.export_id(v)
+def render_value(inst: Instance, v: Union[ElementId, VirtualElem]) -> str:
+    """A premise match's binding as ``check_model`` shows it: every variable
+    is bound to an element, or by a pin to a virtual one."""
     if isinstance(v, VirtualElem):
         return f"{inst.export_id(v.base)}.{'.'.join(v.steps)}"
-    if isinstance(v, Const):
-        return render_constant(v)
-    return f"null:{inst.null_find(v.label)}"
+    return inst.export_id(v)
 
 
 # ---------------------------------------------------------------------------

@@ -365,6 +365,9 @@ class Document:
     extensions: dict[str, ExtensionSpec] = field(default_factory=dict)
     queries: dict[str, QuerySpec] = field(default_factory=dict)
     diagnostics: list[Diagnostic] = field(default_factory=list)
+    # extensions whose block was reported and refused; a query over one
+    # gets no second diagnostic
+    refused_extensions: set[str] = field(default_factory=set)
 
     @property
     def ok(self) -> bool:
@@ -372,7 +375,8 @@ class Document:
 
 
 class _Abort(Exception):
-    """Internal parser bail-out; always paired with a diagnostic."""
+    """Internal parser bail-out; always paired with a diagnostic, at the
+    failing block or at the extension block it names."""
 
 
 class _Parser:
@@ -931,6 +935,7 @@ class _Parser:
     def parse_extension_block(self) -> None:
         self.expect("extension")
         name_tok = self.expect("ident", "extension name")
+        self.env.refused_extensions.add(name_tok.text)  # until the block is accepted below
         self.expect("{")
         includes: list[Token] = []
         idents: list[tuple[Token, Token, Token, Token]] = []
@@ -1018,6 +1023,7 @@ class _Parser:
             self.error(name_tok, f"extension '{name_tok.text}' is already defined")
         else:
             self.env.extensions[name_tok.text] = spec
+            self.env.refused_extensions.discard(name_tok.text)
 
     # -- query blocks -------------------------------------------------------------
 
@@ -1033,6 +1039,8 @@ class _Parser:
             combined = combined_override
         else:
             ext = self.env.extensions.get(ext_tok.text)
+            if ext is None and ext_tok.text in self.env.refused_extensions:
+                raise _Abort()  # its own block was reported
             if ext is None:
                 raise self.fail(ext_tok, f"unknown extension '{ext_tok.text}'")
             try:

@@ -1106,7 +1106,8 @@ def value_classes(inst: Instance) -> list:
 # ---------------------------------------------------------------------------
 # Chase oracle: every round enumerates every match of every constraint
 # against the start-of-round instance, checks its premise again on the live
-# instance and re-validates each with fire_once
+# instance and re-validates each with fire_once, passing it the constraint's
+# record so that a firing cut short reuses its witnesses
 
 def oracle_chase(pre: Instance, constraints: list[Constraint], max_rounds: int = 10000) -> ChaseResult:
     """The naive round loop, with the preconditions left to the caller."""
@@ -1115,15 +1116,19 @@ def oracle_chase(pre: Instance, constraints: list[Constraint], max_rounds: int =
     indexed = list(enumerate(constraints, start=1))
     ordered = [(i, c) for i, c in indexed if not c.existentials]
     ordered += [(i, c) for i, c in indexed if c.existentials]
+    record: dict[int, dict] = {i: {} for i, _ in ordered}
     for round_no in range(1, max_rounds + 1):
         collected = [(i, c, env) for i, c in ordered for env in enumerate_matches(inst, c)]
         counter = itertools.count()
         changed = False
+        for index, table in record.items():  # key the outcomes by the live classes
+            record[index] = {tuple(map(inst.find, key)): out for key, out in table.items()}
         try:
             for index, c, env in collected:
                 if not oracle_premise_holds_live(inst, c, env):
                     continue
-                entry = fire_once(inst, c, env, round_no=round_no, counter=counter)
+                entry = fire_once(inst, c, env, round_no=round_no, counter=counter,
+                                  record=record[index])
                 if entry is not None:
                     entry.constraint_index = index
                     trace.entries.append(entry)

@@ -250,6 +250,30 @@ def test_query_over_an_invalid_extension_is_a_diagnostic():
     assert "Q" not in env.queries
 
 
+_REFUSED_EXTENSIONS = {
+    "unknown schema": "extension E { include S Ghost }",
+    "combine fails": "extension E { include S S_A }",
+    "bad constraint": "extension E { include S constraints forall x : S_X where x.a = nope -> x.a = 1 }",
+    "syntax error": "extension E { include S constraints forall x : X -> }",
+}
+
+
+def test_query_over_a_refused_extension_gets_no_second_diagnostic():
+    """An extension block that is reported and refused is not unknown to a
+    query naming it, even in a later file; an undeclared one still is."""
+    # S.A_X and S_A.X would both be named S_A_X in a combined schema
+    schemas = "schema S { entities X A_X attributes a : X -> Int }\nschema S_A { entities X }\n"
+    query = "query Q : {} {{ from x : S_X attributes a -> x.a }}"
+    for kind, extension in _REFUSED_EXTENSIONS.items():
+        env = parse_document(SourceDocument("e.cmg", schemas + extension))
+        reported = [d.message for d in errors(env.diagnostics)]
+        assert len(reported) == 1 and "E" not in env.extensions, (kind, reported)
+        parse_document(SourceDocument("q.cmg", query.format("E")), env)
+        assert [d.message for d in errors(env.diagnostics)] == reported, kind
+        parse_document(SourceDocument("q2.cmg", query.format("F")), env)
+        assert errors(env.diagnostics)[-1].message == "unknown extension 'F'", kind
+
+
 def test_roundtrip_schema_instance_extension_query(example2):
     env, combined, _ = example2
     brick = env.schemas["BRICK"]
