@@ -62,6 +62,7 @@ from .schema import (
     check_weak_acyclicity,
     classify_constraint,
     path_apps,
+    render_constant,
 )
 
 
@@ -112,8 +113,6 @@ class AssignAttr:
     value: Const
 
     def __str__(self) -> str:
-        from .printer import render_constant
-
         return f"assigned({self.elem.name}.{self.attr}, {render_constant(self.value)})"
 
 

@@ -143,7 +143,7 @@ class Instance:
         # Per entity, the sorted carrier; dropped by add_element and merges.
         self._carriers: dict[str, list[ElementId]] = {}
         # Per (entity, attribute), the classes whose cell is observed; built
-        # on first use, then kept current. Dropped by copy_rows.
+        # on first use, then kept current. Dropped by copy_rows and write_row.
         self._observed: Optional[dict[tuple[str, str], set[ElementId]]] = None
         # Per (entity, attribute), observed_cells' lists and index; dropped
         # when a cell is observed, a value changes or classes merge.
@@ -393,6 +393,19 @@ class Instance:
         else:
             # anchor the null's class: cells unified with this one read the constant too
             self._unify_values(current, value, attr_name, root.name)
+
+    def write_row(self, elem: ElementId, fks: dict[str, ElementId], attrs: dict[str, Const]) -> None:
+        """Write a parsed row's cells onto ``elem``, a class root: ``fks``
+        maps foreign keys to their target roots and ``attrs`` attributes to
+        constants, and a cell ``elem`` already holds gets the same value.
+        Like ``copy_rows``, nothing is checked per cell: the parser has
+        checked each member, type and target."""
+        self._mutable()
+        self._fks[elem].update(fks)
+        if attrs:
+            self._attrs[elem].update(attrs)
+            self._observed = None  # rebuilt on first use, not kept cell by cell
+            self._indexes.clear()
 
     def copy_rows(
         self,
@@ -826,9 +839,15 @@ def enumerate_matches(inst: Instance, c: Constraint) -> Iterator[dict[str, Value
 def conclusion_satisfied(inst: Instance, c: Constraint, env: dict[str, Value]) -> bool:
     """Is the conclusion already witnessed under the given premise match?
 
-    A pinned existential has one candidate, an unpinned one its carrier;
-    each combination is checked against the whole conclusion.
+    With no existential the match itself is checked. A pinned existential
+    has one candidate, an unpinned one its carrier; each combination is
+    checked against the whole conclusion.
     """
+    if not c.plan.conclusion:
+        for eq in c.conclusion:
+            if not _atom_holds(inst, env, eq):
+                return False
+        return True
     for attempt in _Binder(inst, c.plan.conclusion).bind(dict(env)):
         if all(_atom_holds(inst, attempt, eq) for eq in c.conclusion):
             return True

@@ -9,10 +9,10 @@ A token keeps only its offset into the text. Line and column are computed
 from that offset only when a diagnostic is made.
 
 A well-formed instance row, ``row ID { member = value ... }``, is one token:
-the tokenizer matches it whole and decodes its id and bindings, each with its
-offset, into the token's value, from which the instance block builds the row.
-Only a row with a syntax error reaches the parser as single tokens, and the
-descent over them reports the error.
+the ``row`` pattern matches its header, ``row ID {``, the tokenizer walks its
+bindings one match each to the closing brace, and decodes the id and bindings,
+each with its offset, into the token's value. A row the walk cannot finish
+reaches the parser as single tokens, and the descent over them reports it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
 from .errors import CatamergeError, InstanceError, SchemaError
-from .instance import Instance
+from .instance import ElementId, Instance
 from .integrate import CombinedSchema, combine_schemas
 from .query import QuerySpec
 from .schema import (
@@ -124,7 +124,7 @@ def _skip(group: str) -> str:
 
 
 # The pieces of a well-formed instance row, each written once for the row
-# pattern and the token classes. Each ends where its token ends: a name at a
+# patterns and the token classes. Each ends where its token ends: a name at a
 # non-word character. A number needs no guard, since a shorter match would
 # leave a digit or a '.' where a name or the closing brace must follow. A
 # backslash in a string escapes any character, a newline too, whatever the
@@ -141,25 +141,24 @@ def _dotted(tag: str) -> str:
     return rf"{_NAME}(?:{_skip(tag + 'a')}\.{_skip(tag + 'b')}{_NAME})*"
 
 
-# One ``member = value`` and the skip after it, so that the bindings of a
-# row's body match one after the other with no gap between them.
+# One ``member = value`` and the skip after it, so that a row's bindings
+# match one after the other with no gap; no other pattern matches one.
 _BINDING_SOURCE = (
     rf"(?P<member>{_NAME}){_skip('sm')}={_skip('se')}"
     rf"(?P<value>(?:null|true|false){_END}|{_QUOTED}|{_NUMBER}|{_dotted('sr')})"
     rf"{_skip('sv')}"
 )
 _BINDING = re.compile(_BINDING_SOURCE, _FLAGS)
-_ROW_SOURCE = (
-    rf"row{_END}{_skip('s1')}(?P<id>{_QUOTED}|{_dotted('si')}){_skip('s2')}"
-    rf"\{{{_skip('s3')}(?P<bindings>(?:{_BINDING_SOURCE})*)\}}"
+_ROW_HEADER = (
+    rf"row{_END}{_skip('s1')}(?P<id>{_QUOTED}|{_dotted('si')}){_skip('s2')}\{{{_skip('s3')}"
 )
 # One match per token: skip whitespace and comments, then take one token
 # class; only at the end of the text is there no token. The skip group ends
-# where the token starts. A well-formed ``row ID { member = value ... }`` is
-# one token; any other row is read on from its ``row`` keyword as a ``word``.
+# where the token starts. A ``row`` match is a row's header, ``row ID {``;
+# any other row is read on from its ``row`` keyword as a ``word``.
 _TOKEN = re.compile(
     _skip("skip")
-    + rf"""(?:(?P<row>{_ROW_SOURCE})
+    + rf"""(?:(?P<row>{_ROW_HEADER})
       |(?P<word>[A-Za-z_][A-Za-z0-9_]*)
       |(?P<number>{_NUMBER})
       |(?P<string>"(?P<body>{_STRING_BODY}\\?)(?P<close>"?))
@@ -183,11 +182,10 @@ def tokenize(doc: SourceDocument, diags: list[Diagnostic]) -> list[Token]:
         start, pos = m.end("skip"), m.end()
         if kind == "row":
             reported = len(diags)
-            row = _decode_row(m, err)
-            if row is None:  # a keyword where a name goes: scan it token by token
+            value, pos = _decode_row(m, err) or (None, start + len("row"))
+            if value is None:  # not a well-formed row: scan it token by token
                 del diags[reported:]
-                pos = start + len("row")
-            append(Token("row", "row", start, row))
+            append(Token("row", "row", start, value))
         elif kind == "word":
             lexeme = m[kind]
             append(Token(lexeme if lexeme in _KEYWORDS else "ident", lexeme, start))
@@ -253,20 +251,19 @@ _PLAIN_PART = rf"(?!(?:{'|'.join(sorted(_KEYWORDS))}){_END}){_NAME}"
 _PLAIN_ID = re.compile(rf"{_PLAIN_PART}(?:\.{_PLAIN_PART})*")
 
 
-def _decode_row(m: re.Match, err) -> Optional[tuple[str, int, list[Binding]]]:
-    """The row id, its offset and the bindings of a ``row`` match, as the
-    token path builds them from the row's tokens; None when a keyword
-    stands where a name goes, which the token path reports."""
+def _decode_row(m: re.Match, err) -> Optional[tuple[tuple[str, int, list[Binding]], int]]:
+    """The row id, its offset and the bindings of the row whose header
+    ``m`` matched, as the token path builds them, and the offset past its
+    closing brace; None when the walk of its bindings stops short of the
+    brace or a keyword stands where a name goes: the token path reads it."""
     raw = m["id"]
     if raw[0] == '"':
         row_id = _unescape(raw[1:-1])
     elif _has_keyword(row_id := _join_dotted(raw)):
         return None
+    text, pos, match = m.string, m.end(), _BINDING.match
     bindings: list[Binding] = []
-    pos, end = m.span("bindings")
-    while pos < end:
-        b = _BINDING.match(m.string, pos)
-        assert b is not None  # the row pattern matched the bindings end to end
+    while (b := match(text, pos)) is not None:
         member, raw, at = b["member"], b["value"], b.start("value")
         if member in _KEYWORDS:
             return None
@@ -286,7 +283,9 @@ def _decode_row(m: re.Match, err) -> Optional[tuple[str, int, list[Binding]]]:
             kind = "ref"
         bindings.append((member, pos, kind, value, at))
         pos = b.end()
-    return row_id, m.start("id"), bindings
+    if not text.startswith("}", pos):
+        return None
+    return (row_id, m.start("id"), bindings), pos + 1
 
 
 def _literal(tok: Token) -> Optional[Const]:
@@ -836,6 +835,10 @@ class _Parser:
 
         inst = Instance(schema, name_tok.text)
         ok = True
+        # Only an id given to more than one row keeps its fold maps, shared
+        # by its rows; other rows' maps die once written, so that the block
+        # keeps no object per row alive to bring on collector passes.
+        repeated: dict[ElementId, tuple[dict, dict]] = {}
         for entity_tok, row_id, id_pos, _ in rows:
             if not schema.has_entity(entity_tok.text):
                 self.error(entity_tok, f"'{entity_tok.text}' is not an entity of schema {schema.name}")
@@ -843,17 +846,20 @@ class _Parser:
                 continue
             try:
                 inst.add_element(entity_tok.text, row_id)
-            except InstanceError as err:
+            except InstanceError as err:  # a duplicate id
                 self.error_at(id_pos, str(err))
                 ok = False
+                repeated.setdefault(inst.element_named(entity_tok.text, row_id), ({}, {}))
         for entity_tok, row_id, _, bindings in rows:
-            if not schema.has_entity(entity_tok.text):
-                continue
-            elem = inst.element_named(entity_tok.text, row_id)
+            elem = inst.element_named(entity_tok.text, row_id)  # None for an unknown entity
             if elem is None:
                 continue
+            fks, attrs = repeated.get(elem) or ({}, {})
             for binding in bindings:
-                ok &= self._apply_binding(inst, schema, entity_tok.text, elem, binding)
+                if (error := self._fold_binding(inst, elem, fks, attrs, binding)) is not None:
+                    self.error_at(*error)
+                    ok = False
+            inst.write_row(elem, fks, attrs)
         if name_tok.text in self.env.instances:
             self.error(name_tok, f"instance '{name_tok.text}' is already defined")
         elif ok:
@@ -886,49 +892,40 @@ class _Parser:
         self.advance()
         return "lit", const, tok.pos
 
-    def _apply_binding(self, inst: Instance, schema: Schema, entity: str, elem, binding: Binding) -> bool:
+    def _fold_binding(
+        self, inst: Instance, elem: ElementId, fks: dict, attrs: dict, binding: Binding
+    ) -> Optional[tuple[int, str]]:
+        """Check a binding of ``elem``'s row and fold it into the element's
+        ``fks`` or ``attrs``, or give the offset and message of its diagnostic.
+        A member bound again needs an equal value; ``null`` binds nothing."""
         member, member_pos, kind, value, at = binding
-        fk = schema.fk(entity, member)
-        attr = schema.attr(entity, member)
+        fk = inst.schema.fk(elem.entity, member)
         if fk is not None:
-            if kind == "ref":
-                ref_name = value
-            elif kind == "lit" and value.type is BaseType.STRING:
-                ref_name = str(value.value)  # quoted row id
-            else:
-                self.error_at(at, f"foreign key '{member}' expects a row id")
-                return False
-            target = inst.element_named(fk.target, ref_name)
+            if kind == "lit" and value.type is BaseType.STRING:
+                value = str(value.value)  # quoted row id
+            elif kind != "ref":
+                return at, f"foreign key '{member}' expects a row id"
+            target = inst.element_named(fk.target, value)
             if target is None:
-                self.error_at(at, f"'{ref_name}' is not a declared row of entity '{fk.target}'")
-                return False
-            try:
-                inst.set_fk(elem, member, target)
-            except InstanceError as err:
-                self.error_at(at, str(err))
-                return False
-            return True
-        if attr is not None:
-            if kind == "null":
-                return True
-            if kind == "ref":
-                self.error_at(at, f"attribute '{member}' expects a literal or null")
-                return False
-            const: Const = value
-            if const.type != attr.type:
-                promoted = _promote_int_literal(const, const.type, attr.type)
-                if promoted is None:
-                    self.error_at(at, f"attribute '{member}' has type {attr.type}, got {const.type}")
-                    return False
-                const = promoted
-            try:
-                inst.set_attr(elem, member, const)
-            except InstanceError as err:
-                self.error_at(at, str(err))
-                return False
-            return True
-        self.error_at(member_pos, f"'{member}' is not a foreign key or attribute of entity '{entity}'")
-        return False
+                return at, f"'{value}' is not a declared row of entity '{fk.target}'"
+            if fks.setdefault(member, target) != target:
+                return at, f"conflicting re-assignment of foreign key '{member}' on {elem.name}"
+            return None
+        attr = inst.schema.attr(elem.entity, member)
+        if attr is None:
+            return member_pos, f"'{member}' is not a foreign key or attribute of entity '{elem.entity}'"
+        if kind == "ref":
+            return at, f"attribute '{member}' expects a literal or null"
+        if kind == "null":
+            return None
+        const = value if value.type is attr.type else _promote_int_literal(value, value.type, attr.type)
+        if const is None:
+            return at, f"attribute '{member}' has type {attr.type}, got {value.type}"
+        current = attrs.setdefault(member, const)
+        if current.value != const.value:
+            return at, (f"conflicting re-assignment of attribute '{member}' on {elem.name}: "
+                        f"{current.value!r} vs {const.value!r}")
+        return None
 
     # -- extension blocks -----------------------------------------------------------
 

@@ -22,17 +22,9 @@ from .schema import (
     Schema,
     Term,
     Var,
+    render_constant,
 )
 from .typeside import BaseType
-
-def render_constant(c: Const) -> str:
-    if c.type is BaseType.STRING:
-        return str(c.value)
-    if c.type is BaseType.BOOL:
-        return "true" if c.value else "false"
-    if c.type is BaseType.DOUBLE:
-        return repr(float(c.value))
-    return str(c.value)
 
 
 def _quote(text: str) -> str:

@@ -8,7 +8,7 @@ from typing import Callable
 
 from .errors import QueryError
 from .instance import Const, Instance, NullRef, UNDEFINED, UnobservedCell, Value, _Binder, eval_term
-from .schema import BindStep, Eq, Term, _probe, _term_vars
+from .schema import BindStep, Eq, Term, _probe, _term_vars, render_constant
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,6 @@ class ResultTable:
 
 
 def _render_cell(inst: Instance, value: Value) -> str:
-    from .printer import render_constant
-
     if value is UNDEFINED:
         raise QueryError("path evaluation hit an undefined foreign key")
     if isinstance(value, (NullRef, UnobservedCell)):

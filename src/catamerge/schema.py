@@ -80,6 +80,17 @@ class Const:
     value: object
 
 
+def render_constant(c: Const) -> str:
+    """A constant as a query cell, a trace line and a CSV cell show it."""
+    if c.type is BaseType.STRING:
+        return str(c.value)
+    if c.type is BaseType.BOOL:
+        return "true" if c.value else "false"
+    if c.type is BaseType.DOUBLE:
+        return repr(float(c.value))
+    return str(c.value)
+
+
 @dataclass(frozen=True)
 class FunApp:
     fn: FnSig

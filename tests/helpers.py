@@ -14,7 +14,8 @@ chase oracle re-enumerates every match of every constraint in every round
 and re-checks its premise before it re-fires it, the conclusion-shape
 oracle is the syntactic analysis ``fire_once`` first ran on every firing,
 the tokenizer oracle is the engine's first character loop with a line and
-column on every token, the migration oracles copy cell by cell through the
+column on every token, the instance-block oracle writes each row binding by
+binding through the instance builder, the migration oracles copy cell by cell through the
 instance builder, and the random constraint generators build inputs
 from primitive templates only.
 """
@@ -48,7 +49,13 @@ from catamerge.chase import (
     ChaseTrace,
     fire_once,
 )
-from catamerge.errors import ConstantClash, IdentificationCollision, QueryError, SchemaError
+from catamerge.errors import (
+    ConstantClash,
+    IdentificationCollision,
+    InstanceError,
+    QueryError,
+    SchemaError,
+)
 from catamerge.instance import (
     UNDEFINED,
     ElementId,
@@ -63,7 +70,17 @@ from catamerge.instance import (
     solve_pins,
     values_equal,
 )
-from catamerge.parser import _KEYWORDS, Diagnostic, Document, SourceDocument, parse_document
+from catamerge.parser import (
+    _KEYWORDS,
+    Binding,
+    Diagnostic,
+    Document,
+    SourceDocument,
+    Token,
+    _Parser,
+    _promote_int_literal,
+    parse_document,
+)
 from catamerge.query import QuerySpec
 from catamerge.schema import (
     Attribute,
@@ -988,6 +1005,120 @@ def oracle_tokenize(doc: SourceDocument, diags: list[Diagnostic]) -> list[Oracle
     line, col = position(n)
     tokens.append(OracleToken("eof", "", n, line, col))
     return tokens
+
+
+# ---------------------------------------------------------------------------
+# Instance-block oracle: the engine's first row build, which wrote each
+# binding through the instance builder (``set_fk`` / ``set_attr``), checks
+# and all. Patch it in as ``_Parser.parse_instance_block``.
+
+def oracle_parse_instance_block(self: _Parser) -> None:
+    self.expect("instance")
+    name_tok = self.expect("ident", "instance name")
+    self.expect(":")
+    schema_tok = self.expect("ident", "schema name")
+    schema = self.env.schemas.get(schema_tok.text)
+    if schema is None:
+        raise self.fail(schema_tok, f"unknown schema '{schema_tok.text}'")
+    self.expect("{")
+    rows: list[tuple[Token, str, int, list[Binding]]] = []
+    while True:
+        tok = self.peek()
+        if tok.kind == "}":
+            self.advance()
+            break
+        if tok.kind != "entity":
+            raise self.fail(tok, f"expected 'entity' or '}}', found '{tok.text}'")
+        self.advance()
+        entity_tok = self.expect("ident", "entity name")
+        self.expect("{")
+        while self.peek().kind == "row":
+            decoded = self.advance().value
+            if decoded is not None:  # a well-formed row, decoded by the tokenizer
+                rows.append((entity_tok, *decoded))
+                continue
+            row_id, id_pos = self._parse_row_id()
+            self.expect("{")
+            bindings: list[Binding] = []
+            while self.peek().kind == "ident":
+                member = self.advance()
+                self.expect("=")
+                bindings.append((member.text, member.pos, *self._parse_binding_value()))
+            self.expect("}")
+            rows.append((entity_tok, row_id, id_pos, bindings))
+        self.expect("}")
+
+    inst = Instance(schema, name_tok.text)
+    ok = True
+    for entity_tok, row_id, id_pos, _ in rows:
+        if not schema.has_entity(entity_tok.text):
+            self.error(entity_tok, f"'{entity_tok.text}' is not an entity of schema {schema.name}")
+            ok = False
+            continue
+        try:
+            inst.add_element(entity_tok.text, row_id)
+        except InstanceError as err:
+            self.error_at(id_pos, str(err))
+            ok = False
+    for entity_tok, row_id, _, bindings in rows:
+        if not schema.has_entity(entity_tok.text):
+            continue
+        elem = inst.element_named(entity_tok.text, row_id)
+        if elem is None:
+            continue
+        for binding in bindings:
+            ok &= oracle_apply_binding(self, inst, schema, entity_tok.text, elem, binding)
+    if name_tok.text in self.env.instances:
+        self.error(name_tok, f"instance '{name_tok.text}' is already defined")
+    elif ok:
+        self.env.instances[name_tok.text] = inst
+
+
+def oracle_apply_binding(
+    self: _Parser, inst: Instance, schema: Schema, entity: str, elem, binding: Binding
+) -> bool:
+    member, member_pos, kind, value, at = binding
+    fk = schema.fk(entity, member)
+    attr = schema.attr(entity, member)
+    if fk is not None:
+        if kind == "ref":
+            ref_name = value
+        elif kind == "lit" and value.type is BaseType.STRING:
+            ref_name = str(value.value)  # quoted row id
+        else:
+            self.error_at(at, f"foreign key '{member}' expects a row id")
+            return False
+        target = inst.element_named(fk.target, ref_name)
+        if target is None:
+            self.error_at(at, f"'{ref_name}' is not a declared row of entity '{fk.target}'")
+            return False
+        try:
+            inst.set_fk(elem, member, target)
+        except InstanceError as err:
+            self.error_at(at, str(err))
+            return False
+        return True
+    if attr is not None:
+        if kind == "null":
+            return True
+        if kind == "ref":
+            self.error_at(at, f"attribute '{member}' expects a literal or null")
+            return False
+        const: Const = value
+        if const.type != attr.type:
+            promoted = _promote_int_literal(const, const.type, attr.type)
+            if promoted is None:
+                self.error_at(at, f"attribute '{member}' has type {attr.type}, got {const.type}")
+                return False
+            const = promoted
+        try:
+            inst.set_attr(elem, member, const)
+        except InstanceError as err:
+            self.error_at(at, str(err))
+            return False
+        return True
+    self.error_at(member_pos, f"'{member}' is not a foreign key or attribute of entity '{entity}'")
+    return False
 
 
 # ---------------------------------------------------------------------------

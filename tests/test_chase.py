@@ -504,6 +504,24 @@ def test_conclusion_satisfied_agrees_with_oracle(example1_saturated, example2_sa
     assert seen == [{False, True}] * 5 + [{False}]
 
 
+def test_conclusion_without_existentials_builds_no_binder(
+    monkeypatch, example1_saturated, example2_saturated
+):
+    """A constraint with no existential has its conclusion checked on the
+    match itself: no ``_Binder`` is built, and the answers are the oracle's."""
+    cases = _differential_cases(example1_saturated, example2_saturated)
+    matches = [(inst, c, env) for inst, c in cases if not c.existentials
+               for env in enumerate_matches(inst, c)]
+
+    def no_binder(*args, **kwargs):
+        raise AssertionError("a _Binder was built")
+
+    monkeypatch.setattr(catamerge.instance, "_Binder", no_binder)
+    got = [conclusion_satisfied(inst, c, env) for inst, c, env in matches]
+    assert got == [helpers.oracle_conclusion_satisfied(inst, c, env) for inst, c, env in matches]
+    assert set(got) == {False, True}
+
+
 def _existential_case(n: int) -> tuple[Instance, list[Constraint]]:
     """2n X rows, f set on every other one; n Y rows."""
     schema = Schema("S", ("X", "Y"), (ForeignKey("f", "X", "Y"),), ())

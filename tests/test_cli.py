@@ -44,6 +44,19 @@ def test_check_integer_literal_too_long_exits_one(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["null.x", "true.y", "false . z"])
+def test_check_keyword_value_with_a_dot_exits_one(tmp_path, capsys, value):
+    """A keyword value followed by a dot is one diagnostic at the dot, not
+    a dotted row reference."""
+    bad = tmp_path / "dot.cmg"
+    row = f"    row r {{ a = {value} }}"
+    bad.write_text(f"schema S {{ entities X attributes a : X -> String }}\ninstance i : S {{\n  entity X {{\n{row}\n  }}\n}}\n")
+    assert main(["check", str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert err.splitlines() == [f"{bad}:4:{row.index('.') + 1}: error: expected '}}', found '.'"]
+    assert out == ""
+
+
 def test_check_bad_extension_constraint_exits_one(tmp_path, capsys):
     text = (helpers.FIXTURES / "example1.cmg").read_text(encoding="utf-8")
     mutated = text.replace("p.timeseriesId = s.hasPropertySet.deviceId",

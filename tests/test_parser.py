@@ -573,7 +573,7 @@ _ROW_VALUES = {
 _ROW_WILD_MEMBERS = ["zz", "n2", "_", "row", "null", "true", "entity", "1"]
 _ROW_WILD_VALUES = [
     "1.", "1.5.3", "- 1", "-", "1e5", "12b", "truex", "nullx", "y1.z", "y1.", "zz",
-    '"open', '"line\nbreak"', "row", "entity", "{", "}", "=",
+    '"open', '"line\nbreak"', "row", "entity", "{", "}", "=", "null.x", "true.y", "false . z",
 ]
 _ROW_WILD_IDS = ["x1", "row", "null", "entity", "1", "a.", "a.1", "a..b", '"open']
 _ROW_MUTATIONS = ' \n\t#"\\.={}-019abnrowtuelfy_é'
@@ -621,22 +621,25 @@ def _parse_outcome(text: str) -> tuple:
     return [str(d) for d in env.diagnostics], names, env.instances
 
 
-def _assert_rows_parse_as_oracle(monkeypatch, texts: list[str]) -> None:
+def _assert_rows_parse_as_oracle(
+    monkeypatch, texts: list[str], owner=parser_module, name="tokenize", replacement=helpers.oracle_tokenize
+) -> list[tuple]:
+    """The diagnostics, element names and instances of ``texts`` are those
+    with ``replacement`` patched in as ``owner.name``; returns them."""
     outcomes = [_parse_outcome(text) for text in texts]
     with monkeypatch.context() as patched:
-        patched.setattr(parser_module, "tokenize", helpers.oracle_tokenize)
+        patched.setattr(owner, name, replacement)
         oracle = [_parse_outcome(text) for text in texts]
     for text, (diags, names, insts), (want_diags, want_names, want_insts) in zip(texts, outcomes, oracle):
         assert diags == want_diags, text
         assert names == want_names, text
         assert all(instances_same_data(insts[n], want_insts[n]) for n in insts), text
+    return outcomes
 
 
-def test_rows_parse_as_the_token_path(monkeypatch):
+def _row_fuzz_texts() -> list[str]:
     """Row-shaped text, mostly well formed, and the same text with one
-    character inserted, deleted or replaced, gives the same diagnostics,
-    instances and element names whether a well-formed row is read as one
-    token or, under the oracle tokenizer, token by token."""
+    character inserted, deleted or replaced."""
     rng = random.Random(0x20C5)
     texts = []
     for _ in range(800):
@@ -644,6 +647,14 @@ def test_rows_parse_as_the_token_path(monkeypatch):
         texts.append(_row_document(rows))
         rows[-1] = _mutated(rng, rows[-1])
         texts.append(_row_document(rows))
+    return texts
+
+
+def test_rows_parse_as_the_token_path(monkeypatch):
+    """The row fuzz gives the same diagnostics, instances and element names
+    whether a well-formed row is read as one token or, under the oracle
+    tokenizer, token by token."""
+    texts = _row_fuzz_texts()
     for text in texts:
         _assert_tokens_match_oracle(text)
     _assert_rows_parse_as_oracle(monkeypatch, texts)
@@ -680,11 +691,51 @@ def test_rows_parse_as_the_token_path_on_hand_made_rows(monkeypatch):
         "row x1 { n = true }",
         "rowx1 { }",
         "row\"q\"{n=1}",
+        "row x1 { s = null.x }",  # a keyword then a dot: the walk stops there
+        "row x1 { b = true.y }",
+        "row x1 { b = false . z }",
     ]
     texts = [_row_document([row]) for row in rows]
     for text in texts:
         _assert_tokens_match_oracle(text)
     _assert_rows_parse_as_oracle(monkeypatch, texts)
+
+
+# Rows that bind a member twice, in one row or in two rows of one id
+_REPEATED_MEMBER_ROWS = {
+    "row x1 { n = 1 n = null }": [],
+    "row x1 { n = null n = 1 }": [],
+    "row x1 { n = 1 n = 2 }": ["conflicting re-assignment of attribute 'n' on x1: 1 vs 2"],
+    "row x1 { d = 2 d = 2.0 }": [],
+    "row x1 { f = y1 f = y1 }": [],
+    'row x1 { f = y1 f = "y 2" }': ["conflicting re-assignment of foreign key 'f' on x1"],
+    "row x1 { f = null f = y1 f = y1 f = a.b }": [
+        "foreign key 'f' expects a row id", "conflicting re-assignment of foreign key 'f' on x1"],
+    "row x1 { s = \"a\" } row x1 { s = \"a\" s = \"b\" }": [
+        "duplicate element id 'x1' in entity 'X'",
+        "conflicting re-assignment of attribute 's' on x1: 'a' vs 'b'"],
+    "row x1 { n = 1 } row x1 { f = y1 } row x1 { n = 2 f = y1 }": [
+        "duplicate element id 'x1' in entity 'X'", "duplicate element id 'x1' in entity 'X'",
+        "conflicting re-assignment of attribute 'n' on x1: 1 vs 2"],
+}
+
+
+def test_rows_build_as_the_per_binding_oracle(monkeypatch):
+    """Each row folded into one write gives the diagnostics (message, line
+    and column), element order and instances of the first build, which
+    wrote each binding through ``set_fk`` / ``set_attr``: on the row fuzz
+    and on rows that bind a member twice."""
+    repeated = [_row_document([row]) for row in _REPEATED_MEMBER_ROWS]
+    for text, messages in zip(repeated, _REPEATED_MEMBER_ROWS.values()):
+        diagnostics = parse_document(SourceDocument("rows.cmg", text)).diagnostics
+        assert [d.message for d in diagnostics] == messages, text
+    texts = _row_fuzz_texts() + repeated
+    outcomes = _assert_rows_parse_as_oracle(
+        monkeypatch, texts, parser_module._Parser, "parse_instance_block",
+        helpers.oracle_parse_instance_block,
+    )
+    accepted = sum(bool(insts) for _, _, insts in outcomes)
+    assert 0.3 * len(texts) < accepted < len(texts)
 
 
 _ROW_PIECES = st.sampled_from(

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import importlib
 import random
 
 import pytest
 
 import catamerge.instance
+import catamerge.printer
 import catamerge.query
+import catamerge.schema
 import helpers
 from catamerge import combine_schemas, evaluate, explain, new_instance, sigma_insert
 from catamerge.errors import QueryError
@@ -190,6 +193,16 @@ def test_aligned_table_shape(example1_saturated):
     assert len(lines) == 6
     assert lines[0].startswith("IFC_spaceName")
     assert "Room 240" in lines[1]
+
+
+def test_constants_render_through_one_function():
+    """Query cells, trace lines and the printer share ``render_constant``,
+    which each module imports once, at its top."""
+    render = catamerge.schema.render_constant
+    assert catamerge.query.render_constant is render
+    assert importlib.import_module("catamerge.chase").render_constant is render
+    assert catamerge.printer.render_constant is render
+    assert _render_cell(None, Const(BaseType.DOUBLE, 2.0)) == "2.0"
 
 
 # ---------------------------------------------------------------------------
