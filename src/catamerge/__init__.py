@@ -31,7 +31,6 @@ from .instance import (
     Instance,
     NullRef,
     UNDEFINED,
-    UnobservedCell,
     check_model,
     eval_path,
     instances_same_data,
@@ -111,7 +110,6 @@ __all__ = [
     "SchemaError",
     "SourceDocument",
     "UNDEFINED",
-    "UnobservedCell",
     "ValidationReport",
     "aligned_table",
     "chase",

@@ -44,7 +44,8 @@ from .instance import (
     Instance,
     Value,
     VirtualElem,
-    cells_match,
+    _is_homomorphic,
+    _locally_compatible,
     conclusion_satisfied,
     enumerate_matches,
     eval_term,
@@ -579,37 +580,3 @@ def _extend(
             return True
         del mapping[root]
     return False
-
-
-def _locally_compatible(
-    sat: Instance, alt: Instance, a: ElementId, b: ElementId, nulls: Optional[dict] = None
-) -> bool:
-    """Same entity, matching cells, the same foreign keys set. The null
-    cells must pair up by ``nulls``, or without it within the element."""
-    if a.entity != b.entity:
-        return False
-    nulls = {} if nulls is None else nulls
-    for attr in sat.schema.attrs_of(a.entity):
-        if not cells_match(sat.get_attr(a, attr.name), alt.get_attr(b, attr.name), nulls):
-            return False
-    for fk in sat.schema.fks_of(a.entity):
-        if (sat.get_fk(a, fk.name) is None) != (alt.get_fk(b, fk.name) is None):
-            return False
-    return True
-
-
-def _is_homomorphic(sat: Instance, alt: Instance, mapping: dict[ElementId, ElementId]) -> bool:
-    """Does ``mapping`` preserve the foreign keys and the cells, with one
-    bijection between the null classes for all of them?"""
-    nulls: dict = {}
-    for root, image in mapping.items():
-        if not _locally_compatible(sat, alt, root, image, nulls):
-            return False
-        for fk in sat.schema.fks_of(root.entity):
-            ta = sat.get_fk(root, fk.name)
-            if ta is None:
-                continue
-            tb = alt.get_fk(image, fk.name)
-            if tb is None or mapping.get(ta) != tb:
-                return False
-    return True

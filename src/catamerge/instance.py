@@ -2,14 +2,15 @@
 
 An instance tracks a union-find over its elements (entity merges propagate a
 congruence closure through valued foreign keys) and a second union-find over
-attribute-null labels with constant anchoring. Attribute valuations are total:
-a cell that was never set or unified is its element's unobserved labelled
-null, and is given a fresh label the first time a writer (``assign_attr``,
-``union_attrs``) unifies it. Reads never write: ``get_attr``, and term and
-path evaluation through it, read an unobserved cell as the cell itself
-(``UnobservedCell``), which equals only another read of that same cell.
-Constants overwrite nulls, never other constants. Labels are internal: their
-numbers follow first use and no output shows them.
+labelled nulls with constant anchoring. Attribute valuations are total: a
+cell that holds no value is the labelled null ``NullRef(root, attr)``, named
+by the cell itself, as the term ``x.attr`` is its own unknown value. A
+writer (``assign_attr``, ``union_attrs``) that unifies such a cell stores
+that name and enters it in the null union-find; a class of nulls is named by
+its least name. Reads never write: ``get_attr``, and term and path
+evaluation through it, read an unobserved cell as its name, which has no
+entry and so equals only another read of that same cell. Constants
+overwrite nulls, never other constants. No output shows a null's name.
 
 For equality joins the instance keeps, per (entity, attribute), the classes
 whose cell is observed, and builds from them a hash index by join key
@@ -64,23 +65,16 @@ class ElementId(NamedTuple):
         return f"{self.entity}:{self.name}"
 
 
-@dataclass(frozen=True, slots=True)
-class NullRef:
-    """A labelled null attribute value; compares by label class."""
-
-    label: str
-
-
-AttrValue = Union[Const, NullRef]
-
-
-class UnobservedCell(NamedTuple):
-    """A read of a cell that holds no value yet: the cell itself, by its
-    class root and attribute. Its null is the cell's own, so it equals only
-    another read of the same cell, of the same state of the instance."""
+class NullRef(NamedTuple):
+    """A labelled null, named by one cell of its class: the attribute
+    ``attr`` of the element ``root``, a class root when it was named. Two
+    nulls are equal when ``Instance.null_find`` gives them one root."""
 
     root: ElementId
     attr: str
+
+
+AttrValue = Union[Const, NullRef]
 
 
 class _UndefinedType:
@@ -136,9 +130,9 @@ class Instance:
         self._members: dict[ElementId, list[ElementId]] = {}
         self._fks: dict[ElementId, dict[str, ElementId]] = {}
         self._attrs: dict[ElementId, dict[str, AttrValue]] = {}
-        self._null_parent: dict[str, str] = {}
-        self._null_anchor: dict[str, Const] = {}
-        self._null_seq = 0
+        # Names of the nulls writers used; a name with no entry is its own root.
+        self._null_parent: dict[NullRef, NullRef] = {}
+        self._null_anchor: dict[NullRef, Const] = {}
         self._frozen = False
         # Per entity, the sorted carrier; dropped by add_element and merges.
         self._carriers: dict[str, list[ElementId]] = {}
@@ -164,7 +158,6 @@ class Instance:
         out._attrs = {k: dict(v) for k, v in self._attrs.items()}
         out._null_parent = dict(self._null_parent)
         out._null_anchor = dict(self._null_anchor)
-        out._null_seq = self._null_seq
         out.origins = dict(self.origins)
         return out
 
@@ -263,31 +256,28 @@ class Instance:
     def same(self, a: ElementId, b: ElementId) -> bool:
         return self.find(a) == self.find(b)
 
-    # -- null-label union-find -------------------------------------------------
+    # -- null union-find ---------------------------------------------------------
 
-    def fresh_null(self) -> NullRef:
-        label = f"?{self._null_seq}"
-        self._null_seq += 1
-        self._null_parent[label] = label
-        return NullRef(label)
-
-    def null_find(self, label: str) -> str:
+    def null_find(self, name: NullRef) -> NullRef:
+        """The root name of a null's class; a name with no entry, such as
+        an unobserved cell's, is its own."""
         parent = self._null_parent
-        root = label
+        root = parent.get(name, name)
+        if root == name:
+            return root
         while parent[root] != root:
             root = parent[root]
-        while parent[label] != root:
-            parent[label], label = root, parent[label]
+        while parent[name] != root:
+            parent[name], name = root, parent[name]
         return root
 
     def resolve_value(self, value: AttrValue) -> AttrValue:
+        """A constant as is; a null as its class's anchor, or else its root name."""
         if isinstance(value, Const):
             return value
-        root = self.null_find(value.label)
+        root = self.null_find(value)
         anchored = self._null_anchor.get(root)
-        if anchored is not None:
-            return anchored
-        return value if root == value.label else NullRef(root)
+        return root if anchored is None else anchored
 
     def _unify_values(self, left: AttrValue, right: AttrValue, attr: str, context: str) -> bool:
         lv, rv = self.resolve_value(left), self.resolve_value(right)
@@ -295,15 +285,15 @@ class Instance:
             if lv.type == rv.type and lv.value == rv.value:
                 return False
             raise ConstantClash(attr, lv.value, rv.value, context)
+        # a null resolves to its root name
         if isinstance(lv, Const):
-            self._null_anchor[self.null_find(rv.label)] = lv  # type: ignore[union-attr]
+            self._null_anchor[rv] = lv  # type: ignore[index]
         elif isinstance(rv, Const):
-            self._null_anchor[self.null_find(lv.label)] = rv
+            self._null_anchor[lv] = rv
         else:
-            ra, rb = self.null_find(lv.label), self.null_find(rv.label)
-            if ra == rb:
+            if lv == rv:
                 return False
-            winner, loser = (ra, rb) if ra < rb else (rb, ra)
+            winner, loser = (lv, rv) if lv < rv else (rv, lv)
             self._null_parent[loser] = winner
         self._record(NULLS)
         self._indexes.clear()
@@ -414,7 +404,7 @@ class Instance:
         images: dict[ElementId, ElementId],
         fks: list[tuple[str, str]],
         attrs: list[tuple[str, str]],
-        nulls: Optional[dict[str, tuple[ElementId, str]]] = None,
+        nulls: Optional[dict[NullRef, tuple[ElementId, str]]] = None,
     ) -> None:
         """Copy the cells of ``src``'s classes ``roots`` onto their images.
 
@@ -454,9 +444,9 @@ class Instance:
                     value = src.resolve_value(value)
                     if isinstance(value, NullRef):
                         if nulls is not None:
-                            first = nulls.get(value.label)
+                            first = nulls.get(value)
                             if first is None:
-                                nulls[value.label] = (image, out_name)
+                                nulls[value] = (image, out_name)
                             else:
                                 self.union_attrs(image, out_name, *first)
                         continue
@@ -468,26 +458,29 @@ class Instance:
         target = self._fks[self.find(elem)].get(fk_name)
         return self.find(target) if target is not None else None
 
-    def get_attr(self, elem: ElementId, attr_name: str) -> Union[AttrValue, UnobservedCell]:
-        """The cell's resolved constant or null; an unobserved cell reads as
-        itself (``UnobservedCell``). A read never writes."""
+    def get_attr(self, elem: ElementId, attr_name: str) -> AttrValue:
+        """The cell's resolved constant or null root; an unobserved cell
+        reads as its own name, ``NullRef(root, attr_name)``, which has no
+        entry in the null union-find. A read never writes."""
         root = self.find(elem)
         value = self._attrs[root].get(attr_name)
         if value is None:
             if self.schema.attr(root.entity, attr_name) is None:
                 raise InstanceError(f"'{attr_name}' is not an attribute of entity '{root.entity}'")
-            return UnobservedCell(root, attr_name)
+            return NullRef(root, attr_name)
         return self.resolve_value(value)
 
     def _cell(self, root: ElementId, attr_name: str) -> AttrValue:
-        """The value stored in a cell, minting its null on first use. Only
-        the writers call it, after ``_mutable``: a read never mints."""
+        """The value stored in a cell; an unobserved one first stores its
+        own name and enters it in the null union-find. Only the writers
+        call it, after ``_mutable``: a read never enters a name."""
         cells = self._attrs[root]
         value = cells.get(attr_name)
         if value is None:
             if self.schema.attr(root.entity, attr_name) is None:
                 raise InstanceError(f"'{attr_name}' is not an attribute of entity '{root.entity}'")
-            value = cells[attr_name] = self.fresh_null()
+            value = cells[attr_name] = NullRef(root, attr_name)
+            self._null_parent[value] = value
             self._observe(root, attr_name)
         return value
 
@@ -578,7 +571,7 @@ def new_instance(schema: Schema, name: str = "instance") -> Instance:
 # ---------------------------------------------------------------------------
 # Path and term evaluation
 
-Value = Union[ElementId, VirtualElem, Const, NullRef, UnobservedCell, _UndefinedType]
+Value = Union[ElementId, VirtualElem, Const, NullRef, _UndefinedType]
 
 
 def eval_path(inst: Instance, elem: ElementId, path: Path) -> Value:
@@ -654,17 +647,10 @@ def eval_term(
 
 
 def values_equal(inst: Instance, a: Value, b: Value) -> bool:
-    if a is UNDEFINED or b is UNDEFINED:
-        return False
-    if isinstance(a, ElementId) and isinstance(b, ElementId):
-        return inst.same(a, b)
-    if isinstance(a, VirtualElem) and isinstance(b, VirtualElem):
-        return inst.find(a.base) == inst.find(b.base) and a.steps == b.steps
-    if isinstance(a, Const) and isinstance(b, Const):
-        return a.type == b.type and a.value == b.value
-    if isinstance(a, NullRef) and isinstance(b, NullRef):
-        return inst.null_find(a.label) == inst.null_find(b.label)
-    return isinstance(a, UnobservedCell) and a == b
+    """Two values read from one state of ``inst`` are equal when their
+    ``_join_key``s are; UNDEFINED equals nothing."""
+    key = _join_key(inst, a)
+    return key is not None and key == _join_key(inst, b)
 
 
 Evaluator = Callable[[Instance, dict[str, Value], Term], Value]
@@ -714,14 +700,12 @@ def _atom_holds(
 def _join_key(inst: Instance, value: Value) -> object:
     """A hash key for a value, None for UNDEFINED, which equals nothing.
 
-    Both directions hold, for two values read from one state of ``inst``:
-    ``values_equal(a, b)`` implies equal keys, and equal keys (not None)
-    imply ``values_equal(a, b)``. An element keys by its class, a virtual
+    ``values_equal`` is equality of these keys, so a key lookup finds
+    exactly the equal values. An element keys by its class, a virtual
     element by its base's class and steps, a constant by its type and
-    value, a null by its class root and an unobserved cell by the cell
-    itself; no two kinds share a key. The second direction needs every
-    constant to equal itself: the typeside computes no NaN
-    (``typeside.representable``).
+    value, and a null by its class's root name (an unobserved cell's name
+    is its own); no two kinds share a key. A constant equals itself
+    because the typeside computes no NaN (``typeside.representable``).
     """
     if isinstance(value, ElementId):
         return inst.find(value)
@@ -730,9 +714,7 @@ def _join_key(inst: Instance, value: Value) -> object:
     if isinstance(value, Const):
         return (value.type, value.value)
     if isinstance(value, NullRef):
-        return inst.null_find(value.label)
-    if isinstance(value, UnobservedCell):
-        return value
+        return inst.null_find(value)
     return None
 
 
@@ -797,8 +779,9 @@ class _Binder:
         bucket = pool.get(key)
         if bucket is not None:
             return bucket
-        # an unobserved cell is in no index, and equals only reads of itself
-        if (isinstance(key, UnobservedCell) and key.attr == step.observed
+        # an unobserved cell is in no index, and equals only reads of itself;
+        # every null with an entry has an observed cell in its class
+        if (isinstance(key, NullRef) and key.attr == step.observed
                 and key.root.entity == step.entity):
             return (key.root,)
         return ()
@@ -891,37 +874,59 @@ def check_model(inst: Instance, constraints: Iterable[Constraint]) -> Satisfacti
 
 
 def instances_same_data(a: Instance, b: Instance) -> bool:
-    """Structural equality of the quotients, up to a renaming of null classes."""
+    """Structural equality of the quotients, up to a renaming of null classes:
+    the same entities, the same export ids, and ``_is_homomorphic`` over the
+    classes paired by export id."""
     if a.schema.entities != b.schema.entities:
         return False
-    nulls: dict[tuple[int, str], str] = {}
+    mapping: dict[ElementId, ElementId] = {}
     for entity in a.schema.entities:
         ca, cb = a.carrier(entity), b.carrier(entity)
         if [a.export_id(e) for e in ca] != [b.export_id(e) for e in cb]:
             return False
-        for ea, eb in zip(ca, cb):
-            for fk in a.schema.fks_of(entity):
-                ta, tb = a.get_fk(ea, fk.name), b.get_fk(eb, fk.name)
-                if (ta is None) != (tb is None):
-                    return False
-                if ta is not None and tb is not None and a.export_id(ta) != b.export_id(tb):
-                    return False
-            for attr in a.schema.attrs_of(entity):
-                va, vb = a.get_attr(ea, attr.name), b.get_attr(eb, attr.name)
-                if not cells_match(va, vb, nulls):
-                    return False
-    return True
+        mapping.update(zip(ca, cb))
+    return _is_homomorphic(a, b, mapping)
 
 
-def cells_match(
-    va: Union[AttrValue, UnobservedCell], vb: Union[AttrValue, UnobservedCell], nulls: dict
-) -> bool:
+def cells_match(va: AttrValue, vb: AttrValue, nulls: dict) -> bool:
     """Do two cells read by ``get_attr``, one of each of two instances,
     agree? Constants must be equal; nulls must pair up in ``nulls``, the
     bijection between the two instances' null classes that this call
-    extends. An unobserved cell is a null class of its own."""
+    extends, keyed by root name (an unobserved cell's name is its own)."""
     if isinstance(va, Const) or isinstance(vb, Const):
         return va == vb
-    la = va if isinstance(va, UnobservedCell) else va.label
-    lb = vb if isinstance(vb, UnobservedCell) else vb.label
-    return nulls.setdefault((0, la), lb) == lb and nulls.setdefault((1, lb), la) == la
+    return nulls.setdefault((0, va), vb) == vb and nulls.setdefault((1, vb), va) == va
+
+
+def _locally_compatible(
+    sat: Instance, alt: Instance, a: ElementId, b: ElementId, nulls: Optional[dict] = None
+) -> bool:
+    """Same entity, matching cells, the same foreign keys set. The null
+    cells must pair up by ``nulls``, or without it within the element."""
+    if a.entity != b.entity:
+        return False
+    nulls = {} if nulls is None else nulls
+    for attr in sat.schema.attrs_of(a.entity):
+        if not cells_match(sat.get_attr(a, attr.name), alt.get_attr(b, attr.name), nulls):
+            return False
+    for fk in sat.schema.fks_of(a.entity):
+        if (sat.get_fk(a, fk.name) is None) != (alt.get_fk(b, fk.name) is None):
+            return False
+    return True
+
+
+def _is_homomorphic(sat: Instance, alt: Instance, mapping: dict[ElementId, ElementId]) -> bool:
+    """Does ``mapping`` preserve the foreign keys and the cells, with one
+    bijection between the null classes for all of them?"""
+    nulls: dict = {}
+    for root, image in mapping.items():
+        if not _locally_compatible(sat, alt, root, image, nulls):
+            return False
+        for fk in sat.schema.fks_of(root.entity):
+            ta = sat.get_fk(root, fk.name)
+            if ta is None:
+                continue
+            tb = alt.get_fk(image, fk.name)
+            if tb is None or mapping.get(ta) != tb:
+                return False
+    return True

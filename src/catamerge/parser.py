@@ -839,19 +839,21 @@ class _Parser:
         # by its rows; other rows' maps die once written, so that the block
         # keeps no object per row alive to bring on collector passes.
         repeated: dict[ElementId, tuple[dict, dict]] = {}
+        elems: list[Optional[ElementId]] = []  # per row; None for an unknown entity
         for entity_tok, row_id, id_pos, _ in rows:
             if not schema.has_entity(entity_tok.text):
                 self.error(entity_tok, f"'{entity_tok.text}' is not an entity of schema {schema.name}")
                 ok = False
+                elems.append(None)
                 continue
             try:
-                inst.add_element(entity_tok.text, row_id)
+                elems.append(inst.add_element(entity_tok.text, row_id))
             except InstanceError as err:  # a duplicate id
                 self.error_at(id_pos, str(err))
                 ok = False
-                repeated.setdefault(inst.element_named(entity_tok.text, row_id), ({}, {}))
-        for entity_tok, row_id, _, bindings in rows:
-            elem = inst.element_named(entity_tok.text, row_id)  # None for an unknown entity
+                elems.append(inst.element_named(entity_tok.text, row_id))
+                repeated.setdefault(elems[-1], ({}, {}))
+        for (_, _, _, bindings), elem in zip(rows, elems):
             if elem is None:
                 continue
             fks, attrs = repeated.get(elem) or ({}, {})

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import QueryError
-from .instance import Const, Instance, NullRef, UNDEFINED, UnobservedCell, Value, _Binder, eval_term
+from .instance import Const, Instance, NullRef, UNDEFINED, Value, _Binder, eval_term
 from .schema import BindStep, Eq, Term, _probe, _term_vars, render_constant
 
 
@@ -31,7 +31,7 @@ class ResultTable:
 def _render_cell(inst: Instance, value: Value) -> str:
     if value is UNDEFINED:
         raise QueryError("path evaluation hit an undefined foreign key")
-    if isinstance(value, (NullRef, UnobservedCell)):
+    if isinstance(value, NullRef):
         return "-"
     if isinstance(value, Const):
         return render_constant(value)

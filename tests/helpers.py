@@ -16,8 +16,9 @@ oracle is the syntactic analysis ``fire_once`` first ran on every firing,
 the tokenizer oracle is the engine's first character loop with a line and
 column on every token, the instance-block oracle writes each row binding by
 binding through the instance builder, the migration oracles copy cell by cell through the
-instance builder, and the random constraint generators build inputs
-from primitive templates only.
+instance builder, the comparison oracle is the engine's first per-entity
+``instances_same_data`` loop, and the random constraint generators build
+inputs from primitive templates only.
 """
 
 from __future__ import annotations
@@ -60,11 +61,11 @@ from catamerge.instance import (
     UNDEFINED,
     ElementId,
     NullRef,
-    UnobservedCell,
     Value,
     VirtualElem,
     _atom_holds,
     _join_key,
+    cells_match,
     enumerate_matches,
     eval_term,
     solve_pins,
@@ -157,8 +158,30 @@ def clash_fixture_text() -> str:
 
 def minting_read(inst: Instance, elem: ElementId, attr: str):
     """A cell read as the engine first did it: an unobserved cell gets its
-    null minted and stored, also on a frozen instance."""
+    null entered and stored, also on a frozen instance."""
     return inst.resolve_value(inst._cell(inst.find(elem), attr))
+
+
+def unobserved(inst: Instance, value) -> bool:
+    """Is ``value`` a read of an unobserved cell: a null with no entry?"""
+    return isinstance(value, NullRef) and value not in inst._null_parent
+
+
+def check_null_names(inst: Instance) -> int:
+    """The invariant the null names rest on: each entered name names an
+    attribute of its element's entity, and none is the name an unobserved
+    cell of a class root reads as, so such a read equals no other null.
+    Returns how many entered names are named by a class root's cell."""
+    live = 0
+    for name in inst._null_parent:
+        assert isinstance(name, NullRef), name
+        assert inst.schema.attr(name.root.entity, name.attr) is not None, name
+        if inst.find(name.root) == name.root:
+            assert name.attr in inst._attrs[name.root], name
+            live += 1
+    for name in inst._null_anchor:
+        assert name in inst._null_parent, name
+    return live
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +239,7 @@ def oracle_evaluate(q: QuerySpec, sat: Instance) -> list[tuple[str, ...]]:
                 if lv.type != rv.type or lv.value != rv.value:
                     keep = False
             elif isinstance(lv, NullRef) and isinstance(rv, NullRef):
-                if sat.null_find(lv.label) != sat.null_find(rv.label):
+                if sat.null_find(lv) != sat.null_find(rv):
                     keep = False
             else:
                 keep = False
@@ -1196,20 +1219,19 @@ def random_function_side_constraint(rng: random.Random) -> Constraint:
 
 
 # ---------------------------------------------------------------------------
-# Eager-null oracle: every attribute cell gets its labelled null when its
+# Eager-null oracle: every attribute cell enters its labelled null when its
 # element is added, as the engine first did
 
 @contextmanager
 def eager_nulls() -> Iterator[None]:
-    """Within the block, ``add_element`` of every instance mints a null for
-    each of the element's attribute cells."""
+    """Within the block, ``add_element`` of every instance enters the null
+    of each of the element's attribute cells."""
     add_element = Instance.add_element
 
     def eager(self: Instance, entity: str, name: str, **kwargs) -> ElementId:
         elem = add_element(self, entity, name, **kwargs)
-        self._attrs[elem] = {a.name: self.fresh_null() for a in self.schema.attrs_of(entity)}
-        for name in self._attrs[elem]:
-            self._observe(elem, name)
+        for a in self.schema.attrs_of(entity):
+            self._cell(elem, a.name)
         return elem
 
     Instance.add_element = eager  # type: ignore[method-assign]
@@ -1288,7 +1310,7 @@ def oracle_sigma_insert(combined: CombinedSchema, sources: dict[str, Instance]) 
             raise SchemaError(
                 f"instance '{src.name}' is over schema '{src.schema.name}', expected '{s.name}'"
             )
-        null_map: dict[str, tuple[ElementId, str]] = {}
+        null_map: dict[NullRef, tuple[ElementId, str]] = {}
         for entity in s.entities:
             combined_entity = combined.combined_entity(s.name, entity)
             for root in src.carrier(entity):
@@ -1314,16 +1336,13 @@ def oracle_sigma_insert(combined: CombinedSchema, sources: dict[str, Instance]) 
                     )
                 for attr in s.attrs_of(entity):
                     value = src.get_attr(root, attr.name)
-                    if isinstance(value, UnobservedCell):
-                        continue
                     combined_attr = combined.combined_member(s.name, entity, attr.name)
                     if isinstance(value, Const):
                         out.set_attr(elem, combined_attr, value)
                     else:
-                        label = src.null_find(value.label)
-                        shared = null_map.get(label)
+                        shared = null_map.get(value)
                         if shared is None:
-                            null_map[label] = (elem, combined_attr)
+                            null_map[value] = (elem, combined_attr)
                         else:
                             out.union_attrs(elem, combined_attr, shared[0], shared[1])
     return out
@@ -1478,6 +1497,85 @@ def random_chase_like(rng: random.Random, pre: Instance) -> Instance:
             (e1, e2), attr = (rng.choice(elems), rng.choice(elems)), rng.choice(schema.attrs_of(entity))
             inst = _try(inst, lambda i: i.union_attrs(e1, attr.name, e2, attr.name))
     return inst.freeze()
+
+
+# ---------------------------------------------------------------------------
+# Comparison oracle: the engine's first ``instances_same_data``, one loop over
+# each entity's carriers paired by position, and the mutations it is tested on
+
+def oracle_instances_same_data(a: Instance, b: Instance) -> bool:
+    """Structural equality of the quotients, up to a renaming of null classes."""
+    if a.schema.entities != b.schema.entities:
+        return False
+    nulls: dict[tuple[int, NullRef], NullRef] = {}
+    for entity in a.schema.entities:
+        ca, cb = a.carrier(entity), b.carrier(entity)
+        if [a.export_id(e) for e in ca] != [b.export_id(e) for e in cb]:
+            return False
+        for ea, eb in zip(ca, cb):
+            for fk in a.schema.fks_of(entity):
+                ta, tb = a.get_fk(ea, fk.name), b.get_fk(eb, fk.name)
+                if (ta is None) != (tb is None):
+                    return False
+                if ta is not None and tb is not None and a.export_id(ta) != b.export_id(tb):
+                    return False
+            for attr in a.schema.attrs_of(entity):
+                va, vb = a.get_attr(ea, attr.name), b.get_attr(eb, attr.name)
+                if not cells_match(va, vb, nulls):
+                    return False
+    return True
+
+
+def mutated_copies(inst: Instance) -> list[Instance]:
+    """Copies of ``inst`` with one change each, where ``inst`` allows it:
+    the first constant cell changed, the first two null cells of one type
+    in different classes unified, and the first set foreign key retargeted
+    to another class. Cells and keys are taken in carrier order."""
+    schema, out = inst.schema, []
+    cells = [
+        (root, attr)
+        for entity in schema.entities
+        for root in inst.carrier(entity)
+        for attr in schema.attrs_of(entity)
+    ]
+    for root, attr in cells:
+        value = inst.get_attr(root, attr.name)
+        if isinstance(value, Const):
+            if value.type is BaseType.STRING:
+                changed = Const(value.type, f"{value.value}'")
+            elif value.type is BaseType.BOOL:
+                changed = Const(value.type, not value.value)
+            else:
+                changed = Const(value.type, value.value + 1)
+            copy = inst.copy()
+            stored = copy._attrs[root][attr.name]
+            if isinstance(stored, Const):
+                copy._attrs[root][attr.name] = changed
+            else:
+                copy._null_anchor[copy.null_find(stored)] = changed
+            out.append(copy)
+            break
+    nulls = [(root, attr) for root, attr in cells if isinstance(inst.get_attr(root, attr.name), NullRef)]
+    for (r1, a1), (r2, a2) in itertools.combinations(nulls, 2):
+        if a1.type is a2.type and not values_equal(inst, inst.get_attr(r1, a1.name), inst.get_attr(r2, a2.name)):
+            copy = inst.copy()
+            copy.union_attrs(r1, a1.name, r2, a2.name)
+            out.append(copy)
+            break
+    retargets = (
+        (root, fk, other)
+        for entity in schema.entities
+        for root in inst.carrier(entity)
+        for fk in schema.fks_of(entity)
+        if inst.get_fk(root, fk.name) is not None
+        for other in inst.carrier(fk.target)
+        if other != inst.get_fk(root, fk.name)
+    )
+    for root, fk, other in itertools.islice(retargets, 1):
+        copy = inst.copy()
+        copy._fks[root][fk.name] = other
+        out.append(copy)
+    return out
 
 
 def deep_chain_document(n: int, k: int, deepest_first: bool = True) -> str:

@@ -25,7 +25,6 @@ from catamerge.chase import EXHAUSTED, FAILED, SATURATED, MergePair, replay
 import catamerge.instance
 from catamerge.instance import (
     NullRef,
-    UnobservedCell,
     conclusion_satisfied,
     enumerate_matches,
     values_equal,
@@ -373,7 +372,7 @@ def test_enumerate_matches_agrees_with_binder_oracle():
         left = c.premise[0].left if c.premise else Var(c.universals[0][0])
         for env in map(dict, got):
             # a match made by an unobserved cell, read on both sides
-            if isinstance(catamerge.instance.eval_term(inst, env, left), UnobservedCell):
+            if helpers.unobserved(inst, catamerge.instance.eval_term(inst, env, left)):
                 if left.path.fks:
                     through_fks += 1
                 else:
@@ -404,12 +403,12 @@ def test_join_reads_mint_no_null():
     pre, constraints = helpers.many_schemas_case(5, 20)
     result = helpers.saturate(pre, constraints)
     sat = result.instance
-    assert result.saturated and sat._null_seq == pre._null_seq == 0
+    assert result.saturated and len(sat._null_parent) == len(pre._null_parent) == 0
     _, combined, pre2 = helpers.example2_pipeline()
     sat2 = helpers.saturate(pre2, combined.schema.constraints).instance
-    before = sat2._null_seq
+    before = len(sat2._null_parent)
     assert check_model(sat2, list(combined.schema.constraints)).ok
-    assert sat2._null_seq == before
+    assert len(sat2._null_parent) == before
 
 
 def test_index_reads_grow_linearly_in_schemas(monkeypatch):
@@ -1419,7 +1418,6 @@ def test_unobserved_cell_is_a_null_class_of_its_own():
     # ... and two of them do not pair with one null that two cells share
     for a, b in ((unobserved, shared), (shared, unobserved)):
         assert not instances_same_data(a, b) and not verify_universality(a, b).isomorphic
-    assert [unobserved.get_attr(x, "a") for x in (x1, x2)] == [
-        UnobservedCell(x1, "a"),
-        UnobservedCell(x2, "a"),
-    ]
+    reads = [unobserved.get_attr(x, "a") for x in (x1, x2)]
+    assert reads == [NullRef(x1, "a"), NullRef(x2, "a")]
+    assert all(helpers.unobserved(unobserved, v) for v in reads)

@@ -31,7 +31,6 @@ from catamerge.generators import scaled_example1_document
 from catamerge.instance import (
     ElementId,
     NullRef,
-    UnobservedCell,
     VirtualElem,
     _join_key,
     instances_same_data,
@@ -90,10 +89,11 @@ def test_set_attr_null_stores_labelled_null(example2):
     inst = new_instance(brick)
     sp = inst.add_element("SetPoint", "sp1")
     inst.set_attr(sp, "setPointValue", None)
-    # the cell keeps its own labelled null, unobserved: it reads as the cell
-    # itself, and the read mints no label
-    assert inst.get_attr(sp, "setPointValue") == UnobservedCell(sp, "setPointValue")
-    assert inst._null_seq == 0 and not inst._attrs[sp]
+    # the cell keeps its own labelled null, unobserved: it reads as the
+    # cell's own name, and the read enters no name
+    value = inst.get_attr(sp, "setPointValue")
+    assert value == NullRef(sp, "setPointValue") and helpers.unobserved(inst, value)
+    assert len(inst._null_parent) == 0 and not inst._attrs[sp]
 
 
 def test_set_fk_wrong_target_entity(example1):
@@ -391,8 +391,8 @@ def test_element_id_equals_no_other_value_kind():
         VirtualElem(elem, ("a",)),
         Const("E", "a"),
         Const(BaseType.STRING, "a"),
-        NullRef("a"),
-        NullRef("E:a"),
+        NullRef(elem, "a"),
+        NullRef(ElementId("E", "a", True), "a"),
     ]
     for other in others:
         assert elem != other and other != elem
@@ -453,25 +453,26 @@ def test_get_attr_reads_null_classes_and_anchors():
     e = inst.add_element("E", "e")
     f = inst.add_element("E", "f")
 
-    # before any union each cell reads as itself, and no read mints a label
+    # before any union each cell reads as its own name, and no read enters one
     for elem in (e, f):
         for attr in ("a", "b"):
-            assert inst.get_attr(elem, attr) == UnobservedCell(elem, attr)
-    assert inst._null_seq == 0
+            value = inst.get_attr(elem, attr)
+            assert value == NullRef(elem, attr) and helpers.unobserved(inst, value)
+    assert len(inst._null_parent) == 0
     inst.union_attrs(e, "a", f, "b")
     inst.union_attrs(f, "b", e, "b")
-    seq = inst._null_seq
+    names = len(inst._null_parent)
     for elem, attr in ((e, "a"), (e, "b"), (f, "b")):
-        label = inst._attrs[elem][attr].label
-        assert inst.get_attr(elem, attr) == NullRef(inst.null_find(label))
+        name = inst._attrs[elem][attr]
+        assert inst.get_attr(elem, attr) == inst.null_find(name)
     merged = inst.get_attr(e, "a")
     assert inst.get_attr(e, "b") == inst.get_attr(f, "b") == merged != inst.get_attr(f, "a")
-    assert inst.get_attr(f, "a") == UnobservedCell(f, "a")
+    assert inst.get_attr(f, "a") == NullRef(f, "a") and helpers.unobserved(inst, NullRef(f, "a"))
     inst.assign_attr(f, "b", Const(BaseType.INT, 7))
     for elem, attr in ((e, "a"), (e, "b"), (f, "b")):
         assert inst.get_attr(elem, attr) == Const(BaseType.INT, 7)
-    assert inst.get_attr(f, "a") == UnobservedCell(f, "a")
-    assert inst._null_seq == seq
+    assert inst.get_attr(f, "a") == NullRef(f, "a") and helpers.unobserved(inst, NullRef(f, "a"))
+    assert len(inst._null_parent) == names
 
 
 @pytest.mark.parametrize("fixture", ["example1_saturated", "example2_saturated"])
@@ -522,18 +523,18 @@ def test_fully_set_rows_mint_no_null():
     pre = sigma_insert(combined, sources)
     for inst in (*sources.values(), pre):
         assert len(inst._null_parent) == 0, inst.name
-    # a read of an unset cell returns the cell itself and mints no null
+    # a read of an unset cell returns the cell's own name and enters no null
     (equipment, *_) = pre.carrier("Equipment")
     first = pre.get_attr(equipment, "equipmentName")
-    assert first == UnobservedCell(equipment, "equipmentName")
+    assert first == NullRef(equipment, "equipmentName") and helpers.unobserved(pre, first)
     assert pre.get_attr(equipment, "equipmentName") == first
-    assert len(pre._null_parent) == 0 and pre._null_seq == 0
+    assert len(pre._null_parent) == 0
 
 
 def _cell_state(inst: Instance) -> tuple:
     """What a write to a cell or a null label would change."""
     cells = {root: dict(row) for root, row in inst._attrs.items()}
-    return cells, dict(inst._null_parent), dict(inst._null_anchor), inst._null_seq
+    return cells, dict(inst._null_parent), dict(inst._null_anchor)
 
 
 @pytest.mark.parametrize("pipeline", [helpers.example1_pipeline, helpers.example2_pipeline])
@@ -557,7 +558,7 @@ def test_reads_never_write(pipeline):
             for root in inst.carrier(entity):
                 for attr in schema.attrs_of(entity):
                     value = inst.get_attr(root, attr.name)
-                    unobserved += isinstance(value, UnobservedCell)
+                    unobserved += helpers.unobserved(inst, value)
                     assert eval_path(inst, root, Path(entity, (), attr.name)) == value
                 for fk in schema.fks_of(entity):
                     for attr in schema.attrs_of(schema.fk(entity, fk.name).target):
@@ -663,7 +664,7 @@ def _apply(inst: Instance, ops: list[tuple[str, tuple]]) -> list:
             result = getattr(inst, name)(*args)
         except CatamergeError as exc:
             result = (type(exc).__name__, str(exc))
-        out.append("null" if isinstance(result, (NullRef, UnobservedCell)) else result)
+        out.append("null" if isinstance(result, NullRef) else result)
     return out
 
 
@@ -691,7 +692,7 @@ def _assert_observed_cells(inst: Instance) -> None:
         for attr in inst.schema.attrs_of(entity):
             roots, index = inst.observed_cells(entity, attr.name)
             cells = {r: inst.get_attr(r, attr.name) for r in inst.carrier(entity)}
-            want_roots = [r for r, value in cells.items() if not isinstance(value, UnobservedCell)]
+            want_roots = [r for r, value in cells.items() if not helpers.unobserved(inst, value)]
             want_index: dict = {}
             for root in want_roots:
                 want_index.setdefault(_join_key(inst, cells[root]), []).append(root)
@@ -747,7 +748,87 @@ def test_join_keys_are_equal_exactly_when_values_are():
         values += [inst.get_attr(e, a.name) for e in elems for a in inst.schema.attrs_of(e.entity)]
         values += [Const(BaseType.STRING, "p"), Const(BaseType.INT, 1), Const(BaseType.DOUBLE, 1.0)]
         values.append(UNDEFINED)
-        assert any(isinstance(v, UnobservedCell) for v in values)
+        assert any(helpers.unobserved(inst, v) for v in values)
         for a, b in itertools.product(values, repeat=2):
             ka, kb = _join_key(inst, a), _join_key(inst, b)
             assert values_equal(inst, a, b) == (ka is not None and ka == kb), (a, b)
+
+
+def _comparison_cases() -> tuple[list[tuple[Instance, Instance]], list[Instance]]:
+    """Pairs to compare, and the inputs to compare with their mutated copies:
+    both fixtures' sources, Σ results, saturations in both constraint orders
+    and projections, and 200 random weakly acyclic inputs and saturations."""
+    pairs, inputs = [], []
+    for pipeline in (helpers.example1_pipeline, helpers.example2_pipeline):
+        env, combined, pre = pipeline()
+        cs = list(combined.schema.constraints)
+        fwd, rev = chase(pre, cs).instance, chase(pre, cs[::-1]).instance
+        sources = {inst.schema.name: inst for inst in env.instances.values()}
+        pairs += [(fwd, rev), (rev, fwd), (fwd, pre)]
+        inputs += [*sources.values(), pre, fwd, rev]
+        for s in combined.extension.schemas:
+            projected = delta_project(combined, fwd, s)
+            pairs += [(projected, delta_project(combined, rev, s)), (projected, sources[s.name])]
+            inputs.append(projected)
+    for seed in range(200):
+        _, pre, cs = helpers.random_weakly_acyclic_case(random.Random(seed))
+        inputs.append(pre)
+        fwd, rev = chase(pre, cs).instance, chase(pre, cs[::-1]).instance
+        if fwd is not None and rev is not None:
+            pairs += [(fwd, rev), (fwd, pre)]
+            inputs.append(fwd)
+    return pairs, inputs
+
+
+def test_instances_same_data_agrees_with_the_loop_oracle():
+    """The comparison by export-id mapping and ``_is_homomorphic`` gives the
+    first per-entity loop's verdict; an input equals its copy and differs
+    from each of its mutated copies."""
+    pairs, inputs = _comparison_cases()
+    verdicts = set()
+    for a, b in pairs:
+        got = instances_same_data(a, b)
+        assert got == helpers.oracle_instances_same_data(a, b), (a.name, b.name)
+        verdicts.add(got)
+    mutated = 0
+    for inst in inputs:
+        assert instances_same_data(inst, inst.copy())
+        assert helpers.oracle_instances_same_data(inst, inst.copy())
+        for other in helpers.mutated_copies(inst):
+            for a, b in ((inst, other), (other, inst)):
+                assert not instances_same_data(a, b) and not helpers.oracle_instances_same_data(a, b)
+            mutated += 1
+    assert verdicts == {True, False} and mutated > 300, (verdicts, mutated)
+
+
+def test_no_entered_null_is_named_by_an_unobserved_cell():
+    """The invariant of ``helpers.check_null_names`` holds after every chase
+    of both fixtures, of random weakly acyclic and join cases, and after Σ
+    and Δ, so an unobserved cell's name equals only reads of that cell."""
+    live = 0
+    for pipeline in (helpers.example1_pipeline, helpers.example2_pipeline):
+        env, combined, pre = pipeline()
+        cs = list(combined.schema.constraints)
+        insts = [*env.instances.values(), pre]
+        for order in (cs, cs[::-1]):
+            sat = chase(pre, order).instance
+            insts += [sat, *(delta_project(combined, sat, s) for s in combined.extension.schemas)]
+        live += sum(map(helpers.check_null_names, insts))
+    for seed in range(200):
+        _, pre, cs = helpers.random_weakly_acyclic_case(random.Random(seed))
+        live += helpers.check_null_names(pre)
+        if (sat := chase(pre, cs).instance) is not None:
+            live += helpers.check_null_names(sat)
+    rng = random.Random(25)
+    for _ in range(300):
+        pre, cs = helpers.random_join_case(rng)
+        if (sat := chase(pre, cs).instance) is not None:
+            live += helpers.check_null_names(sat)
+    for _ in range(60):
+        combined, sources = helpers.random_migration_case(rng)
+        pre = sigma_insert(combined, sources)
+        sat = helpers.random_chase_like(rng, pre)
+        projections = [delta_project(combined, sat, s) for s in combined.extension.schemas]
+        live += sum(map(helpers.check_null_names, [*sources.values(), pre, sat, *projections]))
+    assert live > 1000, live
+
