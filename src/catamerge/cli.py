@@ -23,7 +23,7 @@ from .chase import (
 )
 from .errors import CatamergeError
 from .instance import Instance, new_instance
-from .integrate import CombinedSchema, combine_schemas, delta_project, roundtrip_report
+from .integrate import CombinedSchema, combine_schemas, delta_project, roundtrip_report, sigma_insert
 from .parser import Document, SourceDocument, parse_document
 from .printer import (
     aligned_table,
@@ -135,8 +135,6 @@ def _run_chase(manifest: RunManifest) -> tuple[int, Optional[ChaseResult]]:
     Failures are reported on stderr here; ``trace.log`` is written, when
     asked for, whatever the outcome of a chase that ran.
     """
-    from .integrate import sigma_insert
-
     try:
         pre = sigma_insert(manifest.combined, manifest.sources)
         cfg = ChaseConfig(max_rounds=manifest.max_rounds)

@@ -17,6 +17,7 @@ reaches the parser as single tokens, and the descent over them reports it.
 
 from __future__ import annotations
 
+import bisect
 import re
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
@@ -46,6 +47,7 @@ from .typeside import (
     BASE_TYPES_BY_NAME,
     BaseType,
     FUNCTION_NAMES,
+    has_signature,
     normalize_double,
     predicate_defined,
     representable,
@@ -67,14 +69,8 @@ class SourceDocument:
     def position(self, offset: int) -> tuple[int, int]:
         """1-based (line, column) for a byte offset; always in range."""
         offset = max(0, min(offset, len(self.text)))
-        lo, hi = 0, len(self._line_starts) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._line_starts[mid] <= offset:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo + 1, offset - self._line_starts[lo] + 1
+        line = bisect.bisect_right(self._line_starts, offset)
+        return line, offset - self._line_starts[line - 1] + 1
 
 
 @dataclass
@@ -299,13 +295,10 @@ def _literal(tok: Token) -> Optional[Const]:
 # ---------------------------------------------------------------------------
 # Raw syntax trees (tokens kept for positioned diagnostics)
 
+# Only an ``RName`` can be entity-sorted: a literal and a call are base-typed.
 @dataclass
 class RName:
     parts: list[Token]
-
-    @property
-    def anchor(self) -> Token:
-        return self.parts[0]
 
 
 @dataclass
@@ -313,19 +306,11 @@ class RLit:
     token: Token
     const: Const
 
-    @property
-    def anchor(self) -> Token:
-        return self.token
-
 
 @dataclass
 class RCall:
     name: Token
     args: list["RawTerm"]
-
-    @property
-    def anchor(self) -> Token:
-        return self.name
 
 
 RawTerm = Union[RName, RLit, RCall]
@@ -619,27 +604,15 @@ class _Parser:
         entity_alias: Optional[dict[str, Optional[str]]] = None,
     ) -> Optional[Constraint]:
         binders: dict[str, str] = {}
-        universals: list[tuple[str, str]] = []
-        existentials: list[tuple[str, str]] = []
-        ok = True
-        for target, pairs in ((universals, raw.universals), (existentials, raw.existentials)):
-            for name_tok, entity_tok in pairs:
-                entity = self._resolve_entity(entity_tok, schema, entity_alias)
-                if entity is None:
-                    ok = False
-                    continue
-                if name_tok.text in binders:
-                    self.error(name_tok, f"variable '{name_tok.text}' bound twice")
-                    ok = False
-                    continue
-                binders[name_tok.text] = entity
-                target.append((name_tok.text, entity))
-        if not ok:
+        universals = self._resolve_binders(raw.universals, schema, entity_alias, binders)
+        existentials = self._resolve_binders(raw.existentials, schema, entity_alias, binders)
+        if universals is None or existentials is None:
             return None
 
+        ok = True
         premise: list = []
         for atom in raw.premise:
-            resolved = self._resolve_atom(atom, binders, schema, allow_predicates=True)
+            resolved = self._resolve_atom(atom, binders, schema)
             if resolved is None:
                 ok = False
             else:
@@ -658,7 +631,7 @@ class _Parser:
                 self.error(atom.op_token, "predicates are not allowed in conclusions")
                 ok = False
                 continue
-            resolved = self._resolve_atom(atom, binders, schema, allow_predicates=False)
+            resolved = self._resolve_atom(atom, binders, schema)
             if resolved is None:
                 ok = False
             else:
@@ -666,6 +639,27 @@ class _Parser:
         if not ok:
             return None
         return Constraint(tuple(universals), tuple(premise), tuple(existentials), tuple(conclusion))
+
+    def _resolve_binders(
+        self,
+        pairs: list[tuple[Token, Token]],
+        schema: Schema,
+        alias: Optional[dict[str, Optional[str]]],
+        binders: dict[str, str],
+    ) -> Optional[list[tuple[str, str]]]:
+        """Bind each ``name : Entity`` pair into ``binders``; the resolved
+        ``(name, entity)`` pairs, or None when any pair was reported."""
+        resolved: list[tuple[str, str]] = []
+        for name_tok, entity_tok in pairs:
+            entity = self._resolve_entity(entity_tok, schema, alias)
+            if entity is None:
+                continue
+            if name_tok.text in binders:
+                self.error(name_tok, f"variable '{name_tok.text}' bound twice")
+                continue
+            binders[name_tok.text] = entity
+            resolved.append((name_tok.text, entity))
+        return resolved if len(resolved) == len(pairs) else None
 
     def _resolve_entity(
         self,
@@ -688,7 +682,7 @@ class _Parser:
         self.error(tok, f"'{tok.text}' is not an entity of schema {schema.name}")
         return None
 
-    def _resolve_atom(self, atom: RAtom, binders: dict[str, str], schema: Schema, *, allow_predicates: bool):
+    def _resolve_atom(self, atom: RAtom, binders: dict[str, str], schema: Schema):
         left = self._resolve_term(atom.left, binders, schema)
         right = self._resolve_term(atom.right, binders, schema)
         if left is None or right is None:
@@ -705,9 +699,6 @@ class _Parser:
             return None
         if not predicate_defined(atom.op, lt, rt):
             self.error(atom.op_token, f"predicate '{atom.op}' is undefined on ({lt}, {rt})")
-            return None
-        if not allow_predicates:
-            self.error(atom.op_token, "predicates are not allowed here")
             return None
         return Cmp(atom.op, left[0], right[0])
 
@@ -738,31 +729,21 @@ class _Parser:
                 if resolved is None:
                     return None
                 if not isinstance(resolved[1], BaseType):
-                    self.error(arg.anchor, "function arguments must be base-typed")
+                    self.error(arg.parts[0], "function arguments must be base-typed")
                     return None
                 args.append(resolved)
-            terms = [a[0] for a in args]
-            types = tuple(a[1] for a in args)
+            if not has_signature(raw.name.text, tuple(sort for _, sort in args)):
+                # Int literals become Doubles only where no exact signature exists
+                for i, (term, sort) in enumerate(args):
+                    promoted = _promote_int_literal(term, sort, BaseType.DOUBLE)
+                    if promoted is not None:
+                        args[i] = promoted, BaseType.DOUBLE
             try:
-                sig = resolve_function(raw.name.text, types)
-            except SchemaError:
-                promoted = _promote_args_to_double(terms, types)
-                if promoted is None:
-                    self.error(
-                        raw.name,
-                        f"no signature {raw.name.text}({', '.join(map(str, types))}) among built-ins",
-                    )
-                    return None
-                terms, types = promoted
-                try:
-                    sig = resolve_function(raw.name.text, types)
-                except SchemaError:
-                    self.error(
-                        raw.name,
-                        f"no signature {raw.name.text}({', '.join(map(str, types))}) among built-ins",
-                    )
-                    return None
-            return FunApp(sig, tuple(terms)), sig.result
+                sig = resolve_function(raw.name.text, tuple(sort for _, sort in args))
+            except SchemaError as err:
+                self.error(raw.name, str(err))
+                return None
+            return FunApp(sig, tuple(term for term, _ in args)), sig.result
         assert isinstance(raw, RName)
         head = raw.parts[0]
         if head.text not in binders:
@@ -1002,7 +983,7 @@ class _Parser:
         structural = ExtensionSpec(name_tok.text, tuple(schemas), tuple(identifications))
         try:
             combined = combine_schemas(structural)
-        except (SchemaError, CatamergeError) as err:
+        except CatamergeError as err:
             raise self.fail(name_tok, str(err))
 
         alias = _entity_aliases(combined)
@@ -1056,19 +1037,8 @@ class _Parser:
         if not binder_pairs:
             raise self.fail(from_tok, "query needs at least one from-binding")
         binders: dict[str, str] = {}
-        bindings: list[tuple[str, str]] = []
-        ok = True
-        for name, entity_tok in binder_pairs:
-            entity = self._resolve_entity(entity_tok, schema, alias)
-            if entity is None:
-                ok = False
-                continue
-            if name.text in binders:
-                self.error(name, f"variable '{name.text}' bound twice")
-                ok = False
-                continue
-            binders[name.text] = entity
-            bindings.append((name.text, entity))
+        bindings = self._resolve_binders(binder_pairs, schema, alias, binders)
+        ok = bindings is not None
 
         wheres: list[Eq] = []
         if self.peek().kind == "where":
@@ -1079,7 +1049,7 @@ class _Parser:
                     self.error(atom.op_token, "query where-atoms are equalities only")
                     ok = False
                     continue
-                resolved = self._resolve_atom(atom, binders, schema, allow_predicates=False)
+                resolved = self._resolve_atom(atom, binders, schema)
                 if resolved is None:
                     ok = False
                 else:
@@ -1098,7 +1068,7 @@ class _Parser:
                     continue
                 term, sort = resolved
                 if not isinstance(sort, BaseType):
-                    self.error(raw.anchor, "projections must be attribute-valued")
+                    self.error(raw.parts[0], "projections must be attribute-valued")
                     ok = False
                     continue
                 if any(c == col.text for c, _ in projections):
@@ -1131,24 +1101,6 @@ def _promote_int_literal(term: Term, sort: object, wanted: object) -> Optional[C
     return None
 
 
-def _promote_args_to_double(terms: list[Term], types: tuple) -> Optional[tuple[list[Term], tuple]]:
-    new_terms: list[Term] = []
-    new_types: list[BaseType] = []
-    changed = False
-    for term, sort in zip(terms, types):
-        promoted = _promote_int_literal(term, sort, BaseType.DOUBLE)
-        if promoted is not None:
-            new_terms.append(promoted)
-            new_types.append(BaseType.DOUBLE)
-            changed = True
-        else:
-            new_terms.append(term)
-            new_types.append(sort)
-    if not changed:
-        return None
-    return new_terms, tuple(new_types)
-
-
 def _entity_aliases(combined: CombinedSchema) -> dict[str, Optional[str]]:
     """Bare source-entity names usable when unambiguous (None = ambiguous)."""
     alias: dict[str, Optional[str]] = {}
@@ -1173,34 +1125,30 @@ def parse_document(doc: SourceDocument, env: Optional[Document] = None) -> Docum
     return env
 
 
+def _first_block(doc: SourceDocument, env: Document, blocks: dict, kind: str) -> tuple:
+    """The first of ``blocks`` with ``env``'s diagnostics; a document with
+    no such block and no error gets one at 1:1."""
+    first = next(iter(blocks.values()), None)
+    if first is None and env.ok:
+        env.diagnostics.append(Diagnostic("error", f"no {kind} block found", doc.name, 1, 1))
+    return first, env.diagnostics
+
+
 def parse_schema(doc: SourceDocument) -> tuple[Optional[Schema], list[Diagnostic]]:
     env = parse_document(doc)
-    schema = next(iter(env.schemas.values()), None)
-    if schema is None and env.ok:
-        env.diagnostics.append(Diagnostic("error", "no schema block found", doc.name, 1, 1))
-    return schema, env.diagnostics
+    return _first_block(doc, env, env.schemas, "schema")
 
 
 def parse_instance(doc: SourceDocument, schema: Schema) -> tuple[Optional[Instance], list[Diagnostic]]:
-    env = Document()
-    env.schemas[schema.name] = schema
-    parse_document(doc, env)
-    inst = next(iter(env.instances.values()), None)
-    if inst is None and env.ok:
-        env.diagnostics.append(Diagnostic("error", "no instance block found", doc.name, 1, 1))
-    return inst, env.diagnostics
+    env = parse_document(doc, Document(schemas={schema.name: schema}))
+    return _first_block(doc, env, env.instances, "instance")
 
 
 def parse_extension(
     doc: SourceDocument, schemas: dict[str, Schema]
 ) -> tuple[Optional[ExtensionSpec], list[Diagnostic]]:
-    env = Document()
-    env.schemas.update(schemas)
-    parse_document(doc, env)
-    ext = next(iter(env.extensions.values()), None)
-    if ext is None and env.ok:
-        env.diagnostics.append(Diagnostic("error", "no extension block found", doc.name, 1, 1))
-    return ext, env.diagnostics
+    env = parse_document(doc, Document(schemas=dict(schemas)))
+    return _first_block(doc, env, env.extensions, "extension")
 
 
 def parse_query(
@@ -1217,10 +1165,7 @@ def parse_query(
                 break
     except _Abort:
         pass
-    query = next(iter(env.queries.values()), None)
-    if query is None and env.ok:
-        env.diagnostics.append(Diagnostic("error", "no query block found", doc.name, 1, 1))
-    return query, env.diagnostics
+    return _first_block(doc, env, env.queries, "query")
 
 
 def parse_constraint(

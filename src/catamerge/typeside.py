@@ -157,6 +157,10 @@ def resolve_function(name: str, arg_types: tuple[BaseType, ...]) -> FnSig:
     return sig
 
 
+def has_signature(name: str, arg_types: tuple[BaseType, ...]) -> bool:
+    return (name, arg_types) in _FN_INDEX
+
+
 def predicate_defined(op: str, left: BaseType, right: BaseType) -> bool:
     if op == "=":
         return left == right or (left in _NUMERIC and right in _NUMERIC)

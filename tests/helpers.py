@@ -661,8 +661,9 @@ def oracle_has_existential_cycle(edges: list[tuple[str, str, bool]]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Random weakly acyclic inputs (all attribute values stay null, so no
-# constant clash is possible and every accepted set must saturate)
+# Random weakly acyclic inputs (unless asked for constants, all attribute
+# values stay null, so no constant clash is possible and every accepted set
+# must saturate)
 
 def random_schema(rng: random.Random, max_entities: int = 4) -> Schema:
     n = rng.randint(1, max_entities)
@@ -678,7 +679,13 @@ def random_schema(rng: random.Random, max_entities: int = 4) -> Schema:
     return Schema(f"R{rng.randint(0, 10**6)}", entities, tuple(fks), tuple(attrs))
 
 
-def random_instance(rng: random.Random, schema: Schema, max_elements: int = 30) -> Instance:
+def random_instance(
+    rng: random.Random, schema: Schema, max_elements: int = 30, constants: bool = False
+) -> Instance:
+    """Random elements and foreign keys; with ``constants``, also attribute
+    cells drawn from a pool of two values per attribute, out of three values
+    shared by all attributes, so that keys collide within and across
+    attributes. Without it ``rng`` gives no draw for attribute cells."""
     inst = new_instance(schema, "random")
     per_entity = max(1, max_elements // max(1, len(schema.entities)))
     for entity in schema.entities:
@@ -690,6 +697,12 @@ def random_instance(rng: random.Random, schema: Schema, max_elements: int = 30) 
                 targets = inst.elements(fk.target)
                 if targets and rng.random() < 0.7:
                     inst.set_fk(elem, fk.name, rng.choice(targets))
+    if constants:
+        for attr in schema.attributes:
+            pool = rng.sample("uvw", 2)
+            for elem in inst.elements(attr.source):
+                if rng.random() < 0.5:
+                    inst.set_attr(elem, attr.name, Const(attr.type, rng.choice(pool)))
     return inst
 
 
@@ -787,8 +800,9 @@ def random_constraints(rng: random.Random, schema: Schema, count: int) -> list[C
     return out
 
 
-def random_weakly_acyclic_case(rng: random.Random):
-    """(schema, instance, constraints) accepted by the static guard."""
+def random_weakly_acyclic_case(rng: random.Random, constants: bool = False):
+    """(schema, instance, constraints) accepted by the static guard; the
+    instance holds constants when ``constants`` (see ``random_instance``)."""
     from catamerge import check_weak_acyclicity
 
     while True:
@@ -797,7 +811,7 @@ def random_weakly_acyclic_case(rng: random.Random):
         if not constraints:
             continue
         if check_weak_acyclicity(constraints, schema).acyclic:
-            return schema, random_instance(rng, schema), constraints
+            return schema, random_instance(rng, schema, constants=constants), constraints
 
 
 def random_join_case(rng: random.Random) -> tuple[Instance, list[Constraint]]:

@@ -137,11 +137,14 @@ def test_fire_once_vacant_lease_sets_26(example2):
     assert inst.get_attr(stp, "setPointValue") == Const(BaseType.DOUBLE, 26.0)
 
 
-def test_chase_trace_replays_exactly(example2):
-    _, combined, pre = example2
-    result = chase(pre, list(combined.schema.constraints))
-    replayed = replay(pre, result.trace)
-    assert instances_same_data(replayed, result.instance)
+def test_chase_trace_replays_exactly(example1, example2):
+    created = []
+    for _, combined, pre in (example1, example2):
+        result = chase(pre, list(combined.schema.constraints))
+        replayed = replay(pre, result.trace)
+        assert instances_same_data(replayed, result.instance)
+        created.append(result.trace.render().count("created("))
+    assert created[0] == 5  # example 1 synthesizes its points
 
 
 def test_chase_deterministic_traces(example2):
@@ -961,6 +964,11 @@ def test_semi_naive_rounds_agree_with_oracle_on_random_cases():
         _, pre, constraints = helpers.random_weakly_acyclic_case(random.Random(seed))
         rounds.add(_same_as_oracle(pre, constraints).rounds)
     assert len(rounds) > 2, rounds
+    statuses = set()
+    for seed in range(200):  # constants in the cells: merges of anchored classes and clashes
+        _, pre, constraints = helpers.random_weakly_acyclic_case(random.Random(seed), constants=True)
+        statuses.add(_same_as_oracle(pre, constraints).status)
+    assert statuses == {SATURATED, FAILED}, statuses
 
 
 def test_semi_naive_rounds_agree_with_oracle_on_deep_chains():
@@ -1031,6 +1039,13 @@ def test_semi_naive_rounds_agree_with_oracle_on_constant_clash():
     pre = sigma_insert(combined, {s: env.instances[f"{s.lower()}_model"] for s in ("IFC", "BRICK", "REC")})
     result = _same_as_oracle(pre, list(combined.schema.constraints))
     assert result.status == FAILED and "99.9" in str(result.clash)
+    # both sides of the conclusion are constants once x.a is known
+    text = """
+schema S { entities X attributes a : X -> Int }
+extension E { include S constraints forall x : X -> add(x.a, 1) = 3 }
+"""
+    result = _same_as_oracle(*_one_x(text, 5, "a"))
+    assert result.status == FAILED and str(result.clash) == "constant clash on conclusion: 6 != 3"
 
 
 def _counting_fire_once(monkeypatch) -> list[int]:

@@ -221,6 +221,13 @@ def test_integrate_clash_exits_two(tmp_path, capsys):
     code = main(["integrate", str(f), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "99.9" in capsys.readouterr().err
+    f.write_text("""
+schema S { entities X attributes a : X -> Int }
+instance i : S { entity X { row x1 { a = 5 } } }
+extension E { include S constraints forall x : X -> add(x.a, 1) = 3 }
+""", encoding="utf-8")
+    assert main(["integrate", str(f), "--out", str(tmp_path / "o")]) == 2
+    assert "constant clash on conclusion: 6 != 3" in capsys.readouterr().err
 
 
 def test_integrate_exhaustion_exits_three(tmp_path, capsys):
@@ -343,6 +350,18 @@ extension E2 { include A }
     f.write_text(doc)
     assert main(["integrate", str(f), "--out", str(tmp_path / "o")]) == 1
     assert main(["integrate", str(f), "--extension", "E1", "--out", str(tmp_path / "o")]) == 0
+
+
+def test_two_instances_over_one_schema_exit_one(tmp_path, capsys):
+    f = tmp_path / "two.cmg"
+    f.write_text("""
+schema S { entities X }
+instance a : S { }
+instance b : S { }
+extension E { include S }
+""", encoding="utf-8")
+    assert main(["integrate", str(f), "--out", str(tmp_path / "o")]) == 1
+    assert _one_line_error(capsys) == "error: multiple instances over schema 'S' (a, b)\n"
 
 
 def test_missing_file_exits_one(tmp_path, capsys):

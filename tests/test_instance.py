@@ -597,18 +597,26 @@ def test_lazy_cells_agree_with_eager_nulls_on_fixtures():
 
 
 def test_lazy_cells_agree_with_eager_nulls_on_random_chases():
-    for seed in range(200):
+    clashes = 0
+    for seed, constants in itertools.product(range(200), (False, True)):
         runs = []
         for mode in (nullcontext(), helpers.eager_nulls()):
             with mode:
-                _, pre, constraints = helpers.random_weakly_acyclic_case(random.Random(seed))
+                _, pre, constraints = helpers.random_weakly_acyclic_case(random.Random(seed), constants)
                 result = chase(pre, constraints)
+            if result.instance is None:  # a clash: only the chase's account of it
+                runs.append((result, (result.status, result.trace.render(), str(result.clash))))
+                continue
             checks = [c.satisfied for c in check_model(result.instance, constraints).checks]
             runs.append((result, (result.status, result.trace.render(), checks,
                                   helpers.value_classes(result.instance))))
         (lazy, lazy_out), (eager, eager_out) = runs
-        assert lazy_out == eager_out, seed
-        assert instances_same_data(lazy.instance, eager.instance), seed
+        assert lazy_out == eager_out, (seed, constants)
+        if lazy.instance is None:
+            clashes += 1
+        else:
+            assert instances_same_data(lazy.instance, eager.instance), (seed, constants)
+    assert clashes > 0
 
 
 _OPS_SCHEMA = Schema(
@@ -757,7 +765,8 @@ def test_join_keys_are_equal_exactly_when_values_are():
 def _comparison_cases() -> tuple[list[tuple[Instance, Instance]], list[Instance]]:
     """Pairs to compare, and the inputs to compare with their mutated copies:
     both fixtures' sources, Σ results, saturations in both constraint orders
-    and projections, and 200 random weakly acyclic inputs and saturations."""
+    and projections, and 200 random weakly acyclic inputs and saturations,
+    each drawn without and with constants."""
     pairs, inputs = [], []
     for pipeline in (helpers.example1_pipeline, helpers.example2_pipeline):
         env, combined, pre = pipeline()
@@ -770,8 +779,8 @@ def _comparison_cases() -> tuple[list[tuple[Instance, Instance]], list[Instance]
             projected = delta_project(combined, fwd, s)
             pairs += [(projected, delta_project(combined, rev, s)), (projected, sources[s.name])]
             inputs.append(projected)
-    for seed in range(200):
-        _, pre, cs = helpers.random_weakly_acyclic_case(random.Random(seed))
+    for seed, constants in itertools.product(range(200), (False, True)):
+        _, pre, cs = helpers.random_weakly_acyclic_case(random.Random(seed), constants)
         inputs.append(pre)
         fwd, rev = chase(pre, cs).instance, chase(pre, cs[::-1]).instance
         if fwd is not None and rev is not None:

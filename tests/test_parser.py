@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 from catamerge import (
+    CombinedSchema,
     Const,
     classify_constraint,
     combine_schemas,
@@ -272,6 +273,115 @@ def test_query_over_a_refused_extension_gets_no_second_diagnostic():
         assert [d.message for d in errors(env.diagnostics)] == reported, kind
         parse_document(SourceDocument("q2.cmg", query.format("F")), env)
         assert errors(env.diagnostics)[-1].message == "unknown extension 'F'", kind
+
+
+_DIAG_SCHEMA = """\
+schema S {
+  entities X Y
+  foreign_keys f : X -> Y
+  attributes a : X -> Int  d : X -> Double  s : X -> String  b : Y -> Int
+}
+"""
+_DEEP_TERM = "add(" * 101 + "1" + ", 1)" * 101
+
+
+def _diag_context() -> tuple[Schema, CombinedSchema]:
+    env = helpers.load_text(_DIAG_SCHEMA + "extension E { include S }")
+    return env.schemas["S"], combine_schemas(env.extensions["E"])
+
+
+def _diagnostics_of(entry: str, text: str) -> list[tuple[str, int, int]]:
+    schema, combined = _diag_context()
+    doc = SourceDocument("t.cmg", text)
+    if entry == "document":
+        diags = parse_document(doc).diagnostics
+    elif entry == "constraint":
+        diags = parse_constraint(text, schema)[1]
+    elif entry == "query":
+        diags = parse_query(doc, combined)[1]
+    elif entry == "schema":
+        diags = parse_schema(doc)[1]
+    elif entry == "instance":
+        diags = parse_instance(doc, schema)[1]
+    else:
+        diags = parse_extension(doc, {"S": schema})[1]
+    return [(d.message, d.line, d.column) for d in diags]
+
+
+# (entry point, input text, its exact diagnostics as (message, line, column));
+# constraints resolve over _DIAG_SCHEMA's S and queries over the extension E
+# that includes only S, so a bare X names S_X
+_DIAGNOSTICS = [
+    ("document", "schema S { bogus }",
+     [("expected a schema section or '}', found 'bogus'", 1, 12)]),
+    ("document", "schema S { entities A A }", [("duplicate entity name 'A'", 1, 23)]),
+    ("document", "schema S { entities A foreign_keys f : A -> A f : A -> A }",
+     [("duplicate member name 'f' on entity 'A'", 1, 47)]),
+    ("document", "schema S { entities A attributes a : A -> Int a : A -> String }",
+     [("duplicate member name 'a' on entity 'A'", 1, 47)]),
+    ("constraint", "forall x : X where x.a = 1 and x.zz = 2 -> x = x",
+     [("'zz' is not a foreign key or attribute of entity 'X'", 1, 34)]),
+    ("constraint", "forall : X -> x = x", [("expected a variable binder", 1, 8)]),
+    ("constraint", "forall x : X where x.a -> x = x",
+     [("expected a comparison operator, found '->'", 1, 24)]),
+    ("constraint", f"forall x : X -> x.a = {_DEEP_TERM}", [("term nesting too deep", 1, 427)]),
+    ("constraint", "forall x x : X -> x = x", [("variable 'x' bound twice", 1, 10)]),
+    ("constraint", "forall x : X -> exists x : Y , x = x", [("variable 'x' bound twice", 1, 24)]),
+    ("query", "query Q : E { from x : X x : Y }", [("variable 'x' bound twice", 1, 26)]),
+    ("document", _DIAG_SCHEMA + "schema T { entities X }\n"
+     "extension E { include S T constraints forall x : X -> x = x }",
+     [("entity name 'X' is ambiguous in the combined schema", 7, 50)]),
+    ("constraint", "forall x y : X where x < y -> x = y",
+     [("predicate '<' compares base-typed terms only", 1, 24)]),
+    ("constraint", "forall x : X where x.s < x.s -> x = x",
+     [("predicate '<' is undefined on (String, String)", 1, 24)]),
+    ("constraint", "forall x : X -> x.a = foo(x.a)", [("unknown built-in function 'foo'", 1, 23)]),
+    ("constraint", "forall x : X -> x.a = add(x, 1)",
+     [("function arguments must be base-typed", 1, 27)]),
+    ("constraint", "forall x : X -> x.a = add(x.s, x.a)",
+     [("no signature add(String, Int) among built-ins", 1, 23)]),
+    # the Int literal was promoted before the lookup failed
+    ("constraint", "forall x : X -> x.d = add(x.s, 1)",
+     [("no signature add(String, Double) among built-ins", 1, 23)]),
+    ("constraint", "forall x : X -> x.a.b = 1", [("cannot continue a path past attribute 'a'", 1, 21)]),
+    ("document", _DIAG_SCHEMA + "extension E { include S S }", [("schema 'S' included twice", 6, 25)]),
+    ("query", "query Q : Other { from x : X }", [("query targets 'Other', expected 'E'", 1, 11)]),
+    ("query", "schema Z { }", [("expected a query block", 1, 1)]),
+    ("query", "query Q : E { from x : X where x.a < 1 }",
+     [("query where-atoms are equalities only", 1, 36)]),
+    ("query", "query Q : E { from x : X attributes c -> x }",
+     [("projections must be attribute-valued", 1, 42)]),
+    ("query", "query Q : E { from x : X attributes c -> x.a c -> x.d }",
+     [("duplicate output column 'c'", 1, 46)]),
+    ("schema", "", [("no schema block found", 1, 1)]),
+    ("instance", "", [("no instance block found", 1, 1)]),
+    ("extension", "", [("no extension block found", 1, 1)]),
+    ("query", "", [("no query block found", 1, 1)]),
+    ("constraint", "forall x : X -> x = x extra", [("trailing input after constraint", 1, 23)]),
+    ("constraint", "forall x : X -> ", [("expected a term, found 'end of input'", 1, 17)]),
+]
+
+
+def test_every_parser_diagnostic_is_pinned():
+    """Each input gives exactly these diagnostics, in order, at these
+    positions, through its entry point."""
+    for entry, text, expected in _DIAGNOSTICS:
+        assert _diagnostics_of(entry, text) == expected, (entry, text[-60:])
+
+
+def test_int_literal_arguments_promote_only_without_an_exact_signature():
+    schema, _ = _diag_context()
+    c, diags = parse_constraint("forall x : X where 1 = x.d -> x.d = add(x.d, 1)", schema)
+    assert not diags
+    (premise,) = c.premise
+    assert premise.left == Const(BaseType.DOUBLE, 1.0)
+    (conclusion,) = c.conclusion
+    call = conclusion.right
+    assert call.fn.arg_types == (BaseType.DOUBLE, BaseType.DOUBLE)
+    assert call.args[1] == Const(BaseType.DOUBLE, 1.0)
+    c, diags = parse_constraint("forall x : X -> x.a = add(x.a, 1)", schema)
+    assert not diags
+    assert c.conclusion[0].right.args[1] == Const(BaseType.INT, 1)
 
 
 def test_roundtrip_schema_instance_extension_query(example2):
