@@ -199,7 +199,9 @@ class Instance:
     def export_id(self, elem: ElementId) -> str:
         """Lexicographically least user-declared id in the class, or the
         fresh-null label when the class has no user row: the root's name,
-        since a merge keeps the member with the least ``(fresh, name)``."""
+        since a merge keeps the member with the least ``(fresh, name)``.
+        The printer and ``integrate.roundtrip_report`` rely on this: they
+        write a carrier root's ``name`` as its export id."""
         return self.find(elem).name
 
     def element_named(self, entity: str, name: str) -> Optional[ElementId]:
@@ -469,6 +471,16 @@ class Instance:
                 raise InstanceError(f"'{attr_name}' is not an attribute of entity '{root.entity}'")
             return NullRef(root, attr_name)
         return self.resolve_value(value)
+
+    def row(self, root: ElementId) -> tuple[dict[str, ElementId], dict[str, AttrValue]]:
+        """The class root's stored foreign-key map and attribute-cell map,
+        shared and not copied: callers only read them. A target is any
+        member of its class (``find`` or ``export_id`` it), a stored value
+        goes through ``resolve_value``, and an attribute missing from the
+        cell map is unobserved, so it holds no constant."""
+        if self._parent.get(root) != root:
+            raise InstanceError(f"{root} is not a class root")
+        return self._fks[root], self._attrs[root]
 
     def _cell(self, root: ElementId, attr_name: str) -> AttrValue:
         """The value stored in a cell; an unobserved one first stores its

@@ -399,26 +399,27 @@ def roundtrip_report(original: Instance, recovered: Instance) -> RoundTripReport
     report = RoundTripReport()
     for entity in schema.entities:
         delta = TableDelta(entity)
-        orig_rows = {original.export_id(r): r for r in original.carrier(entity)}
-        rec_rows = {recovered.export_id(r): r for r in recovered.carrier(entity)}
+        orig_rows = {r.name: r for r in original.carrier(entity)}
+        rec_rows = {r.name: r for r in recovered.carrier(entity)}
+        matched = orig_rows.keys() & rec_rows.keys()
         delta.rows_in = len(orig_rows)
-        matched: set[str] = set()
-        for rid, rec_root in rec_rows.items():
-            if rid in orig_rows:
-                matched.add(rid)
-            else:
-                delta.new_rows += 1
         delta.rows_recovered = len(matched)
+        delta.new_rows = len(rec_rows) - len(matched)
+        attrs = [a.name for a in schema.attrs_of(entity)]
         for rid, orig_root in orig_rows.items():
-            rec_root = rec_rows.get(rid) if rid in matched else None
-            for attr in schema.attrs_of(entity):
-                ov = original.get_attr(orig_root, attr.name)
-                rv = recovered.get_attr(rec_root, attr.name) if rec_root is not None else None
+            orig_cells = original.row(orig_root)[1]
+            rec_root = rec_rows.get(rid)
+            rec_cells = recovered.row(rec_root)[1] if rec_root is not None else {}
+            for name in attrs:
+                ov, rv = orig_cells.get(name), rec_cells.get(name)
+                if ov is not None:
+                    ov = original.resolve_value(ov)
+                if rv is not None:
+                    rv = recovered.resolve_value(rv)
                 if isinstance(ov, Const):
                     if not (isinstance(rv, Const) and rv.type == ov.type and rv.value == ov.value):
                         delta.attributes_lost += 1
-                else:
-                    if isinstance(rv, Const):
-                        delta.attributes_gained += 1
+                elif isinstance(rv, Const):
+                    delta.attributes_gained += 1
         report.tables.append(delta)
     return report

@@ -2,6 +2,12 @@
 
 ``print_canonical`` is deterministic and parseable back into a structurally
 equal value (null labels and other internal identifiers are not preserved).
+
+An instance is written row by row: each carrier root's stored cells are read
+once through ``Instance.row``, its members walked in declaration order. A
+root's name is its export id, a set foreign key writes its target's
+``export_id``, and a cell writes only when its stored value resolves to a
+constant; an unobserved cell, absent from the row, is written as nothing.
 """
 
 from __future__ import annotations
@@ -117,24 +123,30 @@ def _print_schema(s: Schema) -> str:
 
 def _print_instance(inst: Instance) -> str:
     lines = [f"instance {inst.name} : {inst.schema.name} {{"]
+    export_id, resolve = inst.export_id, inst.resolve_value
     for entity in inst.schema.entities:
         classes = inst.carrier(entity)
         if not classes:
             continue
         lines.append(f"  entity {entity} {{")
+        fks = [fk.name for fk in inst.schema.fks_of(entity)]
+        attrs = [a.name for a in inst.schema.attrs_of(entity)]
         for root in classes:
+            targets, cells = inst.row(root)
             bindings = []
-            for fk in inst.schema.fks_of(entity):
-                target = inst.get_fk(root, fk.name)
+            for name in fks:
+                target = targets.get(name)
                 if target is not None:
-                    bindings.append(f"{fk.name} = {_row_id(inst.export_id(target))}")
-            for attr in inst.schema.attrs_of(entity):
-                value = inst.get_attr(root, attr.name)
+                    bindings.append(f"{name} = {_row_id(export_id(target))}")
+            for name in attrs:
+                value = cells.get(name)
+                if value is not None:
+                    value = resolve(value)
                 if isinstance(value, Const):
-                    bindings.append(f"{attr.name} = {_literal(value)}")
+                    bindings.append(f"{name} = {_literal(value)}")
             body = " ".join(bindings)
             body = f" {body} " if body else " "
-            lines.append(f"    row {_row_id(inst.export_id(root))} {{{body}}}")
+            lines.append(f"    row {_row_id(root.name)} {{{body}}}")
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -195,19 +207,23 @@ def instance_csvs(inst: Instance) -> dict[str, str]:
     Unset foreign keys and unanchored nulls render as empty cells.
     """
     out: dict[str, str] = {}
+    export_id, resolve = inst.export_id, inst.resolve_value
     for entity in inst.schema.entities:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        fks = inst.schema.fks_of(entity)
-        attrs = inst.schema.attrs_of(entity)
-        writer.writerow(["id"] + [fk.name for fk in fks] + [a.name for a in attrs])
+        fks = [fk.name for fk in inst.schema.fks_of(entity)]
+        attrs = [a.name for a in inst.schema.attrs_of(entity)]
+        writer.writerow(["id", *fks, *attrs])
         for root in inst.carrier(entity):
-            row = [inst.export_id(root)]
-            for fk in fks:
-                target = inst.get_fk(root, fk.name)
-                row.append(inst.export_id(target) if target is not None else "")
-            for a in attrs:
-                value = inst.get_attr(root, a.name)
+            targets, cells = inst.row(root)
+            row = [root.name]
+            for name in fks:
+                target = targets.get(name)
+                row.append("" if target is None else export_id(target))
+            for name in attrs:
+                value = cells.get(name)
+                if value is not None:
+                    value = resolve(value)
                 row.append(render_constant(value) if isinstance(value, Const) else "")
             writer.writerow(row)
         out[entity] = buf.getvalue()

@@ -17,12 +17,16 @@ the tokenizer oracle is the engine's first character loop with a line and
 column on every token, the instance-block oracle writes each row binding by
 binding through the instance builder, the migration oracles copy cell by cell through the
 instance builder, the comparison oracle is the engine's first per-entity
-``instances_same_data`` loop, and the random constraint generators build
+``instances_same_data`` loop, the output oracles are the engine's first
+instance printer, CSV export and round-trip diff, which read each cell
+through ``get_attr``, and the random constraint generators build
 inputs from primitive templates only.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import random
 import sys
@@ -82,6 +86,8 @@ from catamerge.parser import (
     _promote_int_literal,
     parse_document,
 )
+from catamerge.integrate import RoundTripReport, TableDelta
+from catamerge.printer import _literal, _row_id
 from catamerge.query import QuerySpec
 from catamerge.schema import (
     Attribute,
@@ -99,6 +105,7 @@ from catamerge.schema import (
     _sides,
     _term_vars,
     check_constraint,
+    render_constant,
 )
 from catamerge.typeside import (
     BaseType,
@@ -1395,6 +1402,89 @@ def oracle_delta_project(combined: CombinedSchema, saturated: Instance, target: 
                 if isinstance(value, Const):
                     out.set_attr(elem, attr.name, value)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Output oracles: the engine's first instance printer, CSV export and
+# round-trip diff, which read every (class, schema member) pair through
+# ``get_fk``, ``get_attr`` and ``export_id``
+
+def oracle_print_instance(inst: Instance) -> str:
+    lines = [f"instance {inst.name} : {inst.schema.name} {{"]
+    for entity in inst.schema.entities:
+        classes = inst.carrier(entity)
+        if not classes:
+            continue
+        lines.append(f"  entity {entity} {{")
+        for root in classes:
+            bindings = []
+            for fk in inst.schema.fks_of(entity):
+                target = inst.get_fk(root, fk.name)
+                if target is not None:
+                    bindings.append(f"{fk.name} = {_row_id(inst.export_id(target))}")
+            for attr in inst.schema.attrs_of(entity):
+                value = inst.get_attr(root, attr.name)
+                if isinstance(value, Const):
+                    bindings.append(f"{attr.name} = {_literal(value)}")
+            body = " ".join(bindings)
+            body = f" {body} " if body else " "
+            lines.append(f"    row {_row_id(inst.export_id(root))} {{{body}}}")
+        lines.append("  }")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def oracle_instance_csvs(inst: Instance) -> dict[str, str]:
+    out: dict[str, str] = {}
+    for entity in inst.schema.entities:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        fks = inst.schema.fks_of(entity)
+        attrs = inst.schema.attrs_of(entity)
+        writer.writerow(["id"] + [fk.name for fk in fks] + [a.name for a in attrs])
+        for root in inst.carrier(entity):
+            row = [inst.export_id(root)]
+            for fk in fks:
+                target = inst.get_fk(root, fk.name)
+                row.append(inst.export_id(target) if target is not None else "")
+            for a in attrs:
+                value = inst.get_attr(root, a.name)
+                row.append(render_constant(value) if isinstance(value, Const) else "")
+            writer.writerow(row)
+        out[entity] = buf.getvalue()
+    return out
+
+
+def oracle_roundtrip_report(original: Instance, recovered: Instance) -> RoundTripReport:
+    if original.schema.name != recovered.schema.name:
+        raise SchemaError("round-trip instances must share a schema")
+    schema = original.schema
+    report = RoundTripReport()
+    for entity in schema.entities:
+        delta = TableDelta(entity)
+        orig_rows = {original.export_id(r): r for r in original.carrier(entity)}
+        rec_rows = {recovered.export_id(r): r for r in recovered.carrier(entity)}
+        delta.rows_in = len(orig_rows)
+        matched: set[str] = set()
+        for rid, rec_root in rec_rows.items():
+            if rid in orig_rows:
+                matched.add(rid)
+            else:
+                delta.new_rows += 1
+        delta.rows_recovered = len(matched)
+        for rid, orig_root in orig_rows.items():
+            rec_root = rec_rows.get(rid) if rid in matched else None
+            for attr in schema.attrs_of(entity):
+                ov = original.get_attr(orig_root, attr.name)
+                rv = recovered.get_attr(rec_root, attr.name) if rec_root is not None else None
+                if isinstance(ov, Const):
+                    if not (isinstance(rv, Const) and rv.type == ov.type and rv.value == ov.value):
+                        delta.attributes_lost += 1
+                else:
+                    if isinstance(rv, Const):
+                        delta.attributes_gained += 1
+        report.tables.append(delta)
+    return report
 
 
 def _random_source_schema(rng: random.Random, name: str) -> Schema:

@@ -444,6 +444,11 @@ def test_find_roots_unknown_and_equal_ids(example2):
         equal = ElementId(stored.entity, stored.name, stored.fresh)
         assert equal is not stored
         assert inst.find(equal) == root == inst.find(stored)
+    (merged_away,) = {a, b} - {root}
+    with pytest.raises(InstanceError, match="is not a class root"):
+        inst.row(merged_away)
+    equal_root = ElementId(root.entity, root.name, root.fresh)
+    assert all(x is y for x, y in zip(inst.row(equal_root), inst.row(root)))
 
 
 def test_get_attr_reads_null_classes_and_anchors():
@@ -541,7 +546,7 @@ def _cell_state(inst: Instance) -> tuple:
 def test_reads_never_write(pipeline):
     """Every public read of a frozen saturation, of the sources it came from
     and of its projections leaves their cells and null labels as they were;
-    so does ``get_attr`` on the unfrozen result of Σ."""
+    so do ``get_attr`` and ``row`` on the unfrozen result of Σ."""
     env, combined, pre = pipeline()
     constraints = list(combined.schema.constraints)
     sat = helpers.saturate(pre, constraints).instance
@@ -552,13 +557,21 @@ def test_reads_never_write(pipeline):
     instances = [pre, sat, other, *sources.values(), *projections.values()]
     before = [_cell_state(inst) for inst in instances]
     unobserved = 0
+    for inst in instances:
+        for entity in inst.schema.entities:
+            for root in inst.carrier(entity):
+                inst.row(root)
     for inst in (pre, sat):
         schema = inst.schema
         for entity in schema.entities:
             for root in inst.carrier(entity):
+                _, cells = inst.row(root)
                 for attr in schema.attrs_of(entity):
                     value = inst.get_attr(root, attr.name)
                     unobserved += helpers.unobserved(inst, value)
+                    stored = cells.get(attr.name)
+                    expected = NullRef(root, attr.name) if stored is None else inst.resolve_value(stored)
+                    assert value == expected
                     assert eval_path(inst, root, Path(entity, (), attr.name)) == value
                 for fk in schema.fks_of(entity):
                     for attr in schema.attrs_of(schema.fk(entity, fk.name).target):

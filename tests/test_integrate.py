@@ -31,6 +31,7 @@ from catamerge.schema import (
 )
 from catamerge.generators import scaled_example1_document
 from catamerge.instance import NullRef
+from catamerge.integrate import TableDelta
 from catamerge.schema import Const
 from catamerge.typeside import BaseType
 
@@ -319,6 +320,50 @@ def test_roundtrip_render_shape(example2_saturated):
     assert len(lines) == 4  # header + Person/Lease/Room
 
 
+_MERGING_RULE = """
+schema A {
+  entities X Y
+  attributes a : X -> Int  b : X -> Int  c : Y -> Int
+}
+instance src : A {
+  entity X {
+    row p { a = 1 }
+    row q { a = 1 b = 2 }
+  }
+  entity Y {
+    row y { c = 3 }
+  }
+}
+extension E {
+  include A
+  constraints
+    forall x1 x2 : X where x1.a = x2.a -> x1 = x2
+}
+"""
+
+
+def test_roundtrip_counts_a_merged_away_row_as_lost():
+    """A rule merges q into p, so q is not recovered and both its
+    constants are lost, while p gains q's b."""
+    env = helpers.load_text(_MERGING_RULE)
+    combined = combine_schemas(env.extensions["E"])
+    source = env.instances["src"]
+    sat = chase(sigma_insert(combined, {"A": source}), list(combined.schema.constraints)).instance
+    recovered = delta_project(combined, sat, source.schema)
+    report = roundtrip_report(source, recovered)
+    assert report.table("X") == TableDelta(
+        "X", rows_in=2, rows_recovered=1, attributes_gained=1, attributes_lost=2, new_rows=0
+    )
+    assert report.table("Y") == TableDelta("Y", rows_in=1, rows_recovered=1)
+    assert roundtrip_report(recovered, source).table("X") == TableDelta(
+        "X", rows_in=1, rows_recovered=1, attributes_lost=1, new_rows=1
+    )
+    with pytest.raises(KeyError, match="Z"):
+        report.table("Z")
+    with pytest.raises(SchemaError, match="round-trip instances must share a schema"):
+        roundtrip_report(source, sat)
+
+
 def test_sigma_preserves_null_sharing():
     """Two cells sharing one null class in a source stay linked after sigma."""
     from catamerge.parser import SourceDocument, parse_document
@@ -501,6 +546,88 @@ def test_migrations_match_the_oracles_on_random_sources():
             shapes["shared null"] += _null_classes(src) < len(_entered_nulls(src))
             shapes["merged class"] += any(len(src.members(r)) > 1 for _, r in roots)
     assert min(shapes.values()) >= 20 and len(shapes) == 5, shapes
+
+
+def _pipeline_outputs(env, combined, sat) -> tuple[list, list]:
+    """A document's sources, Σ, saturation and projections, and each source
+    paired with its projection both ways and with itself."""
+    sources = {inst.schema.name: inst for inst in env.instances.values()}
+    projections = {s.name: delta_project(combined, sat, s) for s in combined.extension.schemas}
+    insts = [*sources.values(), sigma_insert(combined, sources), sat, *projections.values()]
+    pairs = [
+        pair
+        for name, source in sources.items()
+        for pair in ((source, projections[name]), (projections[name], source), (source, source))
+    ]
+    return insts, pairs
+
+
+def _shapes(inst) -> set[str]:
+    stored = [v for row in inst._attrs.values() for v in row.values() if isinstance(v, NullRef)]
+    resolved = [inst.resolve_value(v) for v in stored]
+    nulls = [v for v in resolved if isinstance(v, NullRef)]
+    roots = [r for e in inst.schema.entities for r in inst.carrier(e)]
+    return {
+        shape
+        for shape, present in (
+            ("merged class", any(len(inst.members(r)) > 1 for r in roots)),
+            ("fresh element", any(r.fresh for r in roots)),
+            ("anchored null", len(nulls) < len(resolved)),
+            ("unified null", len(set(nulls)) < len(nulls)),
+        )
+        if present
+    }
+
+
+def test_outputs_match_the_per_cell_oracles(example1_saturated, example2_saturated):
+    """``print_canonical``, ``instance_csvs`` and ``roundtrip_report``, which
+    read each class's stored row once, give the output of the oracles that
+    read each cell through ``get_attr``, frozen or not."""
+    insts, pairs = [], []
+    for env, combined, _, result in (example1_saturated, example2_saturated):
+        more_insts, more_pairs = _pipeline_outputs(env, combined, result.instance)
+        insts += more_insts
+        pairs += more_pairs
+    env = helpers.load_text(scaled_example1_document(50), "scaled50.cmg")
+    combined = combine_schemas(env.extensions["Combined"])
+    pre = sigma_insert(combined, {i.schema.name: i for i in env.instances.values()})
+    sat = helpers.saturate(pre, combined.schema.constraints).instance
+    more_insts, more_pairs = _pipeline_outputs(env, combined, sat)
+    insts += more_insts
+    pairs += more_pairs
+    shapes = Counter()
+    for seed in range(200):
+        rng = random.Random(seed)
+        combined, sources = helpers.random_migration_case(rng)
+        sat = helpers.random_chase_like(rng, sigma_insert(combined, sources))
+        for inst in (sat, sat.copy()):
+            insts.append(inst)
+            for s in combined.extension.schemas:
+                projected = delta_project(combined, inst, s)
+                insts.append(projected)
+                if s.name in sources:
+                    pairs += [(sources[s.name], projected), (projected, sources[s.name])]
+        shapes.update(_shapes(sat))
+    for seed in range(200):
+        _, pre, cs = helpers.random_weakly_acyclic_case(random.Random(seed), constants=True)
+        sat = chase(pre, cs).instance
+        if sat is not None:
+            insts += [sat, sat.copy()]
+            pairs += [(pre, sat), (sat, pre)]
+            shapes.update(_shapes(sat))
+    for inst in insts:
+        assert print_canonical(inst) == helpers.oracle_print_instance(inst)
+        assert instance_csvs(inst) == helpers.oracle_instance_csvs(inst)
+    deltas = Counter()
+    for original, recovered in pairs:
+        report = roundtrip_report(original, recovered)
+        assert report == helpers.oracle_roundtrip_report(original, recovered)
+        for t in report.tables:
+            deltas.update(
+                {"gained": t.attributes_gained, "lost": t.attributes_lost, "new": t.new_rows}
+            )
+    assert min(shapes.values()) >= 20 and len(shapes) == 4, shapes
+    assert min(deltas.values()) > 0 and len(deltas) == 3, deltas
 
 
 _EXTRA_ATTRIBUTE = """

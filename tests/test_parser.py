@@ -5,6 +5,7 @@ import random
 import sys
 import time
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
@@ -408,6 +409,12 @@ def test_roundtrip_schema_instance_extension_query(example2):
 def test_print_empty_schema():
     text = print_canonical(Schema("Empty"))
     assert text.split() == ["schema", "Empty", "{", "}"]
+
+
+def test_print_canonical_refuses_other_values():
+    for value in (1, "schema S { }", None):
+        with pytest.raises(TypeError, match=f"cannot print {type(value).__name__}"):
+            print_canonical(value)
 
 
 def test_parse_is_deterministic():
