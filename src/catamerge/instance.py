@@ -1,5 +1,9 @@
 """Instances: element sets with foreign-key/attribute valuations.
 
+Each class root keeps one row, member name to foreign-key target (an
+``ElementId``) or attribute cell; no entity gives a foreign key and an
+attribute one name, so a stored value's type tells its kind.
+
 An instance tracks a union-find over its elements (entity merges propagate a
 congruence closure through valued foreign keys) and a second union-find over
 labelled nulls with constant anchoring. Attribute valuations are total: a
@@ -122,14 +126,17 @@ class MergeReport:
 
 class Instance:
     def __init__(self, schema: Schema, name: str = "instance"):
+        for fk in schema.foreign_keys:
+            if schema.attr(fk.source, fk.name) is not None:
+                raise InstanceError(f"'{fk.name}' is a foreign key and an attribute of '{fk.source}'")
         self.schema = schema
         self.name = name
         # Per entity, name -> element in creation order.
         self._elements: dict[str, dict[str, ElementId]] = {e: {} for e in schema.entities}
         self._parent: dict[ElementId, ElementId] = {}
         self._members: dict[ElementId, list[ElementId]] = {}
-        self._fks: dict[ElementId, dict[str, ElementId]] = {}
-        self._attrs: dict[ElementId, dict[str, AttrValue]] = {}
+        # Per class root, member name -> foreign-key target or stored cell.
+        self._rows: dict[ElementId, dict[str, Union[ElementId, AttrValue]]] = {}
         # Names of the nulls writers used; a name with no entry is its own root.
         self._null_parent: dict[NullRef, NullRef] = {}
         self._null_anchor: dict[NullRef, Const] = {}
@@ -154,8 +161,7 @@ class Instance:
         out._elements = {e: dict(v) for e, v in self._elements.items()}
         out._parent = dict(self._parent)
         out._members = {k: list(v) for k, v in self._members.items()}
-        out._fks = {k: dict(v) for k, v in self._fks.items()}
-        out._attrs = {k: dict(v) for k, v in self._attrs.items()}
+        out._rows = {k: dict(v) for k, v in self._rows.items()}
         out._null_parent = dict(self._null_parent)
         out._null_anchor = dict(self._null_anchor)
         out.origins = dict(self.origins)
@@ -221,15 +227,16 @@ class Instance:
             observed = self._observed
             if observed is None:
                 observed = self._observed = {}
-                for root, cells in self._attrs.items():
-                    for name in cells:
-                        observed.setdefault((root.entity, name), set()).add(root)
+                for root, row in self._rows.items():
+                    for name, value in row.items():
+                        if not isinstance(value, ElementId):
+                            observed.setdefault((root.entity, name), set()).add(root)
             # one entity's elements sort by name, as the carrier does
             roots = sorted(observed.get((entity, attr), ()))
             index: dict[object, list[ElementId]] = {}
-            attrs = self._attrs
+            rows = self._rows
             for root in roots:
-                key = _join_key(self, self.resolve_value(attrs[root][attr]))
+                key = _join_key(self, self.resolve_value(rows[root][attr]))
                 index.setdefault(key, []).append(root)
             cached = self._indexes[(entity, attr)] = (roots, index)
         return cached
@@ -325,8 +332,7 @@ class Instance:
         self._carriers.pop(entity, None)
         self._record((CREATED, entity))
         self._parent[elem] = elem
-        self._fks[elem] = {}
-        self._attrs[elem] = {}
+        self._rows[elem] = {}
         if origin is not None:
             self.origins[elem] = origin
         return elem
@@ -342,14 +348,14 @@ class Instance:
             raise InstanceError(
                 f"foreign key '{fk_name}' targets '{fk.target}', got element of '{tgt.entity}'"
             )
-        current = self._fks[root].get(fk_name)
+        current = self._rows[root].get(fk_name)
         if current is not None:
             if self.find(current) == tgt:
                 return
             raise InstanceError(
                 f"conflicting re-assignment of foreign key '{fk_name}' on {root.name}"
             )
-        self._fks[root][fk_name] = tgt
+        self._rows[root][fk_name] = tgt
 
     def set_attr(self, elem: ElementId, attr_name: str, value: Optional[AttrValue]) -> None:
         """Builder assignment; ``None`` or a null leaves the cell as it is."""
@@ -358,7 +364,7 @@ class Instance:
         attr = self.schema.attr(root.entity, attr_name)
         if attr is None:
             raise InstanceError(f"'{attr_name}' is not an attribute of entity '{root.entity}'")
-        cells = self._attrs[root]
+        cells = self._rows[root]
         current = cells.get(attr_name)
         if current is not None:
             current = self.resolve_value(current)
@@ -386,16 +392,15 @@ class Instance:
             # anchor the null's class: cells unified with this one read the constant too
             self._unify_values(current, value, attr_name, root.name)
 
-    def write_row(self, elem: ElementId, fks: dict[str, ElementId], attrs: dict[str, Const]) -> None:
-        """Write a parsed row's cells onto ``elem``, a class root: ``fks``
-        maps foreign keys to their target roots and ``attrs`` attributes to
-        constants, and a cell ``elem`` already holds gets the same value.
-        Like ``copy_rows``, nothing is checked per cell: the parser has
+    def write_row(self, elem: ElementId, row: dict[str, Union[ElementId, Const]]) -> None:
+        """Write a parsed row onto ``elem``, a class root: ``row`` maps each
+        foreign key to its target root and each attribute to a constant,
+        and a member ``elem`` already holds gets the same value. Like
+        ``copy_rows``, nothing is checked per member: the parser has
         checked each member, type and target."""
         self._mutable()
-        self._fks[elem].update(fks)
-        if attrs:
-            self._attrs[elem].update(attrs)
+        if row:
+            self._rows[elem].update(row)
             self._observed = None  # rebuilt on first use, not kept cell by cell
             self._indexes.clear()
 
@@ -404,43 +409,37 @@ class Instance:
         src: "Instance",
         roots: Iterable[ElementId],
         images: dict[ElementId, ElementId],
-        fks: list[tuple[str, str]],
-        attrs: list[tuple[str, str]],
+        members: list[tuple[str, str]],
         nulls: Optional[dict[NullRef, tuple[ElementId, str]]] = None,
     ) -> None:
-        """Copy the cells of ``src``'s classes ``roots`` onto their images.
+        """Copy the rows of ``src``'s classes ``roots`` onto their images.
 
         ``images`` maps each of ``roots``, and each root a copied foreign
         key reaches, to an element added to this instance and not written
-        yet; ``fks`` and ``attrs`` rename the members of the roots' entity,
-        in declaration order. A set foreign key points to its target's image; a
-        constant is copied as is. A null is dropped without ``nulls``;
-        with it, cells that share a null class in ``src`` share one here
-        (``nulls`` maps a ``src`` null root to its first cell). Nothing is
-        checked per cell: the caller checks once that the renamings are
-        between the two schemas, whose member types then agree.
+        yet; ``members`` renames the members of the roots' entity, foreign
+        keys first. A set foreign key (a stored ``ElementId``) points to its
+        target's image; a constant is copied as is. A null is dropped
+        without ``nulls``; with it, cells that share a null class in ``src``
+        share one here (``nulls`` maps a ``src`` null root to its first
+        cell). Nothing is checked per member: the caller checks once that
+        the renamings are between the two schemas, whose members then agree.
         """
         self._mutable()
         self._observed = None  # rebuilt on first use, not kept cell by cell
         self._indexes.clear()
-        find, src_fks, src_attrs = src.find, src._fks, src._attrs
-        out_fks, out_attrs = self._fks, self._attrs
+        find, src_rows, out_rows = src.find, src._rows, self._rows
         for root in roots:
-            image = images[root]
-            row = src_fks[root]
-            if row:
-                out_row = out_fks[image]
-                for name, out_name in fks:
-                    target = row.get(name)
-                    if target is not None:
-                        out_row[out_name] = images[find(target)]
-            row = src_attrs[root]
+            row = src_rows[root]
             if not row:
                 continue
-            out_row = out_attrs[image]
-            for name, out_name in attrs:
+            image = images[root]
+            out_row = out_rows[image]
+            for name, out_name in members:
                 value = row.get(name)
                 if value is None:
+                    continue
+                if isinstance(value, ElementId):
+                    out_row[out_name] = images[find(value)]
                     continue
                 if isinstance(value, NullRef):
                     value = src.resolve_value(value)
@@ -457,38 +456,39 @@ class Instance:
     # -- saturation-level mutators ----------------------------------------------
 
     def get_fk(self, elem: ElementId, fk_name: str) -> Optional[ElementId]:
-        target = self._fks[self.find(elem)].get(fk_name)
-        return self.find(target) if target is not None else None
+        """The target's class; None when unset or when ``fk_name`` is no foreign key."""
+        target = self._rows[self.find(elem)].get(fk_name)
+        return self.find(target) if isinstance(target, ElementId) else None
 
     def get_attr(self, elem: ElementId, attr_name: str) -> AttrValue:
         """The cell's resolved constant or null root; an unobserved cell
         reads as its own name, ``NullRef(root, attr_name)``, which has no
         entry in the null union-find. A read never writes."""
         root = self.find(elem)
-        value = self._attrs[root].get(attr_name)
-        if value is None:
+        value = self._rows[root].get(attr_name)
+        if value is None or isinstance(value, ElementId):  # a foreign key's name has no attr
             if self.schema.attr(root.entity, attr_name) is None:
                 raise InstanceError(f"'{attr_name}' is not an attribute of entity '{root.entity}'")
             return NullRef(root, attr_name)
         return self.resolve_value(value)
 
-    def row(self, root: ElementId) -> tuple[dict[str, ElementId], dict[str, AttrValue]]:
-        """The class root's stored foreign-key map and attribute-cell map,
-        shared and not copied: callers only read them. A target is any
-        member of its class (``find`` or ``export_id`` it), a stored value
-        goes through ``resolve_value``, and an attribute missing from the
-        cell map is unobserved, so it holds no constant."""
+    def row(self, root: ElementId) -> dict[str, Union[ElementId, AttrValue]]:
+        """The class root's stored row, member name to foreign-key target
+        or attribute cell, shared and not copied: callers only read it. A
+        target is any member of its class (``find`` or ``export_id`` it), a
+        stored cell goes through ``resolve_value``, and an attribute missing
+        from the row is unobserved, so it holds no constant."""
         if self._parent.get(root) != root:
             raise InstanceError(f"{root} is not a class root")
-        return self._fks[root], self._attrs[root]
+        return self._rows[root]
 
     def _cell(self, root: ElementId, attr_name: str) -> AttrValue:
         """The value stored in a cell; an unobserved one first stores its
         own name and enters it in the null union-find. Only the writers
         call it, after ``_mutable``: a read never enters a name."""
-        cells = self._attrs[root]
+        cells = self._rows[root]
         value = cells.get(attr_name)
-        if value is None:
+        if value is None or isinstance(value, ElementId):
             if self.schema.attr(root.entity, attr_name) is None:
                 raise InstanceError(f"'{attr_name}' is not an attribute of entity '{root.entity}'")
             value = cells[attr_name] = NullRef(root, attr_name)
@@ -500,9 +500,12 @@ class Instance:
         """Assign an unset foreign key, or merge the targets when already set."""
         self._mutable()
         root, tgt = self.find(elem), self.find(target)
-        current = self._fks[root].get(fk_name)
-        if current is None:
-            self._fks[root][fk_name] = tgt
+        row = self._rows[root]
+        current = row.get(fk_name)
+        if not isinstance(current, ElementId):
+            if self.schema.fk(root.entity, fk_name) is None:  # also an attribute's cell
+                raise InstanceError(f"'{fk_name}' is not a foreign key of entity '{root.entity}'")
+            row[fk_name] = tgt
             self._record((DEFINED, root.entity, fk_name))
             return True
         if self.find(current) == tgt:
@@ -544,32 +547,32 @@ class Instance:
             self._indexes.clear()
             self._parent[loser] = winner
             self._members.setdefault(winner, [winner]).extend(self._members.pop(loser, (loser,)))
-            loser_fks = self._fks.pop(loser)
-            winner_fks = self._fks[winner]
-            for fk_name, tgt in loser_fks.items():
-                if fk_name in winner_fks:
-                    work.append((winner_fks[fk_name], tgt))
+            loser_row = self._rows.pop(loser)
+            winner_row = self._rows[winner]
+            names = []
+            for name, value in loser_row.items():
+                if not isinstance(value, ElementId):
+                    names.append(name)
+                elif name in winner_row:
+                    work.append((winner_row[name], value))
                 else:
-                    winner_fks[fk_name] = tgt
+                    winner_row[name] = value
             # Only cells both sides used are unified; the loser's unobserved
             # ones are dropped. Declaration order, so a clash names the same
             # attribute whatever order the cells were first used in.
-            loser_attrs = self._attrs.pop(loser)
-            winner_attrs = self._attrs[winner]
-            names = list(loser_attrs)
             if len(names) > 1:
                 rank, entity = self.schema.attr_rank, winner.entity
                 names.sort(key=lambda name: rank[(entity, name)])
             observed = self._observed
             for name in names:
-                value = loser_attrs[name]
+                value = loser_row[name]
                 if observed is not None:
                     cells = observed[(winner.entity, name)]
                     cells.discard(loser)
                     cells.add(winner)
-                current = winner_attrs.get(name)
+                current = winner_row.get(name)
                 if current is None:
-                    winner_attrs[name] = value
+                    winner_row[name] = value
                 else:
                     self._unify_values(current, value, name, winner.name)
         return report
@@ -913,10 +916,9 @@ def cells_match(va: AttrValue, vb: AttrValue, nulls: dict) -> bool:
 def _locally_compatible(
     sat: Instance, alt: Instance, a: ElementId, b: ElementId, nulls: Optional[dict] = None
 ) -> bool:
-    """Same entity, matching cells, the same foreign keys set. The null
-    cells must pair up by ``nulls``, or without it within the element."""
-    if a.entity != b.entity:
-        return False
+    """Matching cells and the same foreign keys set, for two elements of
+    one entity. The null cells must pair up by ``nulls``, or without it
+    within the element."""
     nulls = {} if nulls is None else nulls
     for attr in sat.schema.attrs_of(a.entity):
         if not cells_match(sat.get_attr(a, attr.name), alt.get_attr(b, attr.name), nulls):

@@ -285,8 +285,7 @@ def sigma_insert(combined: CombinedSchema, sources: dict[str, Instance]) -> Inst
             carriers.append((entity, roots))
         nulls: dict[str, tuple[ElementId, str]] = {}  # null sharing within one source
         for entity, roots in carriers:
-            fks, attrs = _renamings(combined, s, entity)
-            out.copy_rows(src, roots, images, fks, attrs, nulls)
+            out.copy_rows(src, roots, images, _renamings(combined, s, entity), nulls)
     return out
 
 
@@ -325,23 +324,20 @@ def delta_project(combined: CombinedSchema, saturated: Instance, target: Schema)
                 images[root] = out.add_element(entity, root.name, fresh=True)
         carriers.append((entity, roots))
     for entity, roots in carriers:
-        fks, attrs = _renamings(combined, target, entity)
-        out.copy_rows(
-            saturated, roots, images, [(c, n) for n, c in fks], [(c, n) for n, c in attrs]
-        )
+        members = _renamings(combined, target, entity)
+        out.copy_rows(saturated, roots, images, [(c, n) for n, c in members])
     return out
 
 
-def _renamings(
-    combined: CombinedSchema, schema: Schema, entity: str
-) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
-    """The foreign keys and the attributes of an included schema's entity,
-    each as (its name, its combined name), in declaration order."""
+def _renamings(combined: CombinedSchema, schema: Schema, entity: str) -> list[tuple[str, str]]:
+    """The members of an included schema's entity, each as (its name, its
+    combined name): the foreign keys and then the attributes, each in
+    declaration order."""
     member = combined.member_map
-    return (
-        [(fk.name, member[(schema.name, entity, fk.name)]) for fk in schema.fks_of(entity)],
-        [(a.name, member[(schema.name, entity, a.name)]) for a in schema.attrs_of(entity)],
-    )
+    return [
+        (m.name, member[(schema.name, entity, m.name)])
+        for m in (*schema.fks_of(entity), *schema.attrs_of(entity))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +403,9 @@ def roundtrip_report(original: Instance, recovered: Instance) -> RoundTripReport
         delta.new_rows = len(rec_rows) - len(matched)
         attrs = [a.name for a in schema.attrs_of(entity)]
         for rid, orig_root in orig_rows.items():
-            orig_cells = original.row(orig_root)[1]
+            orig_cells = original.row(orig_root)
             rec_root = rec_rows.get(rid)
-            rec_cells = recovered.row(rec_root)[1] if rec_root is not None else {}
+            rec_cells = recovered.row(rec_root) if rec_root is not None else {}
             for name in attrs:
                 ov, rv = orig_cells.get(name), rec_cells.get(name)
                 if ov is not None:

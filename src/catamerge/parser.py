@@ -41,7 +41,6 @@ from .schema import (
     Schema,
     Term,
     Var,
-    validate_schema,
 )
 from .typeside import (
     BASE_TYPES_BY_NAME,
@@ -510,9 +509,6 @@ class _Parser:
             if c is not None:
                 constraints.append(c)
         schema = Schema(name_tok.text, tuple(entities), tuple(fks), tuple(attrs), tuple(constraints))
-        report = validate_schema(schema)
-        for issue in report.issues:
-            self.error(name_tok, f"invalid schema: {issue}")
         if name_tok.text in self.env.schemas:
             self.error(name_tok, f"schema '{name_tok.text}' is already defined")
         else:
@@ -816,10 +812,10 @@ class _Parser:
 
         inst = Instance(schema, name_tok.text)
         ok = True
-        # Only an id given to more than one row keeps its fold maps, shared
+        # Only an id given to more than one row keeps its fold map, shared
         # by its rows; other rows' maps die once written, so that the block
         # keeps no object per row alive to bring on collector passes.
-        repeated: dict[ElementId, tuple[dict, dict]] = {}
+        repeated: dict[ElementId, dict] = {}
         elems: list[Optional[ElementId]] = []  # per row; None for an unknown entity
         for entity_tok, row_id, id_pos, _ in rows:
             if not schema.has_entity(entity_tok.text):
@@ -833,16 +829,16 @@ class _Parser:
                 self.error_at(id_pos, str(err))
                 ok = False
                 elems.append(inst.element_named(entity_tok.text, row_id))
-                repeated.setdefault(elems[-1], ({}, {}))
+                repeated.setdefault(elems[-1], {})
         for (_, _, _, bindings), elem in zip(rows, elems):
             if elem is None:
                 continue
-            fks, attrs = repeated.get(elem) or ({}, {})
+            row = repeated.get(elem, {})
             for binding in bindings:
-                if (error := self._fold_binding(inst, elem, fks, attrs, binding)) is not None:
+                if (error := self._fold_binding(inst, elem, row, binding)) is not None:
                     self.error_at(*error)
                     ok = False
-            inst.write_row(elem, fks, attrs)
+            inst.write_row(elem, row)
         if name_tok.text in self.env.instances:
             self.error(name_tok, f"instance '{name_tok.text}' is already defined")
         elif ok:
@@ -876,11 +872,11 @@ class _Parser:
         return "lit", const, tok.pos
 
     def _fold_binding(
-        self, inst: Instance, elem: ElementId, fks: dict, attrs: dict, binding: Binding
+        self, inst: Instance, elem: ElementId, row: dict, binding: Binding
     ) -> Optional[tuple[int, str]]:
         """Check a binding of ``elem``'s row and fold it into the element's
-        ``fks`` or ``attrs``, or give the offset and message of its diagnostic.
-        A member bound again needs an equal value; ``null`` binds nothing."""
+        ``row``, or give the offset and message of its diagnostic. A member
+        bound again needs an equal value; ``null`` binds nothing."""
         member, member_pos, kind, value, at = binding
         fk = inst.schema.fk(elem.entity, member)
         if fk is not None:
@@ -891,7 +887,7 @@ class _Parser:
             target = inst.element_named(fk.target, value)
             if target is None:
                 return at, f"'{value}' is not a declared row of entity '{fk.target}'"
-            if fks.setdefault(member, target) != target:
+            if row.setdefault(member, target) != target:
                 return at, f"conflicting re-assignment of foreign key '{member}' on {elem.name}"
             return None
         attr = inst.schema.attr(elem.entity, member)
@@ -904,7 +900,7 @@ class _Parser:
         const = value if value.type is attr.type else _promote_int_literal(value, value.type, attr.type)
         if const is None:
             return at, f"attribute '{member}' has type {attr.type}, got {value.type}"
-        current = attrs.setdefault(member, const)
+        current = row.setdefault(member, const)
         if current.value != const.value:
             return at, (f"conflicting re-assignment of attribute '{member}' on {elem.name}: "
                         f"{current.value!r} vs {const.value!r}")

@@ -132,14 +132,14 @@ def _print_instance(inst: Instance) -> str:
         fks = [fk.name for fk in inst.schema.fks_of(entity)]
         attrs = [a.name for a in inst.schema.attrs_of(entity)]
         for root in classes:
-            targets, cells = inst.row(root)
+            row = inst.row(root)
             bindings = []
             for name in fks:
-                target = targets.get(name)
+                target = row.get(name)
                 if target is not None:
                     bindings.append(f"{name} = {_row_id(export_id(target))}")
             for name in attrs:
-                value = cells.get(name)
+                value = row.get(name)
                 if value is not None:
                     value = resolve(value)
                 if isinstance(value, Const):
@@ -215,13 +215,13 @@ def instance_csvs(inst: Instance) -> dict[str, str]:
         attrs = [a.name for a in inst.schema.attrs_of(entity)]
         writer.writerow(["id", *fks, *attrs])
         for root in inst.carrier(entity):
-            targets, cells = inst.row(root)
+            stored = inst.row(root)
             row = [root.name]
             for name in fks:
-                target = targets.get(name)
+                target = stored.get(name)
                 row.append("" if target is None else export_id(target))
             for name in attrs:
-                value = cells.get(name)
+                value = stored.get(name)
                 if value is not None:
                     value = resolve(value)
                 row.append(render_constant(value) if isinstance(value, Const) else "")

@@ -184,7 +184,7 @@ def check_null_names(inst: Instance) -> int:
         assert isinstance(name, NullRef), name
         assert inst.schema.attr(name.root.entity, name.attr) is not None, name
         if inst.find(name.root) == name.root:
-            assert name.attr in inst._attrs[name.root], name
+            assert name.attr in inst._rows[name.root], name
             live += 1
     for name in inst._null_anchor:
         assert name in inst._null_parent, name
@@ -1634,7 +1634,7 @@ def mutated_copies(inst: Instance) -> list[Instance]:
     """Copies of ``inst`` with one change each, where ``inst`` allows it:
     the first constant cell changed, the first two null cells of one type
     in different classes unified, and the first set foreign key retargeted
-    to another class. Cells and keys are taken in carrier order."""
+    to another class, and unset. Cells and keys are taken in carrier order."""
     schema, out = inst.schema, []
     cells = [
         (root, attr)
@@ -1652,9 +1652,9 @@ def mutated_copies(inst: Instance) -> list[Instance]:
             else:
                 changed = Const(value.type, value.value + 1)
             copy = inst.copy()
-            stored = copy._attrs[root][attr.name]
+            stored = copy._rows[root][attr.name]
             if isinstance(stored, Const):
-                copy._attrs[root][attr.name] = changed
+                copy._rows[root][attr.name] = changed
             else:
                 copy._null_anchor[copy.null_find(stored)] = changed
             out.append(copy)
@@ -1677,7 +1677,10 @@ def mutated_copies(inst: Instance) -> list[Instance]:
     )
     for root, fk, other in itertools.islice(retargets, 1):
         copy = inst.copy()
-        copy._fks[root][fk.name] = other
+        copy._rows[root][fk.name] = other
+        out.append(copy)
+        copy = inst.copy()
+        del copy._rows[root][fk.name]
         out.append(copy)
     return out
 

@@ -230,6 +230,32 @@ extension E { include S constraints forall x : X -> add(x.a, 1) = 3 }
     assert "constant clash on conclusion: 6 != 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("query", "--query", "TenantBilling"),
+    ("roundtrip", "--schema", "IFC"),
+])
+def test_query_and_roundtrip_exit_two_on_a_clash(tmp_path, capsys, command, flag, value):
+    f = tmp_path / "clash.cmg"
+    f.write_text(helpers.clash_fixture_text(), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main([command, str(f), flag, value, "--out", str(out)]) == 2
+    out_text, err = capsys.readouterr()
+    assert err.startswith("unsatisfiable: ") and "99.9" in err and out_text == ""
+    assert not out.exists()
+
+
+def test_integrate_not_weakly_acyclic_exits_one(tmp_path, capsys):
+    f = tmp_path / "cycle.cmg"
+    f.write_text("""
+schema A { entities X Y foreign_keys g : Y -> X }
+extension E { include A constraints forall x : A_X -> exists y : A_Y , y.g = x }
+""", encoding="utf-8")
+    assert main(["integrate", str(f), "--out", str(tmp_path / "o")]) == 1
+    assert _one_line_error(capsys).startswith(
+        "error: constraint set is not weakly acyclic (cycle: A_Y.g -> A_X.exists); "
+    )
+
+
 def test_integrate_exhaustion_exits_three(tmp_path, capsys):
     code = main(["integrate", EX2, "--out", str(tmp_path / "o"), "--max-rounds", "1"])
     assert code == 3
@@ -350,6 +376,39 @@ extension E2 { include A }
     f.write_text(doc)
     assert main(["integrate", str(f), "--out", str(tmp_path / "o")]) == 1
     assert main(["integrate", str(f), "--extension", "E1", "--out", str(tmp_path / "o")]) == 0
+
+
+def test_query_on_another_extension_exits_one(tmp_path, capsys):
+    f = tmp_path / "multi.cmg"
+    f.write_text("""
+schema A { entities X }
+extension E1 { include A }
+extension E2 { include A }
+query Q : E1 { from x : A_X }
+""", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["query", str(f), "-q", "Q", "-e", "E2", "--out", str(out)]) == 1
+    assert _one_line_error(capsys) == "error: query 'Q' targets extension 'E1', not 'E2'\n"
+    assert not out.exists()
+    assert main(["query", str(f), "-q", "Q", "-e", "E1", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("text, message", [
+    ("extension E { }",
+     "1:11: error: invalid extension E: E: an extension must include at least one schema"),
+    ("schema A { entities X }\nextension A { include A }",
+     "2:11: error: invalid extension A: A: extension name collides with an included schema"),
+    ("schema A { entities X attributes B_f : X -> Int  f : X -> Int }\n"
+     "schema B { entities Y attributes f : Y -> Int }\n"
+     "extension E { include A B identify A.X = B.Y }",
+     "3:11: error: member 'B_f' of combined entity 'X' is ambiguous even after prefixing"),
+])
+def test_check_malformed_extension_exits_one(tmp_path, capsys, text, message):
+    f = tmp_path / "ext.cmg"
+    f.write_text(text + "\n", encoding="utf-8")
+    assert main(["check", str(f)]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"{f}:{message}\n" and out == ""
 
 
 def test_two_instances_over_one_schema_exit_one(tmp_path, capsys):

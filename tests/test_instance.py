@@ -33,12 +33,13 @@ from catamerge.instance import (
     NullRef,
     VirtualElem,
     _join_key,
+    eval_term,
     instances_same_data,
     values_equal,
 )
 from catamerge.integrate import combine_schemas
 from catamerge.parser import SourceDocument, parse_document
-from catamerge.schema import Attribute, Const, ForeignKey, Path, Schema
+from catamerge.schema import Attribute, Const, ForeignKey, Path, PathApp, Schema
 from catamerge.typeside import BaseType
 
 
@@ -93,7 +94,7 @@ def test_set_attr_null_stores_labelled_null(example2):
     # cell's own name, and the read enters no name
     value = inst.get_attr(sp, "setPointValue")
     assert value == NullRef(sp, "setPointValue") and helpers.unobserved(inst, value)
-    assert len(inst._null_parent) == 0 and not inst._attrs[sp]
+    assert len(inst._null_parent) == 0 and not inst._rows[sp]
 
 
 def test_set_fk_wrong_target_entity(example1):
@@ -448,7 +449,7 @@ def test_find_roots_unknown_and_equal_ids(example2):
     with pytest.raises(InstanceError, match="is not a class root"):
         inst.row(merged_away)
     equal_root = ElementId(root.entity, root.name, root.fresh)
-    assert all(x is y for x, y in zip(inst.row(equal_root), inst.row(root)))
+    assert inst.row(equal_root) is inst.row(root)
 
 
 def test_get_attr_reads_null_classes_and_anchors():
@@ -468,7 +469,7 @@ def test_get_attr_reads_null_classes_and_anchors():
     inst.union_attrs(f, "b", e, "b")
     names = len(inst._null_parent)
     for elem, attr in ((e, "a"), (e, "b"), (f, "b")):
-        name = inst._attrs[elem][attr]
+        name = inst._rows[elem][attr]
         assert inst.get_attr(elem, attr) == inst.null_find(name)
     merged = inst.get_attr(e, "a")
     assert inst.get_attr(e, "b") == inst.get_attr(f, "b") == merged != inst.get_attr(f, "a")
@@ -521,6 +522,70 @@ def test_unknown_attribute_names_the_attribute_and_entity():
     assert inst.get_attr(e, "a") == Const(BaseType.INT, 1)
 
 
+def _fk_and_attr_schema() -> Schema:
+    return Schema("S", ("E",), (ForeignKey("f", "E", "E"),), (Attribute("a", "E", BaseType.INT),))
+
+
+def test_member_kind_guards():
+    """A foreign key and an attribute share one row per class, so each
+    member-kind check refuses the other kind's name, and a refused name
+    writes nothing."""
+    inst = new_instance(_fk_and_attr_schema())
+    x, y = inst.add_element("E", "x"), inst.add_element("E", "y")
+    not_attr = "'f' is not an attribute of entity 'E'"
+    not_fk = "'a' is not a foreign key of entity 'E'"
+    for state in ("unset", "set"):
+        if state == "set":
+            inst.set_fk(x, "f", y)
+            inst.set_attr(x, "a", Const(BaseType.INT, 1))
+        before = (dict(inst.row(x)), dict(inst._null_parent), dict(inst._null_anchor))
+        with pytest.raises(InstanceError, match=not_attr):
+            inst.get_attr(x, "f")
+        with pytest.raises(InstanceError, match=not_attr):
+            inst.assign_attr(x, "f", Const(BaseType.INT, 2))
+        with pytest.raises(InstanceError, match=not_attr):
+            inst.union_attrs(x, "f", x, "a")
+        assert inst.get_fk(x, "a") is None
+        with pytest.raises(InstanceError, match=not_fk):
+            inst.define_fk(x, "a", y)
+        with pytest.raises(InstanceError, match=not_fk):
+            inst.set_fk(x, "a", y)
+        assert (dict(inst.row(x)), dict(inst._null_parent), dict(inst._null_anchor)) == before
+        with pytest.raises(InstanceError, match=not_attr):
+            inst.union_attrs(x, "a", x, "f")
+    with pytest.raises(InstanceError, match="'nope' is not a foreign key of entity 'E'"):
+        inst.define_fk(x, "nope", y)
+    assert inst.get_fk(x, "f") == y and inst.get_attr(x, "a") == Const(BaseType.INT, 1)
+
+
+def test_an_instance_refuses_a_member_name_of_both_kinds():
+    schema = Schema("S", ("E",), (ForeignKey("m", "E", "E"),), (Attribute("m", "E", BaseType.INT),))
+    with pytest.raises(InstanceError, match="'m' is a foreign key and an attribute of 'E'"):
+        Instance(schema)
+
+
+def test_builders_refuse_unknown_entities_and_foreign_keys():
+    inst = new_instance(_fk_and_attr_schema())
+    with pytest.raises(InstanceError, match="'Nope' is not an entity of schema S"):
+        inst.add_element("Nope", "x")
+    x = inst.add_element("E", "x")
+    with pytest.raises(InstanceError, match="'g' is not a foreign key of entity 'E'"):
+        inst.set_fk(x, "g", x)
+    assert inst.elements("E") == [x] and not inst.row(x)
+
+
+def test_undefined_is_falsy_and_a_path_step_from_a_non_element_is_undefined():
+    assert repr(UNDEFINED) == "UNDEFINED" and not UNDEFINED
+    inst = new_instance(_fk_and_attr_schema())
+    x = inst.add_element("E", "x")
+    inst.set_fk(x, "f", x)
+    term = PathApp("v", Path("E", ("f", "f"), "a"))
+    assert eval_term(inst, {"v": x}, term) == NullRef(x, "a")
+    for bound in (Const(BaseType.INT, 1), NullRef(x, "a"), UNDEFINED):
+        for virtual in (False, True):
+            assert eval_term(inst, {"v": bound}, term, virtual=virtual) is UNDEFINED
+
+
 def test_fully_set_rows_mint_no_null():
     env = parse_document(SourceDocument("scaled", scaled_example1_document(50)))
     sources = {"IFC": env.instances["ifc_model"], "BRICK": env.instances["brick_model"]}
@@ -538,7 +603,7 @@ def test_fully_set_rows_mint_no_null():
 
 def _cell_state(inst: Instance) -> tuple:
     """What a write to a cell or a null label would change."""
-    cells = {root: dict(row) for root, row in inst._attrs.items()}
+    cells = {root: dict(row) for root, row in inst._rows.items()}
     return cells, dict(inst._null_parent), dict(inst._null_anchor)
 
 
@@ -565,7 +630,7 @@ def test_reads_never_write(pipeline):
         schema = inst.schema
         for entity in schema.entities:
             for root in inst.carrier(entity):
-                _, cells = inst.row(root)
+                cells = inst.row(root)
                 for attr in schema.attrs_of(entity):
                     value = inst.get_attr(root, attr.name)
                     unobserved += helpers.unobserved(inst, value)
@@ -779,7 +844,8 @@ def _comparison_cases() -> tuple[list[tuple[Instance, Instance]], list[Instance]
     """Pairs to compare, and the inputs to compare with their mutated copies:
     both fixtures' sources, Σ results, saturations in both constraint orders
     and projections, and 200 random weakly acyclic inputs and saturations,
-    each drawn without and with constants."""
+    each drawn without and with constants. A source and the Σ result are
+    also paired, which are over schemas with different entities."""
     pairs, inputs = [], []
     for pipeline in (helpers.example1_pipeline, helpers.example2_pipeline):
         env, combined, pre = pipeline()
@@ -790,7 +856,8 @@ def _comparison_cases() -> tuple[list[tuple[Instance, Instance]], list[Instance]
         inputs += [*sources.values(), pre, fwd, rev]
         for s in combined.extension.schemas:
             projected = delta_project(combined, fwd, s)
-            pairs += [(projected, delta_project(combined, rev, s)), (projected, sources[s.name])]
+            pairs += [(projected, delta_project(combined, rev, s)), (projected, sources[s.name]),
+                      (sources[s.name], pre)]
             inputs.append(projected)
     for seed, constants in itertools.product(range(200), (False, True)):
         _, pre, cs = helpers.random_weakly_acyclic_case(random.Random(seed), constants)

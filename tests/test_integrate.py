@@ -32,6 +32,7 @@ from catamerge.schema import (
 from catamerge.generators import scaled_example1_document
 from catamerge.instance import NullRef
 from catamerge.integrate import TableDelta
+from catamerge.printer import render_constraint
 from catamerge.schema import Const
 from catamerge.typeside import BaseType
 
@@ -563,7 +564,7 @@ def _pipeline_outputs(env, combined, sat) -> tuple[list, list]:
 
 
 def _shapes(inst) -> set[str]:
-    stored = [v for row in inst._attrs.values() for v in row.values() if isinstance(v, NullRef)]
+    stored = [v for row in inst._rows.values() for v in row.values() if isinstance(v, NullRef)]
     resolved = [inst.resolve_value(v) for v in stored]
     nulls = [v for v in resolved if isinstance(v, NullRef)]
     roots = [r for e in inst.schema.entities for r in inst.carrier(e)]
@@ -668,6 +669,50 @@ def test_delta_rejects_an_instance_over_another_schema(example1_saturated, examp
     with pytest.raises(SchemaError, match="not part of extension"):
         delta_project(combined, result.instance, narrower)
     delta_project(combined, pre, ifc)  # any instance over the combined schema
+
+
+@pytest.mark.parametrize("schemas, identifications, name, message", [
+    (("A", "A"), (), "E", "an extension may include each schema once"),
+    ((), (), "E", "an extension must include at least one schema"),
+    (("A",), (), "A", "extension name collides with an included schema"),
+    (("A",), (("Z", "X", "A", "X"),), "E", "identification references unknown schema 'Z'"),
+    (("A", "B"), (("A", "Nope", "B", "Y"),), "E", "identification references unknown entity 'A.Nope'"),
+])
+def test_validate_extension_reports_each_malformed_extension(schemas, identifications, name, message):
+    """The parser refuses these before it builds an extension; a caller
+    that builds one itself gets the same refusal from ``combine_schemas``."""
+    by_name = {"A": Schema("A", ("X",)), "B": Schema("B", ("Y",))}
+    ext = ExtensionSpec(
+        name, tuple(by_name[s] for s in schemas), tuple(Identification(*i) for i in identifications)
+    )
+    assert [issue.message for issue in validate_extension(ext).issues] == [message]
+    with pytest.raises(SchemaError, match=f"^invalid extension {name}: {name}: {message}$"):
+        combine_schemas(ext)
+
+
+def test_source_constraints_rename_every_kind_of_term():
+    """A source constraint's premise, attribute paths, variables, constants
+    and functions all come through the import, under the combined names."""
+    from catamerge.parser import SourceDocument, parse_document
+
+    text = """
+schema A {
+  entities X
+  foreign_keys f : X -> X
+  attributes name : X -> String  n : X -> Int
+  constraints
+    forall x y : X where x.f = y and x.name = "a" and x.n > 3 -> x.n = add(y.n, 1)
+}
+schema B { entities Y attributes name : Y -> String }
+extension E { include A B identify A.X = B.Y }
+"""
+    env = parse_document(SourceDocument("t", text))
+    assert env.ok, [str(d) for d in env.diagnostics]
+    combined = combine_schemas(env.extensions["E"])
+    (c,) = combined.schema.constraints
+    assert render_constraint(c) == (
+        'forall x y : X where x.f = y and x.A_name = "a" and x.n > 3 -> x.n = add(y.n, 1)'
+    )
 
 
 def test_transitive_same_schema_identification_rejected():

@@ -24,15 +24,10 @@ PACKAGE = ROOT / "src" / "catamerge"
 # Per target file in src/catamerge: (the statement's line, stripped, as in
 # the file; why no input reaches it)
 ALLOWED: dict[str, tuple[tuple[str, str], ...]] = {
-    "parser.py": (
-        (
-            'self.error(name_tok, f"invalid schema: {issue}")',
-            "the parser's own checks refuse each issue validate_schema finds "
-            "(a duplicate entity or member, a dangling entity, a non-base type, "
-            "an ill-typed constraint) before it builds the schema",
-        ),
-    ),
+    "parser.py": (),
     "printer.py": (),
+    "instance.py": (),
+    "integrate.py": (),
 }
 
 
