@@ -39,6 +39,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .errors import ConstantClash, InstanceError
 from .schema import (
+    Attribute,
     BindStep,
     Cmp,
     Const,
@@ -361,9 +362,7 @@ class Instance:
         """Builder assignment; ``None`` or a null leaves the cell as it is."""
         self._mutable()
         root = self.find(elem)
-        attr = self.schema.attr(root.entity, attr_name)
-        if attr is None:
-            raise InstanceError(f"'{attr_name}' is not an attribute of entity '{root.entity}'")
+        attr = self._attribute(root.entity, attr_name)
         cells = self._rows[root]
         current = cells.get(attr_name)
         if current is not None:
@@ -467,8 +466,7 @@ class Instance:
         root = self.find(elem)
         value = self._rows[root].get(attr_name)
         if value is None or isinstance(value, ElementId):  # a foreign key's name has no attr
-            if self.schema.attr(root.entity, attr_name) is None:
-                raise InstanceError(f"'{attr_name}' is not an attribute of entity '{root.entity}'")
+            self._attribute(root.entity, attr_name)
             return NullRef(root, attr_name)
         return self.resolve_value(value)
 
@@ -489,12 +487,17 @@ class Instance:
         cells = self._rows[root]
         value = cells.get(attr_name)
         if value is None or isinstance(value, ElementId):
-            if self.schema.attr(root.entity, attr_name) is None:
-                raise InstanceError(f"'{attr_name}' is not an attribute of entity '{root.entity}'")
+            self._attribute(root.entity, attr_name)
             value = cells[attr_name] = NullRef(root, attr_name)
             self._null_parent[value] = value
             self._observe(root, attr_name)
         return value
+
+    def _attribute(self, entity: str, attr_name: str) -> Attribute:
+        attr = self.schema.attr(entity, attr_name)
+        if attr is None:
+            raise InstanceError(f"'{attr_name}' is not an attribute of entity '{entity}'")
+        return attr
 
     def define_fk(self, elem: ElementId, fk_name: str, target: ElementId) -> bool:
         """Assign an unset foreign key, or merge the targets when already set."""
@@ -519,9 +522,10 @@ class Instance:
         return self._unify_values(self._cell(root, attr_name), value, attr_name, root.name)
 
     def union_attrs(self, e1: ElementId, a1: str, e2: ElementId, a2: str) -> bool:
-        """Force two attribute cells to hold the same value."""
+        """Force two attribute cells to hold the same value; a refused name writes neither."""
         self._mutable()
         r1, r2 = self.find(e1), self.find(e2)
+        self._attribute(r2.entity, a2)  # ``_cell`` checks ``a1`` before it writes
         return self._unify_values(
             self._cell(r1, a1), self._cell(r2, a2), f"{a1}/{a2}", f"{r1.name},{r2.name}"
         )
@@ -736,8 +740,8 @@ def _join_key(inst: Instance, value: Value) -> object:
 class _Binder:
     """Binds the variables of a list of plan steps, depth first, in place.
 
-    A probe yields exactly the candidates that satisfy its equation (the
-    ``_join_key`` contract); a pin or a walk of observed cells only prunes.
+    A probe or a pin yields exactly the candidates that satisfy its equation
+    (the ``_join_key`` contract); a walk of observed cells only prunes.
     A candidate must pass its step's ``checks``, and the caller checks any
     other atom. Carriers and hash indexes are taken at most once per binder,
     from the instance as it is then, so a binder is used up before the
@@ -825,7 +829,7 @@ def enumerate_matches(inst: Instance, c: Constraint) -> Iterator[dict[str, Value
 
     The enumerated universals are bound by index probes, walks of observed
     cells or carrier scans (``Constraint.plan``); ``solve_pins`` then solves
-    the pinned ones, and every premise atom no probe decided is checked.
+    the pinned ones, and every premise atom no probe or pin decided is checked.
     """
     plan = c.plan
     for env in _Binder(inst, plan.premise).bind({}):
@@ -837,17 +841,31 @@ def enumerate_matches(inst: Instance, c: Constraint) -> Iterator[dict[str, Value
 def conclusion_satisfied(inst: Instance, c: Constraint, env: dict[str, Value]) -> bool:
     """Is the conclusion already witnessed under the given premise match?
 
-    With no existential the match itself is checked. A pinned existential
-    has one candidate, an unpinned one its carrier; each combination is
-    checked against the whole conclusion.
+    The existentials pinned before the first scanned one are solved
+    directly, in plan order; a pin whose value is not an element of its
+    step's entity leaves no witness. A ``_Binder`` binds the steps from the
+    first scanned existential on, and each combination it yields is checked
+    against ``plan.witness_checks``, the conclusion equations no pin
+    decides. With no existential, the match itself is checked.
     """
-    if not c.plan.conclusion:
-        for eq in c.conclusion:
-            if not _atom_holds(inst, env, eq):
+    plan = c.plan
+    attempts: Iterable[dict[str, Value]] = (env,)
+    if plan.conclusion:  # bind the existentials in a copy
+        env = dict(env)
+        attempts = (env,)
+        for at, step in enumerate(plan.conclusion):
+            if step.pin is None:
+                attempts = _Binder(inst, plan.conclusion[at:]).bind(env)
+                break
+            value = eval_term(inst, env, step.pin, virtual=True)
+            if not (isinstance(value, ElementId) and value.entity == step.entity):
                 return False
-        return True
-    for attempt in _Binder(inst, c.plan.conclusion).bind(dict(env)):
-        if all(_atom_holds(inst, attempt, eq) for eq in c.conclusion):
+            env[step.var] = inst.find(value)
+    for attempt in attempts:
+        for eq in plan.witness_checks:
+            if not _atom_holds(inst, attempt, eq):
+                break
+        else:
             return True
     return False
 

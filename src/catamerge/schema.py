@@ -467,10 +467,14 @@ class BindStep(NamedTuple):
 
 
 class BindingPlan(NamedTuple):
+    """How a constraint's variables are bound (``binding_plan``); an equation
+    that a probe or a pin decides is checked nowhere."""
+
     pins: tuple[BindStep, ...]  # the solved universals, in solving order
     premise: tuple[BindStep, ...]  # the enumerated universals, in declaration order
-    checks: tuple[Atom, ...]  # the premise atoms no probe decides, checked per match
+    checks: tuple[Atom, ...]  # the premise atoms no probe or pin decides, checked per match
     conclusion: tuple[BindStep, ...]  # the existentials, in solving order
+    witness_checks: tuple[Eq, ...]  # the conclusion equations no pin decides, checked per witness
     enforce: tuple[tuple[Eq, bool], ...]  # conclusion equations in order; True if entity-sorted
     defer: tuple[Term, ...]  # function sides over universals that must be constants to fire
     stuck: bool  # a function reads an existential's attribute that nothing sets
@@ -486,14 +490,14 @@ def binding_plan(c: Constraint) -> BindingPlan:
     pins left form a cycle, the first of them is enumerated instead. The
     enumerated universals keep their declaration order, so matches come out
     in lexicographic carrier order. Each probes with the first premise
-    equation joining it to the universals enumerated before it, which the
-    probe decides, so ``checks`` leaves it out; one not probing walks the
-    observed cells of an attribute where a later probe allows it
-    (``BindStep.observed``). The next
-    existential bound is the first one pinned by a conclusion equation
-    ``y = t`` with ``t`` over bound variables; when none is, the first
-    remaining one in declaration order is scanned. The conclusion's shape
-    comes from ``_conclusion_shape``.
+    equation joining it to the universals enumerated before it; one not
+    probing walks the observed cells of an attribute where a later probe
+    allows it (``BindStep.observed``). The next existential bound is the
+    first one pinned by a conclusion equation ``y = t`` with ``t`` over bound
+    variables; when none is, the first remaining one in declaration order is
+    scanned. A probe decides its equation, and so does a pin, whose variable
+    takes its term's value: ``checks`` and ``witness_checks`` leave those
+    equations out. The conclusion's shape comes from ``_conclusion_shape``.
     """
     universals = dict(c.universals)
     unsolved: dict[str, Term] = {}
@@ -524,8 +528,7 @@ def binding_plan(c: Constraint) -> BindingPlan:
         if step.probe is None:
             premise[i] = step._replace(observed=_walk(step, premise[i + 1:]))
     decided = {step.probe for step in premise if step.probe is not None}
-    checks = tuple(atom for atom in c.premise if not (isinstance(atom, Eq) and (
-        (atom.left, atom.right) in decided or (atom.right, atom.left) in decided)))
+    decided.update((Var(step.var), step.pin) for step in pins)
     bound = set(universals)
     pending = list(c.existentials)
     conclusion: list[BindStep] = []
@@ -535,7 +538,14 @@ def binding_plan(c: Constraint) -> BindingPlan:
         name, entity = pending.pop(at)
         conclusion.append(BindStep(name, entity, pin=pin))
         bound.add(name)
-    return BindingPlan(tuple(pins), tuple(premise), checks, tuple(conclusion), *_conclusion_shape(c))
+    settled = {(Var(step.var), step.pin) for step in conclusion if step.pin is not None}
+    return BindingPlan(tuple(pins), tuple(premise), _undecided(c.premise, decided), tuple(conclusion),
+                       _undecided(c.conclusion, settled), *_conclusion_shape(c))
+
+
+def _undecided(atoms: tuple[Atom, ...], decided: set[tuple[Term, Term]]) -> tuple[Atom, ...]:
+    """The atoms but the equations whose two sides, in either order, are a decided pair."""
+    return tuple(a for a in atoms if not isinstance(a, Eq) or decided.isdisjoint(_sides(a)))
 
 
 def _plain_attr(term: Term, var: Optional[str] = None) -> Optional[str]:

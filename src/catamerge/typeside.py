@@ -164,7 +164,7 @@ def has_signature(name: str, arg_types: tuple[BaseType, ...]) -> bool:
 def predicate_defined(op: str, left: BaseType, right: BaseType) -> bool:
     if op == "=":
         return left == right or (left in _NUMERIC and right in _NUMERIC)
-    return left in _NUMERIC and right in _NUMERIC
+    return op in COMPARE_OPS and left in _NUMERIC and right in _NUMERIC
 
 
 def apply_predicate(op: str, left: PyValue, right: PyValue) -> bool:

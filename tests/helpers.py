@@ -826,7 +826,8 @@ def random_join_case(rng: random.Random) -> tuple[Instance, list[Constraint]]:
     unobserved, with merged classes and foreign keys into shared targets,
     and equality rules that join on them: same-attribute self-joins, joins
     of two attributes, of two foreign-key paths or a path and an attribute,
-    across entities, of three variables, and against a constant."""
+    across entities, of three variables, and against a constant; and
+    premises that pin ``q = p.g``, alone and with a check that reads ``q``."""
     st = BaseType.STRING
     schema = Schema(
         "J",
@@ -853,7 +854,7 @@ def random_join_case(rng: random.Random) -> tuple[Instance, list[Constraint]]:
     if rng.random() < 0.4:
         inst = _try(inst, lambda i: i.merge_elements(*rng.sample(xs, 2)))
 
-    def at(v: str, entity: str, attr: str, *fks: str) -> PathApp:
+    def at(v: str, entity: str, attr: str | None, *fks: str) -> PathApp:
         return PathApp(v, Path(entity, fks, attr))
 
     p, q, r = (("p", "X"),), (("q", "X"),), (("r", "X"),)
@@ -872,6 +873,9 @@ def random_join_case(rng: random.Random) -> tuple[Instance, list[Constraint]]:
         (p + q, (Eq(at("p", "X", "a"), at("q", "X", "a")),
                  Eq(at("p", "X", "b"), at("q", "X", "b")))),
         (p, (Eq(Const(st, rng.choice("pq")), at("p", "X", rng.choice("ab"))),)),
+        (p + qy, (Eq(Var("q"), at("p", "X", None, "g")),)),
+        (p + qy + r, (Eq(Var("q"), at("p", "X", None, "g")),
+                      Eq(at("q", "Y", "a"), at("r", "X", "b")))),
     ]
     constraints = []
     for universals, premise in rng.sample(templates, rng.randint(1, 4)):

@@ -25,6 +25,7 @@ from catamerge.chase import EXHAUSTED, FAILED, SATURATED, MergePair, replay
 import catamerge.instance
 from catamerge.instance import (
     NullRef,
+    VirtualElem,
     conclusion_satisfied,
     enumerate_matches,
     values_equal,
@@ -145,6 +146,67 @@ def test_chase_trace_replays_exactly(example1, example2):
         assert instances_same_data(replayed, result.instance)
         created.append(result.trace.render().count("created("))
     assert created[0] == 5  # example 1 synthesizes its points
+
+
+def test_replay_refuses_a_trace_over_other_elements(example1_saturated):
+    """A trace names the elements it changes; replayed onto an instance
+    that lacks them, it fails instead of changing some other element."""
+    _, _, pre, result = example1_saturated
+    with pytest.raises(ChasePreconditionError, match="trace references unknown element"):
+        replay(new_instance(pre.schema), result.trace)
+
+
+SELF_POINTING_DOC = """
+schema S {
+  entities X Y
+  foreign_keys f : X -> Y  g : Y -> Y
+}
+instance i : S { entity X { row x { } } }
+extension E {
+  include S
+  constraints
+    forall x : X -> x.f = x.f.g
+}
+"""
+
+
+def test_a_side_that_sets_the_other_sides_key_merges_into_it():
+    """Both sides of ``x.f = x.f.g`` end in an unset foreign key, and the
+    right one sets ``x.f`` to a fresh ``Y`` on its way. The fresh witness the
+    two sides share is then merged into that ``Y``, whose ``g`` points to
+    itself. The guard rejects the rule (cycle ``S_Y.g``), so this chase runs
+    without it."""
+    env = helpers.load_text(SELF_POINTING_DOC)
+    combined = combine_schemas(env.extensions["E"])
+    pre = sigma_insert(combined, {"S": env.instances["i"]})
+    cs = list(combined.schema.constraints)
+    with pytest.raises(ChasePreconditionError, match=r"cycle: S_Y\.g"):
+        chase(pre, cs)
+    result = chase(pre, cs, ChaseConfig(require_weak_acyclicity=False))
+    assert result.saturated and check_model(result.instance, cs).ok
+    assert result.trace.render() == (
+        "round 1: c1 @ x=S.x -> created(S_Y:S_Y!1.0); defined(S.x.f, S_Y!1.0); "
+        "created(S_Y:S_Y!1.1); merged(S_Y!1.0, S_Y!1.1); defined(S_Y!1.0.g, S_Y!1.0)\n"
+    )
+    assert instances_same_data(replay(pre, result.trace), result.instance)
+
+
+def test_an_identity_path_in_a_conclusion_is_its_variable():
+    """The parser writes an empty path as its variable, but ``PathApp`` over
+    an identity path is a well-typed term too; as a conclusion side it is
+    the variable's class, so the chase merges as with the variable."""
+    st = BaseType.STRING
+    schema = Schema("S", ("X",), (), (Attribute("k", "X", st),))
+    inst = new_instance(schema)
+    for name, key in (("x1", "a"), ("x2", "a"), ("x3", "b")):
+        inst.set_attr(inst.add_element("X", name), "k", Const(st, key))
+    k = lambda v: PathApp(v, Path("X", (), "k"))  # noqa: E731
+
+    def rule(side) -> Constraint:
+        return Constraint((("x", "X"), ("y", "X")), (Eq(k("x"), k("y")),), (), (Eq(side, Var("y")),))
+
+    traces = [chase(inst, [rule(side)]).trace.render() for side in (PathApp("x", Path("X")), Var("x"))]
+    assert traces[0] == traces[1] == "round 1: c1 @ x=x1,y=x1 -> merged(x1, x2)\n"
 
 
 def test_chase_deterministic_traces(example2):
@@ -399,6 +461,41 @@ def test_chase_agrees_with_binder_oracle_on_join_cases(monkeypatch):
     assert list(map(outcome, got)) == list(map(outcome, want))
 
 
+def test_join_cases_agree_with_oracles():
+    """300 seeded ``random_join_case``s, before and after the chase: the
+    matches are those of the oracle that checks every premise atom again,
+    and ``conclusion_satisfied`` gives the oracle's answer on each. Among
+    the rules are the pinned premises ``q = p.g``, alone and with a check
+    ``q.a = r.b`` that reads ``q``; the pin decides its own equation, so it
+    is no check. The seeds reach the lone pin with pins to elements and to
+    virtual ones, and the check both passing and failing; a virtual pin
+    reads no attribute, so it never passes the check."""
+    rng = random.Random(24)
+    seen: set[tuple[int, bool]] = set()
+    checked = []  # per instance and checked shape: (matches, tuples (p, r))
+    answers = set()
+    for _ in range(300):
+        pre, constraints = helpers.random_join_case(rng)
+        result = helpers.saturate(pre, constraints)
+        for c in constraints:
+            if c.plan.pins:
+                assert [step.var for step in c.plan.pins] == ["q"] and c.plan.checks == c.premise[1:]
+            for inst in (pre, result.instance) if result.saturated else (pre,):
+                got = list(enumerate_matches(inst, c))
+                assert [list(env.items()) for env in got] == [
+                    list(env.items()) for env in helpers.oracle_matches(inst, c)], c
+                for env in got:
+                    answer = conclusion_satisfied(inst, c, env)
+                    assert answer == helpers.oracle_conclusion_satisfied(inst, c, env), (c, env)
+                    answers.add(answer)
+                if c.plan.pins:
+                    seen.update((len(c.premise), isinstance(env["q"], VirtualElem)) for env in got)
+                if len(c.plan.pins) == 1 and len(c.premise) == 2:
+                    checked.append((len(got), len(inst.carrier("X")) ** 2))
+    assert seen == {(1, False), (1, True), (2, False)} and answers == {False, True}
+    assert any(0 < got < tuples for got, tuples in checked)
+
+
 def test_join_reads_mint_no_null():
     """Index builds, probes and premise checks read cells without minting:
     the many-schema chase mints no null, and neither does ``check_model``
@@ -452,7 +549,9 @@ def test_index_reads_grow_linearly_in_schemas(monkeypatch):
 def _witness_cases() -> list[tuple[Instance, Constraint]]:
     """Conclusions whose existentials are pinned in a chain, in the chain's
     reverse order, through undefined foreign keys and onto merged classes,
-    one existential that no equation pins, and one ill-typed pin."""
+    one existential that no equation pins, one ill-typed pin, and a pin
+    after a scanned existential, also over a copy with a ``Y`` whose ``g``
+    is unset."""
     st = BaseType.STRING
     schema = Schema(
         "W",
@@ -485,14 +584,20 @@ def _witness_cases() -> list[tuple[Instance, Constraint]]:
         ((z,), (Eq(PathApp("x", Path("X", ("f", "g"))), Var("z")),)),
         # ill-typed: a Z pinned into a Y, which the scan never matches
         ((y,), (Eq(PathApp("x", Path("X", ("f", "g"))), Var("y")),)),
+        # y is scanned, then z pinned by y's g
+        ((y, z), (Eq(PathApp("y", Path("Y", (), "yname")), PathApp("x", Path("X", (), "xname"))),
+                  Eq(Var("z"), g))),
     ]
-    return [(inst, Constraint((("x", "X"),), (), ex, concl)) for ex, concl in conclusions]
+    cases = [(inst, Constraint((("x", "X"),), (), ex, concl)) for ex, concl in conclusions]
+    unset = inst.copy()
+    unset.set_attr(unset.add_element("Y", "y6"), "yname", Const(st, "n3"))
+    return cases + [(unset, cases[-1][1])]
 
 
 def test_conclusion_satisfied_agrees_with_oracle(example1_saturated, example2_saturated):
     witness_cases = _witness_cases()
     pins = [[step.pin is not None for step in c.plan.conclusion] for _, c in witness_cases]
-    assert pins == [[True, True]] * 3 + [[False], [True], [True]]
+    assert pins == [[True, True]] * 3 + [[False], [True], [True]] + [[False, True]] * 2
     cases = witness_cases + _differential_cases(example1_saturated, example2_saturated)
     outcomes: set[tuple[bool, bool]] = set()
     for inst, c in cases:
@@ -503,7 +608,7 @@ def test_conclusion_satisfied_agrees_with_oracle(example1_saturated, example2_sa
     assert len(outcomes) == 4
     seen = [{conclusion_satisfied(inst, c, env) for env in enumerate_matches(inst, c)}
             for inst, c in witness_cases]
-    assert seen == [{False, True}] * 5 + [{False}]
+    assert seen == [{False, True}] * 5 + [{False}] + [{False, True}] * 2
 
 
 def test_conclusion_without_existentials_builds_no_binder(
@@ -514,7 +619,26 @@ def test_conclusion_without_existentials_builds_no_binder(
     cases = _differential_cases(example1_saturated, example2_saturated)
     matches = [(inst, c, env) for inst, c in cases if not c.existentials
                for env in enumerate_matches(inst, c)]
+    _assert_oracle_answers_without_a_binder(monkeypatch, matches)
 
+
+def test_pinned_conclusion_builds_no_binder(
+    monkeypatch, example1_saturated, example2_saturated
+):
+    """A conclusion whose existentials are all pinned is solved from the
+    pins directly: no ``_Binder`` is built, the equations a pin decides are
+    not checked again, and the answers are the oracle's."""
+    cases = _witness_cases() + _differential_cases(example1_saturated, example2_saturated)
+    pinned = [(inst, c) for inst, c in cases
+              if c.existentials and all(step.pin is not None for step in c.plan.conclusion)]
+    assert all(len(c.plan.witness_checks) < len(c.conclusion) for _, c in pinned)
+    matches = [(inst, c, env) for inst, c in pinned for env in enumerate_matches(inst, c)]
+    _assert_oracle_answers_without_a_binder(monkeypatch, matches)
+
+
+def _assert_oracle_answers_without_a_binder(monkeypatch, matches) -> None:
+    """``conclusion_satisfied`` on each (instance, constraint, match) builds
+    no ``_Binder``, gives the oracle's answers, and gives both answers."""
     def no_binder(*args, **kwargs):
         raise AssertionError("a _Binder was built")
 
@@ -637,8 +761,20 @@ def test_universality_detects_extra_element(example2_saturated):
     bigger = result.instance.copy()
     bigger.add_element("BRICK_Zone", "extra_zone")
     outcome = verify_universality(result.instance, bigger)
-    assert not outcome.isomorphic
+    assert not outcome
     assert "BRICK_Zone" in (outcome.reason or "")
+
+
+def test_universality_reports_other_schemas_and_other_user_rows(
+    example1_saturated, example2_saturated
+):
+    sat1, sat2 = example1_saturated[3].instance, example2_saturated[3].instance
+    assert verify_universality(sat1, sat2).reason == "schemas differ"
+    schema = Schema("S", ("X",), (), ())
+    one, other = new_instance(schema), new_instance(schema)
+    one.add_element("X", "a")
+    other.add_element("X", "b")
+    assert verify_universality(one, other).reason == "no class with user rows ['a'] in the other instance"
 
 
 def test_constant_clash_aborts_with_deterministic_prefix():

@@ -550,9 +550,12 @@ def test_member_kind_guards():
             inst.define_fk(x, "a", y)
         with pytest.raises(InstanceError, match=not_fk):
             inst.set_fk(x, "a", y)
-        assert (dict(inst.row(x)), dict(inst._null_parent), dict(inst._null_anchor)) == before
+        # the first cell is a valid one, which a refused call leaves as it was
         with pytest.raises(InstanceError, match=not_attr):
             inst.union_attrs(x, "a", x, "f")
+        with pytest.raises(InstanceError, match="'nope' is not an attribute of entity 'E'"):
+            inst.union_attrs(x, "a", y, "nope")
+        assert (dict(inst.row(x)), dict(inst._null_parent), dict(inst._null_anchor)) == before
     with pytest.raises(InstanceError, match="'nope' is not a foreign key of entity 'E'"):
         inst.define_fk(x, "nope", y)
     assert inst.get_fk(x, "f") == y and inst.get_attr(x, "a") == Const(BaseType.INT, 1)

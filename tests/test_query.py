@@ -205,6 +205,16 @@ def test_constants_render_through_one_function():
     assert _render_cell(None, Const(BaseType.DOUBLE, 2.0)) == "2.0"
 
 
+def test_an_entity_valued_projection_fails_to_render():
+    """The parser refuses a projection onto an element; a ``QuerySpec``
+    built with one fails when its first row is rendered."""
+    inst = new_instance(Schema("S", ("X",), (), ()))
+    inst.add_element("X", "x1")
+    q = QuerySpec("q", "E", (("x", "X"),), (), (("col", Var("x")),))
+    with pytest.raises(QueryError, match="projections must be attribute-valued"):
+        evaluate(q, inst)
+
+
 # ---------------------------------------------------------------------------
 # Indexed descent against the nested-loop oracle
 

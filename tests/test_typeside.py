@@ -121,6 +121,11 @@ def test_predicates_on_base_types():
     assert not predicate_defined("<", BaseType.STRING, BaseType.STRING)
     assert apply_predicate(">", 7, 0)
     assert apply_predicate("<=", 2, 2.0)
+    # the parser makes every `=` an equation, but `=` is a predicate too
+    assert apply_predicate("=", 2, 2.0) and not apply_predicate("=", "a", "b")
+    assert not predicate_defined("!=", BaseType.INT, BaseType.INT)
+    with pytest.raises(SchemaError, match="unknown predicate '!='"):
+        apply_predicate("!=", 1, 2)
 
 
 def test_normalize_double_kills_representation_noise():
