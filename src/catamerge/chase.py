@@ -224,8 +224,7 @@ class _Firing:
                 fk = self.inst.schema.fk(current.entity, fk_name)
                 assert fk is not None
                 nxt = self.fresh(fk.target)
-                self.inst.define_fk(current, fk_name, nxt)
-                self.mutations.append(DefineFk(current, fk_name, nxt))
+                self.define(current, fk_name, nxt)
             current = nxt
         return current
 
@@ -236,12 +235,9 @@ class _Firing:
         self.inst.merge_elements(a, b)
 
     def define(self, elem: ElementId, fk_name: str, target: ElementId) -> None:
-        current = self.inst.get_fk(elem, fk_name)
-        if current is None:
-            self.inst.define_fk(elem, fk_name, target)
-            self.mutations.append(DefineFk(self.inst.find(elem), fk_name, self.inst.find(target)))
-        else:
-            self.merge(current, target)
+        """Set a foreign key that is unset."""
+        self.inst.define_fk(elem, fk_name, target)
+        self.mutations.append(DefineFk(self.inst.find(elem), fk_name, self.inst.find(target)))
 
     def _side(self, term: Term, env: dict[str, Value]) -> Union[Const, ElementId, tuple, None]:
         """A conclusion side: a constant (None while a function is not yet
@@ -268,6 +264,8 @@ class _Firing:
 
     def enforce(self, eq: Eq, entity_sorted: bool, env: dict[str, Value]) -> None:
         left, right = self._side(eq.left, env), self._side(eq.right, env)
+        if type(left) is tuple and entity_sorted:  # materializing the right side may have set it
+            left = self._side(eq.left, env)
         if left is None or right is None:  # a function is not a constant yet; a later firing retries
             if self.cut_short is None:
                 self.cut_short = _failure(self.inst, env, eq.left if left is None else eq.right)
@@ -286,13 +284,14 @@ class _Firing:
             elif self.inst.assign_attr(*right, left):
                 self.mutations.append(AssignAttr(self.inst.find(right[0]), right[1], left))
         elif entity_sorted:
-            # Both sides end in an unset foreign key: witness with one fresh
-            # element shared by both.
+            # Both sides end in an unset foreign key, one or two: witness
+            # with one fresh element shared by both.
             fk = self.inst.schema.fk(left[0].entity, left[1])
             assert fk is not None
             z = self.fresh(fk.target)
             self.define(*left, z)
-            self.define(*right, z)
+            if right != left:
+                self.define(*right, z)
         elif self.inst.union_attrs(*left, *right):
             self.mutations.append(
                 UnionAttrs(self.inst.find(left[0]), left[1], self.inst.find(right[0]), right[1])

@@ -106,14 +106,9 @@ def _build_manifest(args: argparse.Namespace) -> Optional[RunManifest]:
             return None
         sources[schema.name] = matching[0] if matching else new_instance(schema, f"{schema.name}_empty")
 
-    try:
-        combined = combine_schemas(ext)
-    except CatamergeError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return None
     return RunManifest(
         extension=ext,
-        combined=combined,
+        combined=combine_schemas(ext),
         sources=sources,
         out_dir=Path(args.out),
         trace=getattr(args, "trace", False),
@@ -129,19 +124,15 @@ _PENDING_WHY = (
 )
 
 
-def _run_chase(manifest: RunManifest) -> tuple[int, Optional[ChaseResult]]:
+def _run_chase(manifest: RunManifest) -> tuple[int, ChaseResult]:
     """Insert the sources and chase; returns the exit code with the result.
 
-    Failures are reported on stderr here; ``trace.log`` is written, when
-    asked for, whatever the outcome of a chase that ran.
+    A clash or an exhausted budget is reported on stderr here; ``trace.log``
+    is written, when asked for, whatever the outcome of a chase that ran.
     """
-    try:
-        pre = sigma_insert(manifest.combined, manifest.sources)
-        cfg = ChaseConfig(max_rounds=manifest.max_rounds)
-        result = chase(pre, list(manifest.combined.schema.constraints), cfg)
-    except CatamergeError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE, None
+    pre = sigma_insert(manifest.combined, manifest.sources)
+    cfg = ChaseConfig(max_rounds=manifest.max_rounds)
+    result = chase(pre, list(manifest.combined.schema.constraints), cfg)
     if manifest.trace:
         _write(manifest.out_dir / "trace.log", result.trace.render())
     if result.status == FAILED:
@@ -187,7 +178,7 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     code, result = _run_chase(manifest)
     if code != OK:
         return code
-    assert result is not None and result.instance is not None
+    assert result.instance is not None
     out = manifest.out_dir
     _write(out / "combined.cmg", print_canonical(manifest.combined))
     _write(out / "saturated.cmg", print_canonical(result.instance))
@@ -215,7 +206,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     code, result = _run_chase(manifest)
     if code != OK:
         return code
-    assert result is not None and result.instance is not None
+    assert result.instance is not None
     try:
         table = evaluate(spec, result.instance)
     except CatamergeError as err:
@@ -244,7 +235,7 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
     code, result = _run_chase(manifest)
     if code != OK:
         return code
-    assert result is not None and result.instance is not None
+    assert result.instance is not None
     recovered = delta_project(manifest.combined, result.instance, target)
     report = roundtrip_report(manifest.sources[target.name], recovered)
     text = report.render()
@@ -308,9 +299,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return USAGE if exc.code else OK
     try:
         return args.func(args)
+    except CatamergeError as err:  # an input the engine refuses, such as a chase that cannot start
+        print(f"error: {err}", file=sys.stderr)
     except OSError as err:
         print(f"error: cannot write output: {err}", file=sys.stderr)
-        return USAGE
+    return USAGE
 
 
 def entry() -> None:

@@ -11,15 +11,14 @@ against its recovery cell by cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import IdentificationCollision, SchemaError
 from .instance import Const, ElementId, Instance
 from .schema import (
+    Atom,
     Attribute,
-    Cmp,
     Constraint,
-    Eq,
     ExtensionSpec,
     ForeignKey,
     FunApp,
@@ -28,7 +27,7 @@ from .schema import (
     Schema,
     Term,
     ValidationReport,
-    Var,
+    check_constraint,
     validate_schema,
 )
 
@@ -56,7 +55,12 @@ class CombinedSchema:
 
 
 def validate_extension(ext: ExtensionSpec) -> ValidationReport:
+    """Check the included schemas, each issue's subject prefixed
+    ``<Schema>.``, and then how the extension glues them."""
     report = ValidationReport()
+    for s in ext.schemas:
+        for issue in validate_schema(s).issues:
+            report.add(f"{s.name}.{issue.subject}", issue.message)
     names = [s.name for s in ext.schemas]
     if len(set(names)) != len(names):
         report.add(ext.name, "an extension may include each schema once")
@@ -88,7 +92,12 @@ def validate_extension(ext: ExtensionSpec) -> ValidationReport:
 
 
 def combine_schemas(ext: ExtensionSpec) -> CombinedSchema:
-    """Compute the schema colimit for a theory extension."""
+    """Compute the schema colimit for a theory extension.
+
+    The parts are checked before gluing (``validate_extension``). From them,
+    given the collision checks, the glue is well formed by construction, so
+    only the extension's own constraints are type-checked against it.
+    """
     report = validate_extension(ext)
     if not report.ok:
         raise SchemaError(f"invalid extension {ext.name}: {report}")
@@ -188,7 +197,8 @@ def combine_schemas(ext: ExtensionSpec) -> CombinedSchema:
     constraints: list[Constraint] = []
     for s in ext.schemas:
         for c in s.constraints:
-            constraints.append(_rewrite_constraint(c, s.name, combined))
+            constraints.append(_rewrite_constraint(c, s, combined))
+    first_bridge = len(constraints) + 1
     constraints.extend(ext.constraints)
 
     combined.schema = Schema(
@@ -198,55 +208,47 @@ def combine_schemas(ext: ExtensionSpec) -> CombinedSchema:
         attributes=tuple(attrs),
         constraints=tuple(constraints),
     )
-    schema_report = validate_schema(combined.schema)
-    if not schema_report.ok:
-        raise SchemaError(f"combined schema for {ext.name} is invalid: {schema_report}")
+    bridge_report = ValidationReport()
+    for idx, c in enumerate(ext.constraints, start=first_bridge):
+        try:
+            check_constraint(c, combined.schema)
+        except SchemaError as err:
+            bridge_report.add(f"constraint #{idx}", str(err))
+    if not bridge_report.ok:
+        raise SchemaError(f"combined schema for {ext.name} is invalid: {bridge_report}")
     return combined
 
 
-def _rewrite_constraint(c: Constraint, schema_name: str, combined: CombinedSchema) -> Constraint:
+def _rewrite_constraint(c: Constraint, schema: Schema, combined: CombinedSchema) -> Constraint:
     """Import a source-schema constraint into the combined signature."""
 
-    def map_entity(entity: str) -> str:
-        return combined.entity_class[(schema_name, entity)]
+    def entity(name: str) -> str:
+        return combined.combined_entity(schema.name, name)
 
-    def map_path(path: Path) -> Path:
-        entity = path.root
-        fks = []
-        schema = ext_schema(schema_name)
-        current = entity
-        for name in path.fks:
-            fk = schema.fk(current, name)
-            assert fk is not None
-            fks.append(combined.combined_member(schema_name, current, name))
-            current = fk.target
-        attr = None
-        if path.attr is not None:
-            attr = combined.combined_member(schema_name, current, path.attr)
-        return Path(map_entity(entity), tuple(fks), attr)
-
-    def ext_schema(name: str) -> Schema:
-        return combined.extension.schema_named(name)
-
-    def map_term(t: Term) -> Term:
-        if isinstance(t, Var):
-            return t
+    def term(t: Term) -> Term:
         if isinstance(t, PathApp):
-            return PathApp(t.var, map_path(t.path))
+            fks, current = [], t.path.root
+            for name in t.path.fks:
+                fks.append(combined.combined_member(schema.name, current, name))
+                fk = schema.fk(current, name)
+                assert fk is not None  # the part was checked before gluing
+                current = fk.target
+            attr = t.path.attr
+            if attr is not None:
+                attr = combined.combined_member(schema.name, current, attr)
+            return PathApp(t.var, Path(entity(t.path.root), tuple(fks), attr))
         if isinstance(t, FunApp):
-            return FunApp(t.fn, tuple(map_term(a) for a in t.args))
-        return t
+            return FunApp(t.fn, tuple(map(term, t.args)))
+        return t  # a variable or a constant
 
-    def map_atom(a):
-        if isinstance(a, Eq):
-            return Eq(map_term(a.left), map_term(a.right))
-        return Cmp(a.op, map_term(a.left), map_term(a.right))
+    def atom(a: Atom) -> Atom:
+        return replace(a, left=term(a.left), right=term(a.right))
 
     return Constraint(
-        universals=tuple((n, map_entity(e)) for n, e in c.universals),
-        premise=tuple(map_atom(a) for a in c.premise),
-        existentials=tuple((n, map_entity(e)) for n, e in c.existentials),
-        conclusion=tuple(Eq(map_term(e.left), map_term(e.right)) for e in c.conclusion),
+        tuple((n, entity(e)) for n, e in c.universals),
+        tuple(map(atom, c.premise)),
+        tuple((n, entity(e)) for n, e in c.existentials),
+        tuple(map(atom, c.conclusion)),
     )
 
 

@@ -45,17 +45,11 @@ class Path:
     fks: tuple[str, ...] = ()
     attr: Optional[str] = None
 
-    def is_identity(self) -> bool:
-        return not self.fks and self.attr is None
-
     def steps(self) -> str:
         parts = list(self.fks)
         if self.attr is not None:
             parts.append(self.attr)
         return ".".join(parts)
-
-    def __str__(self) -> str:
-        return self.root if self.is_identity() else f"{self.root}.{self.steps()}"
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +430,6 @@ class AcyclicityResult:
     acyclic: bool
     edges: list[DependencyEdge]
     witness: Optional[list[DependencyEdge]] = None
-
-    def __bool__(self) -> bool:
-        return self.acyclic
 
 
 class BindStep(NamedTuple):

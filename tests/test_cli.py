@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import helpers
 from catamerge import instances_same_data, print_canonical
-from catamerge.cli import main
+from catamerge.cli import entry, main
 from catamerge.parser import Document, SourceDocument, parse_document
 
 EX1 = str(helpers.FIXTURES / "example1.cmg")
@@ -291,6 +291,17 @@ def test_python_dash_m_runs_the_cli(module):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("ok:")
+
+
+@pytest.mark.parametrize("argv, code", [(["check", EX1], 0), (["check"], 1)])
+def test_entry_exits_with_the_status_of_main(monkeypatch, capsys, argv, code):
+    """The console script's ``entry`` runs ``main`` on ``sys.argv`` and
+    exits with its status."""
+    monkeypatch.setattr(sys, "argv", ["catamerge", *argv])
+    with pytest.raises(SystemExit) as exit_:
+        entry()
+    assert exit_.value.code == code
+    assert capsys.readouterr().out.startswith("ok:") == (code == 0)
 
 
 def test_query_tenant_billing_matches_table2(tmp_path, capsys):

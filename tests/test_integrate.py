@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -25,8 +26,13 @@ from catamerge import (
 )
 from catamerge.schema import (
     Attribute,
+    Constraint,
+    Eq,
     ExtensionSpec,
+    ForeignKey,
     Identification,
+    Path,
+    PathApp,
     Schema,
 )
 from catamerge.generators import scaled_example1_document
@@ -688,6 +694,72 @@ def test_validate_extension_reports_each_malformed_extension(schemas, identifica
     assert [issue.message for issue in validate_extension(ext).issues] == [message]
     with pytest.raises(SchemaError, match=f"^invalid extension {name}: {name}: {message}$"):
         combine_schemas(ext)
+
+
+ST = BaseType.STRING
+
+
+@pytest.mark.parametrize("part, issue", [
+    (Schema("A", ("X",), (ForeignKey("f", "X", "Ghost"),)),
+     "A.f: foreign key target 'Ghost' is not a declared entity"),
+    (Schema("A", ("X",), (), (Attribute("a", "Ghost", ST),)),
+     "A.a: attribute source 'Ghost' is not a declared entity"),
+    (Schema("A", ("X", "X")), "A.X: duplicate entity name"),
+    (Schema("A", ("X",), (ForeignKey("n", "X", "X"),), (Attribute("n", "X", ST),)),
+     "A.n: duplicate member name on entity 'X'"),
+], ids=["dangling fk", "attribute on no entity", "duplicate entity", "fk and attribute share a name"])
+def test_combine_checks_each_included_schema(part, issue):
+    """``combine_schemas`` checks the schemas it glues, not only the glued
+    result: an ill-formed part is refused with its own issue, named under
+    its schema, before gluing can raise a ``KeyError``, drop the attribute
+    or report the fault as an identification or prefixing problem."""
+    ext = ExtensionSpec("E", (part, Schema("B", ("Y",))), (Identification("A", "X", "B", "Y"),))
+    assert [str(i) for i in validate_extension(ext).issues] == [issue]
+    with pytest.raises(SchemaError, match=f"^invalid extension E: {re.escape(issue)}$"):
+        combine_schemas(ext)
+
+
+def test_combine_checks_bridge_constraints_against_the_glued_schema():
+    """After gluing, only the extension's own constraints are type-checked,
+    each numbered after the imported source constraints."""
+    k = PathApp("x", Path("X", (), "k"))
+    own, bridge = (Constraint((("x", "X"),), (), (), (Eq(k, Const(ST, v)),)) for v in "ab")
+    bad = Constraint((("x", "X"),), (), (), (Eq(k, Const(BaseType.INT, 1)),))
+    a = Schema("A", ("X",), (), (Attribute("k", "X", ST),), (own,))
+    parts, glue = (a, Schema("B", ("Y",))), (Identification("A", "X", "B", "Y"),)
+    assert combine_schemas(ExtensionSpec("E", parts, glue, (bridge,))).schema.constraints == (own, bridge)
+    message = "combined schema for E is invalid: constraint #3: equation relates 'String' with 'Int'"
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        combine_schemas(ExtensionSpec("E", parts, glue, (bridge, bad)))
+
+
+def test_glued_schemas_are_well_formed_by_construction():
+    """``combine_schemas`` does not check the glued schema again: from parts
+    that ``validate_schema`` passes, it passes too, imported source
+    constraints included. 300 random gluings of two or three schemas, with
+    random identifications and each part carrying random constraints."""
+    rng = random.Random(25)
+    glued = Counter()
+    for _ in range(300):
+        parts = []
+        for k in range(rng.randint(2, 3)):
+            s = helpers.random_schema(rng)
+            cs = helpers.random_constraints(rng, s, rng.randint(0, 3))
+            parts.append(Schema(f"S{k}", s.entities, s.foreign_keys, s.attributes, tuple(cs)))
+        idents = []
+        for _ in range(rng.randint(0, 3)):
+            a, b = rng.sample(parts, 2)
+            idents.append(Identification(a.name, rng.choice(a.entities), b.name, rng.choice(b.entities)))
+        ext = ExtensionSpec("M", tuple(parts), tuple(idents))
+        assert validate_extension(ext).ok
+        try:
+            combined = combine_schemas(ext)
+        except (SchemaError, IdentificationCollision) as err:
+            glued[type(err).__name__] += 1
+            continue
+        assert validate_schema(combined.schema).ok
+        glued["constraints" if combined.schema.constraints else "none"] += 1
+    assert glued["constraints"] > 100 and glued["none"] > 0, glued
 
 
 def test_source_constraints_rename_every_kind_of_term():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from catamerge import (
     Path,
     Schema,
     SchemaError,
+    chase,
     check_weak_acyclicity,
     classify_constraint,
     compose_paths,
@@ -18,14 +20,16 @@ from catamerge import (
 from catamerge.instance import Const, new_instance
 from catamerge.schema import (
     Attribute,
+    Cmp,
     Eq,
+    ExtensionSpec,
     ForeignKey,
     FunApp,
     PathApp,
     Var,
     path_codomain,
 )
-from catamerge.typeside import BaseType
+from catamerge.typeside import BaseType, resolve_function
 
 
 def brick_schema():
@@ -299,3 +303,81 @@ def test_conclusion_plan_agrees_with_oracle_on_random_function_sides():
         ))
     for field in range(5):
         assert {s[field] for s in seen} == {False, True}, field
+
+
+# -- the API door: hand-built schemas and constraints ---------------------------
+
+ST, INT = BaseType.STRING, BaseType.INT
+DOOR = Schema(
+    "S", ("X", "Y"), (ForeignKey("f", "X", "Y"),), (Attribute("k", "X", ST), Attribute("n", "X", INT))
+)
+X_K, X_N, X_F = (PathApp("x", Path("X", fks, attr)) for fks, attr in (((), "k"), ((), "n"), (("f",), None)))
+ADD = resolve_function("add", (INT, INT))
+
+
+def _rule(conclusion, premise=(), universals=(("x", "X"),), existentials=()) -> Constraint:
+    return Constraint(universals, premise, existentials, conclusion)
+
+
+@pytest.mark.parametrize("c, message", [
+    (_rule((Eq(PathApp("x", Path("X", ("g",))), X_F),)), "'g' is not a foreign key of entity 'X'"),
+    (_rule((Eq(PathApp("x", Path("X", ("f",), "k")), X_K),)), "'k' is not an attribute of entity 'Y'"),
+    (_rule((Eq(Var("z"), Var("x")),)), "unbound variable 'z'"),
+    (_rule((Eq(PathApp("z", Path("X", (), "k")), X_K),)), "unbound variable 'z'"),
+    (_rule((Eq(PathApp("x", Path("Y")), X_F),)), "variable 'x' has entity 'X', but path starts at 'Y'"),
+    (_rule((Eq(FunApp(ADD, (Var("x"), X_N)), X_N),)), "function argument 'Var(name='x')' is entity-typed"),
+    (_rule((Eq("x", Var("x")),)), "unknown term 'x'"),
+    (_rule((), universals=(("x", "X"), ("x", "Y"))), "variable 'x' bound twice"),
+    (_rule((), universals=(("x", "Z"),)), "binder 'x' ranges over unknown entity 'Z'"),
+    (_rule((Eq(X_F, Var("y")),), premise=(Eq(X_F, Var("y")),), existentials=(("y", "Y"),)),
+     "premise mentions existential variables"),
+    (_rule((Eq(X_K, X_N),)), "equation relates 'String' with 'Int'"),
+    (_rule((), premise=(Cmp("<", X_F, X_F),)), "predicate atoms compare base-typed terms only"),
+    (_rule((), premise=(Cmp("<", X_K, X_N),)), "predicate '<' undefined on (String, Int)"),
+    (_rule((Cmp("<", X_N, X_N),)), "predicates may not appear in conclusions"),
+], ids=["path fk", "path attribute", "unbound variable", "unbound path variable", "path off its variable",
+        "entity argument", "unknown term", "bound twice", "unknown entity", "existential in premise",
+        "sorts differ", "entity comparison", "undefined predicate", "predicate in conclusion"])
+def test_chase_refuses_an_ill_typed_constraint(c, message):
+    """The parser types every constraint it reads; the chase types one that a
+    caller builds, and refuses it with ``check_constraint``'s message."""
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        chase(new_instance(DOOR), [c])
+
+
+def test_path_codomain_refuses_an_unknown_root():
+    """A binder's entity is checked before its path, so only a caller of
+    ``path_codomain`` or ``compose_paths`` meets an unknown root."""
+    with pytest.raises(SchemaError, match="^path root 'Z' is not an entity$"):
+        path_codomain(Path("Z", (), "k"), DOOR)
+    with pytest.raises(SchemaError, match="^path root 'Z' is not an entity$"):
+        compose_paths(Path("Z"), Path("X"), DOOR)
+
+
+@pytest.mark.parametrize("schema, issues", [
+    (Schema("S", ("X",), (ForeignKey("f", "X", "X"), ForeignKey("f", "X", "X"))),
+     ["f: duplicate member name on entity 'X'"]),
+    (Schema("S", ("X",), (), (Attribute("a", "Ghost", ST),)),
+     ["a: attribute source 'Ghost' is not a declared entity"]),
+    (Schema("S", ("X",), (), (Attribute("a", "X", "Text"),)),
+     ["a: attribute codomain 'Text' is not a base type"]),
+    (Schema("S", ("X",), constraints=(_rule(()), _rule((), universals=(("x", "Z"),)))),
+     ["constraint #2: binder 'x' ranges over unknown entity 'Z'"]),
+], ids=["duplicate fk", "attribute on no entity", "not a base type", "ill-typed constraint"])
+def test_validate_schema_reports(schema, issues):
+    assert [str(issue) for issue in validate_schema(schema).issues] == issues
+
+
+def test_schema_named_refuses_a_schema_not_included():
+    ext = ExtensionSpec("E", (DOOR,), ())
+    assert ext.schema_named("S") is DOOR
+    with pytest.raises(SchemaError, match="^extension E does not include schema 'T'$"):
+        ext.schema_named("T")
+
+
+def test_weak_acyclicity_refuses_an_unknown_foreign_key():
+    """The guard reads foreign keys from the schema; a constraint that no
+    ``check_constraint`` has typed may name one it does not have."""
+    c = _rule((Eq(PathApp("x", Path("X", ("g",))), X_F),))
+    with pytest.raises(SchemaError, match="^'g' is not a foreign key of 'X'$"):
+        check_weak_acyclicity([c], DOOR)

@@ -1,14 +1,14 @@
-"""Fail when a statement of a target module in ``src/catamerge`` runs in no test.
+"""Fail when a statement of a module in ``src/catamerge`` runs in no test.
 
 Runs the tier-1 tests in this process under a ``sys.settrace`` line tracer
-that traces only frames of the target files, then lists, per file, every
+that traces only frames of the package's files, then lists, per file, every
 function-body statement that never ran and is not in that file's
 ``ALLOWED`` entry. Standard library only.
 
     python tools/check_statements.py [extra pytest arguments]
 
-The target files are the keys of ``ALLOWED``; to gate another module, give
-it an entry there. Exits with pytest's status when the tests fail, 1 when a
+Every ``*.py`` file under ``src/catamerge`` is gated, so a new module needs
+no edit here. Exits with pytest's status when the tests fail, 1 when a
 statement is unreached or an allowlist entry is stale, and 0 otherwise.
 """
 
@@ -21,17 +21,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "catamerge"
 
-# Per target file in src/catamerge: (the statement's line, stripped, as in
+TARGETS = sorted(PACKAGE.rglob("*.py"))
+
+# Per file, relative to src/catamerge: (the statement's line, stripped, as in
 # the file; why no input reaches it)
-ALLOWED: dict[str, tuple[tuple[str, str], ...]] = {
-    "parser.py": (),
-    "printer.py": (),
-    "instance.py": (),
-    "integrate.py": (),
-    "query.py": (),
-    "typeside.py": (),
-    "chase.py": (),
-}
+ALLOWED: dict[str, tuple[tuple[str, str], ...]] = {}
 
 
 def statement_lines(path: Path) -> dict[int, str]:
@@ -55,10 +49,11 @@ def statement_lines(path: Path) -> dict[int, str]:
     return found
 
 
-def unreached(name: str, reached: set[int]) -> list[str]:
+def unreached(path: Path, reached: set[int]) -> list[str]:
     """The failures of one target file, and a summary line on stdout."""
-    statements = statement_lines(PACKAGE / name)
-    allowed = dict(ALLOWED[name])
+    name = path.relative_to(PACKAGE).as_posix()
+    statements = statement_lines(path)
+    allowed = dict(ALLOWED.get(name, ()))
     failures: list[str] = []
     for text in allowed:
         lines = [n for n, t in statements.items() if t == text]
@@ -76,7 +71,7 @@ def unreached(name: str, reached: set[int]) -> list[str]:
 
 
 def main(argv: list[str]) -> int:
-    reached: dict[str, set[int]] = {str(PACKAGE / name): set() for name in ALLOWED}
+    reached: dict[str, set[int]] = {str(path): set() for path in TARGETS}
 
     def tracer(frame, event, arg):
         lines = reached.get(frame.f_code.co_filename)
@@ -102,7 +97,9 @@ def main(argv: list[str]) -> int:
         print(f"tier-1 tests failed (pytest exit {status})", file=sys.stderr)
         return int(status)
 
-    failures = [f for name in ALLOWED for f in unreached(name, reached[str(PACKAGE / name)])]
+    stale = sorted(set(ALLOWED) - {path.relative_to(PACKAGE).as_posix() for path in TARGETS})
+    failures = [f"{name}: allowlisted file does not exist" for name in stale]
+    failures += [f for path in TARGETS for f in unreached(path, reached[str(path)])]
     for failure in failures:
         print(failure, file=sys.stderr)
     return 1 if failures else 0
