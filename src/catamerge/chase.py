@@ -18,11 +18,19 @@ records each match's outcome in its constraint's record, keyed by the
 classes of its enumerated universals: a match whose conclusion held or was
 fully enforced is discharged and never fired again, and a pending one keeps
 its reason and the witnesses a firing cut short minted, which its retry
-reuses. A constraint whose last enumeration left no match pending is not
-enumerated again until a round changes something its premise reads
-(``Instance.changes`` against ``premise_reads``). Every firing skipped is
-one that would have done nothing, so traces, round counts and fresh names
-are those of re-enumerating every match each round.
+reuses. A merge re-keys the record by the live classes. A constraint whose
+last enumeration left no match pending is not enumerated again until a
+round changes something that can give it a new match (``Instance.changes``
+against ``premise_reads``). A premise reads the atoms that filter matches,
+which a pin's own equation does not: along each path, the foreign keys it
+follows, the entities it reaches through them (created or merged elements)
+and the null positions it ends in; of each enumerated entity, created
+elements, and merged ones only when a variable of it is compared as an
+element or read by two terms. A merge gives a variable read by one term the
+value one of the merged classes had there, so each match it makes is an
+old match, re-keyed. Every firing skipped is one that would have done
+nothing, so traces, round counts and fresh names are those of
+re-enumerating every match each round.
 
 Termination is guarded by the weak-acyclicity check unless disabled.
 """
@@ -50,11 +58,13 @@ from .instance import (
     enumerate_matches,
     eval_term,
     solve_pins,
+    values_equal,
 )
 from .schema import (
     Constraint,
     Eq,
     FunApp,
+    Path,
     PathApp,
     Schema,
     Term,
@@ -352,7 +362,14 @@ def fire_once(
     witnesses = earlier.witnesses if isinstance(earlier, Pending) else ()
     for k, (name, entity) in enumerate(c.existentials):
         live_env[name] = inst.find(witnesses[k]) if witnesses else firing.fresh(entity)
+    # Of several equations, one may hold already, on virtual elements too,
+    # and so need no foreign key set; a lone one has just failed
+    # conclusion_satisfied.
+    several = len(plan.enforce) > 1
     for eq, entity_sorted in plan.enforce:
+        if several and entity_sorted and values_equal(
+                inst, *(eval_term(inst, live_env, side, virtual=True) for side in (eq.left, eq.right))):
+            continue
         firing.enforce(eq, entity_sorted, live_env)
     record[key] = DISCHARGED if firing.cut_short is None else Pending(
         firing.cut_short, tuple(live_env[name] for name, _ in c.existentials))
@@ -452,28 +469,63 @@ def _failure(inst: Instance, env: dict[str, Value], term: Term) -> Optional[str]
 
 def premise_reads(c: Constraint, schema: Schema) -> frozenset[tuple]:
     """The change marks (see ``Instance.changes``) that can give ``c`` a new
-    premise match: a created or merged element of an enumerated entity or of
-    an entity a premise atom or pin visits, a definition of a foreign key
-    they follow, and any null change when they read an attribute."""
-    # a pinned variable's entity is reached by its pin
-    entities = {step.entity for step in c.plan.premise}
-    marks: set[tuple] = set()
-    terms = [step.pin for step in c.plan.pins]
-    terms += [side for atom in c.premise for side in (atom.left, atom.right)]
-    for path in (p.path for term in terms for p in path_apps(term)):
-        entity = path.root
-        for fk_name in path.fks:
-            marks.add((DEFINED, entity, fk_name))
-            fk = schema.fk(entity, fk_name)
-            assert fk is not None  # type-checked
-            entity = fk.target
-            entities.add(entity)
-        if path.attr is not None:
-            marks.add(NULLS)
-    for entity in entities:
-        marks.add((CREATED, entity))
-        marks.add((MERGED, entity))
+    premise match.
+
+    Only the premise atoms that filter matches are read. A pin's own
+    equation filters nothing, since the pin always has a value, real or
+    virtual; so a pinned variable counts only where another atom reads it,
+    through its pin term. Along each path read, the marks are a definition
+    of each foreign key it follows, a created or merged element of each
+    entity it reaches through one, and a null change at the position
+    (entity, attribute) it ends in. Of an enumerated entity, a created
+    element is read, and a merged one only when one of its variables is
+    compared as an element or read by two terms. A merge gives a variable
+    read by one term, in that term, the value one of the merged classes
+    had; so each match it gives is a match of that class, re-keyed, and
+    the chase's record re-keys those.
+    """
+    pins = {step.var: step.pin for step in c.plan.pins}
+    solved = {(Var(v), t) for v, t in pins.items()}
+    universals = dict(c.universals)
+    marks = {(CREATED, step.entity) for step in c.plan.premise}
+    reads: dict[str, set[PathApp]] = {}
+    for atom in c.premise:
+        if (atom.left, atom.right) in solved or (atom.right, atom.left) in solved:
+            continue  # a pin's own equation
+        for side in (_unpinned(atom.left, pins), _unpinned(atom.right, pins)):
+            if isinstance(side, Var):
+                marks.add((MERGED, universals[side.name]))
+            for app in path_apps(side):
+                reads.setdefault(app.var, set()).add(app)
+                entity = app.path.root
+                for fk_name in app.path.fks:
+                    marks.add((DEFINED, entity, fk_name))
+                    fk = schema.fk(entity, fk_name)
+                    assert fk is not None  # type-checked
+                    entity = fk.target
+                    marks.update(((CREATED, entity), (MERGED, entity)))
+                if app.path.attr is not None:
+                    marks.add((NULLS, entity, app.path.attr))
+                elif not app.path.fks:  # an identity path compares the element
+                    marks.add((MERGED, entity))
+    marks.update((MERGED, universals[v]) for v, apps in reads.items() if len(apps) > 1)
     return frozenset(marks)
+
+
+def _unpinned(term: Term, pins: dict[str, Term]) -> Term:
+    """``term`` with each pinned variable replaced by its pin term, so that
+    it mentions enumerated variables only."""
+    if isinstance(term, FunApp):
+        return FunApp(term.fn, tuple(_unpinned(arg, pins) for arg in term.args))
+    if isinstance(term, Var) and term.name in pins:
+        return _unpinned(pins[term.name], pins)
+    if isinstance(term, PathApp) and term.var in pins:
+        pin = _unpinned(pins[term.var], pins)
+        if isinstance(pin, Var):
+            return PathApp(pin.name, term.path)
+        assert isinstance(pin, PathApp)  # a pin term is entity-sorted
+        return PathApp(pin.var, Path(pin.path.root, pin.path.fks + term.path.fks, term.path.attr))
+    return term
 
 
 def replay(pre: Instance, trace: ChaseTrace) -> Instance:

@@ -23,7 +23,7 @@ from .chase import (
 )
 from .errors import CatamergeError
 from .instance import Instance, new_instance
-from .integrate import CombinedSchema, combine_schemas, delta_project, roundtrip_report, sigma_insert
+from .integrate import CombinedSchema, delta_project, roundtrip_report, sigma_insert
 from .parser import Document, SourceDocument, parse_document
 from .printer import (
     aligned_table,
@@ -108,7 +108,7 @@ def _build_manifest(args: argparse.Namespace) -> Optional[RunManifest]:
 
     return RunManifest(
         extension=ext,
-        combined=combine_schemas(ext),
+        combined=env.combined(ext.name),
         sources=sources,
         out_dir=Path(args.out),
         trace=getattr(args, "trace", False),

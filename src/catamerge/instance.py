@@ -25,9 +25,13 @@ constraint ``check_model`` checks, shares one index per attribute.
 While ``Instance.changes`` holds a set, ``add_element`` and the
 saturation-level mutators add to it a mark for each change that can give a
 premise a new match: ``(CREATED, entity)``, ``(MERGED, entity)``
-(congruence merges included), ``(DEFINED, entity, fk)`` and ``NULLS`` for
-any anchoring or union of null classes, which span entities. The chase
-collects them per round.
+(congruence merges included), ``(DEFINED, entity, fk)`` and
+``(NULLS, entity, attr)`` for each position of a null class that is
+anchored or in a union, since the value of each of its cells changes. A
+class may span positions: the root of a union keeps the positions of both
+classes, and a class never in one has the one position of its name. The
+chase collects the marks per round and enumerates a constraint again only
+when its premise reads one (``chase.premise_reads``).
 """
 
 from __future__ import annotations
@@ -100,7 +104,7 @@ class _UndefinedType:
 UNDEFINED = _UndefinedType()
 
 CREATED, MERGED, DEFINED = "created", "merged", "defined"
-NULLS = ("nulls",)
+NULLS = "nulls"
 
 
 @dataclass(frozen=True)
@@ -141,6 +145,8 @@ class Instance:
         # Names of the nulls writers used; a name with no entry is its own root.
         self._null_parent: dict[NullRef, NullRef] = {}
         self._null_anchor: dict[NullRef, Const] = {}
+        # Per root of a null class that won a union, the positions of its cells.
+        self._null_positions: dict[NullRef, frozenset[tuple[str, str]]] = {}
         self._frozen = False
         # Per entity, the sorted carrier; dropped by add_element and merges.
         self._carriers: dict[str, list[ElementId]] = {}
@@ -165,6 +171,7 @@ class Instance:
         out._rows = {k: dict(v) for k, v in self._rows.items()}
         out._null_parent = dict(self._null_parent)
         out._null_anchor = dict(self._null_anchor)
+        out._null_positions = dict(self._null_positions)
         out.origins = dict(self.origins)
         return out
 
@@ -298,16 +305,29 @@ class Instance:
         # a null resolves to its root name
         if isinstance(lv, Const):
             self._null_anchor[rv] = lv  # type: ignore[index]
+            changed = self._positions(rv)  # type: ignore[arg-type]
         elif isinstance(rv, Const):
             self._null_anchor[lv] = rv
+            changed = self._positions(lv)
         else:
             if lv == rv:
                 return False
             winner, loser = (lv, rv) if lv < rv else (rv, lv)
             self._null_parent[loser] = winner
-        self._record(NULLS)
+            changed = self._positions(winner) | self._positions(loser)
+            self._null_positions.pop(loser, None)
+            self._null_positions[winner] = changed
+        if self.changes is not None:
+            self.changes.update((NULLS, entity, name) for entity, name in changed)
         self._indexes.clear()
         return True
+
+    def _positions(self, root: NullRef) -> frozenset[tuple[str, str]]:
+        """The (entity, attribute) positions of the cells of the null class
+        rooted at ``root``; a class never unioned has the one position of
+        its name."""
+        kept = self._null_positions.get(root)
+        return frozenset(((root.root.entity, root.attr),)) if kept is None else kept
 
     def _record(self, mark: tuple) -> None:
         if self.changes is not None:

@@ -194,29 +194,32 @@ def combine_schemas(ext: ExtensionSpec) -> CombinedSchema:
                 assert isinstance(decl, Attribute)
                 attrs.append(Attribute(out_name, entity_name, decl.type))
 
-    constraints: list[Constraint] = []
-    for s in ext.schemas:
-        for c in s.constraints:
-            constraints.append(_rewrite_constraint(c, s, combined))
-    first_bridge = len(constraints) + 1
-    constraints.extend(ext.constraints)
-
     combined.schema = Schema(
         name=ext.name,
         entities=tuple(entity_names),
         foreign_keys=tuple(fks),
         attributes=tuple(attrs),
-        constraints=tuple(constraints),
+        constraints=tuple(_rewrite_constraint(c, s, combined) for s in ext.schemas for c in s.constraints),
     )
-    bridge_report = ValidationReport()
-    for idx, c in enumerate(ext.constraints, start=first_bridge):
+    return add_bridges(combined, ext)
+
+
+def add_bridges(glued: CombinedSchema, ext: ExtensionSpec) -> CombinedSchema:
+    """``glued``, a glue of ``ext``'s parts, with ``ext``'s own constraints
+    after the source ones, each type-checked against the glued schema. The
+    parser glues an extension's parts once, reads its constraints against
+    that glue and then adds them here."""
+    first = len(glued.schema.constraints) + 1
+    report = ValidationReport()
+    for idx, c in enumerate(ext.constraints, start=first):
         try:
-            check_constraint(c, combined.schema)
+            check_constraint(c, glued.schema)
         except SchemaError as err:
-            bridge_report.add(f"constraint #{idx}", str(err))
-    if not bridge_report.ok:
-        raise SchemaError(f"combined schema for {ext.name} is invalid: {bridge_report}")
-    return combined
+            report.add(f"constraint #{idx}", str(err))
+    if not report.ok:
+        raise SchemaError(f"combined schema for {ext.name} is invalid: {report}")
+    schema = replace(glued.schema, constraints=glued.schema.constraints + ext.constraints)
+    return replace(glued, schema=schema, extension=ext)
 
 
 def _rewrite_constraint(c: Constraint, schema: Schema, combined: CombinedSchema) -> Constraint:

@@ -24,7 +24,7 @@ from typing import Iterator, Optional, Union
 
 from .errors import CatamergeError, InstanceError, SchemaError
 from .instance import ElementId, Instance
-from .integrate import CombinedSchema, combine_schemas
+from .integrate import CombinedSchema, add_bridges, combine_schemas
 from .query import QuerySpec
 from .schema import (
     Attribute,
@@ -351,10 +351,22 @@ class Document:
     # extensions whose block was reported and refused; a query over one
     # gets no second diagnostic
     refused_extensions: set[str] = field(default_factory=set)
+    # per extension, its combined schema, glued once (``combined``)
+    glued: dict[str, CombinedSchema] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
         return not any(d.severity == "error" for d in self.diagnostics)
+
+    def combined(self, name: str) -> CombinedSchema:
+        """The combined schema of extension ``name``: the one its block
+        glued, or for an extension added through the API, one glued now
+        and kept."""
+        ext = self.extensions[name]
+        glued = self.glued.get(name)
+        if glued is None or glued.extension is not ext:
+            glued = self.glued[name] = combine_schemas(ext)
+        return glued
 
 
 class _Abort(Exception):
@@ -999,6 +1011,7 @@ class _Parser:
             self.error(name_tok, f"extension '{name_tok.text}' is already defined")
         else:
             self.env.extensions[name_tok.text] = spec
+            self.env.glued[name_tok.text] = add_bridges(combined, spec)
             self.env.refused_extensions.discard(name_tok.text)
 
     # -- query blocks -------------------------------------------------------------
@@ -1020,7 +1033,7 @@ class _Parser:
             if ext is None:
                 raise self.fail(ext_tok, f"unknown extension '{ext_tok.text}'")
             try:
-                combined = combine_schemas(ext)
+                combined = self.env.combined(ext_tok.text)
             except CatamergeError as err:
                 raise self.fail(ext_tok, str(err))
         schema = combined.schema

@@ -313,6 +313,24 @@ def test_query_tenant_billing_matches_table2(tmp_path, capsys):
     assert "Split AC Room 240" in stdout
 
 
+def test_query_glues_its_extension_once(tmp_path, monkeypatch, capsys):
+    """The extension block glues the parts of its extension once and checks
+    each included schema once; the query block and the command reuse that
+    glue."""
+    calls: list[str] = []
+    for module in ("catamerge.integrate", "catamerge.parser", "catamerge.cli"):
+        for name in ("combine_schemas", "validate_schema"):
+            original = getattr(sys.modules[module], name, None)
+            if original is not None:
+                def counted(*args, _name=name, _original=original):
+                    calls.append(_name)
+                    return _original(*args)
+                monkeypatch.setattr(sys.modules[module], name, counted)
+    assert main(["query", EX2, "-q", "TenantBilling", "--out", str(tmp_path / "out")]) == 0
+    assert (calls.count("combine_schemas"), calls.count("validate_schema")) == (1, 3)
+    assert "Split AC Room 240" in capsys.readouterr().out
+
+
 def test_query_over_empty_instance_header_only(tmp_path):
     doc = """
 schema A { entities X attributes n : X -> String }
