@@ -89,8 +89,7 @@ class ChaseConfig:
 
 # -- trace ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CreateElement:
+class CreateElement(NamedTuple):
     entity: str
     name: str
 
@@ -98,8 +97,7 @@ class CreateElement:
         return f"created({self.entity}:{self.name})"
 
 
-@dataclass(frozen=True)
-class MergePair:
+class MergePair(NamedTuple):
     a: ElementId
     b: ElementId
 
@@ -107,8 +105,7 @@ class MergePair:
         return f"merged({self.a.name}, {self.b.name})"
 
 
-@dataclass(frozen=True)
-class DefineFk:
+class DefineFk(NamedTuple):
     elem: ElementId
     fk: str
     target: ElementId
@@ -117,8 +114,7 @@ class DefineFk:
         return f"defined({self.elem.name}.{self.fk}, {self.target.name})"
 
 
-@dataclass(frozen=True)
-class AssignAttr:
+class AssignAttr(NamedTuple):
     elem: ElementId
     attr: str
     value: Const
@@ -127,8 +123,7 @@ class AssignAttr:
         return f"assigned({self.elem.name}.{self.attr}, {render_constant(self.value)})"
 
 
-@dataclass(frozen=True)
-class UnionAttrs:
+class UnionAttrs(NamedTuple):
     e1: ElementId
     a1: str
     e2: ElementId
@@ -362,10 +357,11 @@ def fire_once(
     witnesses = earlier.witnesses if isinstance(earlier, Pending) else ()
     for k, (name, entity) in enumerate(c.existentials):
         live_env[name] = inst.find(witnesses[k]) if witnesses else firing.fresh(entity)
-    # Of several equations, one may hold already, on virtual elements too,
-    # and so need no foreign key set; a lone one has just failed
-    # conclusion_satisfied.
-    several = len(plan.enforce) > 1
+    # Of several declared equations, one may hold already, on virtual
+    # elements too, and so need no foreign key set; a lone one has just
+    # failed conclusion_satisfied. (Count the declared ones: an equation
+    # left out of plan.enforce can still be what made the conclusion fail.)
+    several = len(c.conclusion) > 1
     for eq, entity_sorted in plan.enforce:
         if several and entity_sorted and values_equal(
                 inst, *(eval_term(inst, live_env, side, virtual=True) for side in (eq.left, eq.right))):

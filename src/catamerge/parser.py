@@ -20,7 +20,7 @@ from __future__ import annotations
 import bisect
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .errors import CatamergeError, InstanceError, SchemaError
 from .instance import ElementId, Instance
@@ -72,8 +72,7 @@ class SourceDocument:
         return line, offset - self._line_starts[line - 1] + 1
 
 
-@dataclass
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str  # "error" | "warning"
     message: str
     file: str
@@ -295,19 +294,16 @@ def _literal(tok: Token) -> Optional[Const]:
 # Raw syntax trees (tokens kept for positioned diagnostics)
 
 # Only an ``RName`` can be entity-sorted: a literal and a call are base-typed.
-@dataclass
-class RName:
+class RName(NamedTuple):
     parts: list[Token]
 
 
-@dataclass
-class RLit:
+class RLit(NamedTuple):
     token: Token
     const: Const
 
 
-@dataclass
-class RCall:
+class RCall(NamedTuple):
     name: Token
     args: list["RawTerm"]
 
@@ -324,16 +320,14 @@ def _raw_names(term: RawTerm) -> Iterator[RName]:
             yield from _raw_names(arg)
 
 
-@dataclass
-class RAtom:
+class RAtom(NamedTuple):
     op: str
     op_token: Token
     left: RawTerm
     right: RawTerm
 
 
-@dataclass
-class RConstraint:
+class RConstraint(NamedTuple):
     keyword: Token
     universals: list[tuple[Token, Token]]
     premise: list[RAtom]

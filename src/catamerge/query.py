@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import QueryError
 from .instance import Const, Instance, NullRef, UNDEFINED, Value, _Binder, eval_term
 from .schema import BindStep, Eq, Term, _probe, _term_vars, render_constant
 
 
-@dataclass(frozen=True)
-class QuerySpec:
+class QuerySpec(NamedTuple):
     """from-bindings, where-equations, attribute projections."""
 
     name: str

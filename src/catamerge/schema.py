@@ -23,15 +23,13 @@ from .typeside import (
 )
 
 
-@dataclass(frozen=True)
-class ForeignKey:
+class ForeignKey(NamedTuple):
     name: str
     source: str
     target: str
 
 
-@dataclass(frozen=True)
-class Attribute:
+class Attribute(NamedTuple):
     name: str
     source: str
     type: BaseType
@@ -132,16 +130,14 @@ class Constraint:
         return binding_plan(self)
 
 
-@dataclass(frozen=True)
-class Identification:
+class Identification(NamedTuple):
     schema_a: str
     entity_a: str
     schema_b: str
     entity_b: str
 
 
-@dataclass(frozen=True)
-class ExtensionSpec:
+class ExtensionSpec(NamedTuple):
     """A theory extension: included schemas, entity identifications, bridges."""
 
     name: str
@@ -224,8 +220,7 @@ Sort = Union[str, BaseType]  # an entity name or a base type
 # ---------------------------------------------------------------------------
 # Validation
 
-@dataclass(frozen=True)
-class ValidationIssue:
+class ValidationIssue(NamedTuple):
     subject: str
     message: str
 
@@ -417,8 +412,7 @@ def classify_constraint(c: Constraint) -> str:
 # ---------------------------------------------------------------------------
 # Weak acyclicity
 
-@dataclass(frozen=True)
-class DependencyEdge:
+class DependencyEdge(NamedTuple):
     source: str
     target: str
     existential: bool
@@ -465,8 +459,8 @@ class BindingPlan(NamedTuple):
     premise: tuple[BindStep, ...]  # the enumerated universals, in declaration order
     checks: tuple[Atom, ...]  # the premise atoms no probe or pin decides, checked per match
     conclusion: tuple[BindStep, ...]  # the existentials, in solving order
-    witness_checks: tuple[Eq, ...]  # the conclusion equations no pin decides, checked per witness
-    enforce: tuple[tuple[Eq, bool], ...]  # conclusion equations in order; True if entity-sorted
+    witness_checks: tuple[Eq, ...]  # the conclusion equations no pin decides and that can fail
+    enforce: tuple[tuple[Eq, bool], ...]  # the ones that can fail, in order; True if entity-sorted
     defer: tuple[Term, ...]  # function sides over universals that must be constants to fire
     stuck: bool  # a function reads an existential's attribute that nothing sets
 
@@ -488,7 +482,10 @@ def binding_plan(c: Constraint) -> BindingPlan:
     variables; when none is, the first remaining one in declaration order is
     scanned. A probe decides its equation, and so does a pin, whose variable
     takes its term's value: ``checks`` and ``witness_checks`` leave those
-    equations out. The conclusion's shape comes from ``_conclusion_shape``.
+    equations out. ``witness_checks`` also leaves out an entity-sorted
+    equation whose sides are one term, which holds everywhere
+    (``_holds_everywhere``). The conclusion's shape comes from
+    ``_conclusion_shape``.
     """
     universals = dict(c.universals)
     unsolved: dict[str, Term] = {}
@@ -530,6 +527,7 @@ def binding_plan(c: Constraint) -> BindingPlan:
         conclusion.append(BindStep(name, entity, pin=pin))
         bound.add(name)
     settled = {(Var(step.var), step.pin) for step in conclusion if step.pin is not None}
+    settled.update((eq.left, eq.right) for eq in c.conclusion if _holds_everywhere(eq))
     return BindingPlan(tuple(pins), tuple(premise), _undecided(c.premise, decided), tuple(conclusion),
                        _undecided(c.conclusion, settled), *_conclusion_shape(c))
 
@@ -566,7 +564,8 @@ def _conclusion_shape(c: Constraint) -> tuple[tuple[tuple[Eq, bool], ...], tuple
 
     Equations without a function side are enforced first, then those with
     one, each after the others that set a path it reads; declaration order
-    holds otherwise and on cycles. A function side is read with each
+    holds otherwise and on cycles. An equation that holds everywhere
+    (``_holds_everywhere``) is not enforced. A function side is read with each
     argument ``y.a`` (``y`` existential, no foreign keys) replaced by the
     term over universals that the first equation setting ``y.a`` equates it
     to, or failing that the nearest such term reached through equations
@@ -614,11 +613,7 @@ def _conclusion_shape(c: Constraint) -> tuple[tuple[tuple[Eq, bool], ...], tuple
             for other in pending)), pending[0])
         pending.remove(eq)
         order.append(eq)
-    # type-checked, so the sides are entity-sorted iff the left one is
-    enforce = tuple(
-        (eq, isinstance(eq.left, Var) or isinstance(eq.left, PathApp) and eq.left.path.attr is None)
-        for eq in order
-    )
+    enforce = tuple((eq, _entity_sorted(eq)) for eq in order if not _holds_everywhere(eq))
 
     def unknown(p: PathApp) -> bool:  # a fresh element's cell not yet computed
         return cell(p) and Var(p.var) not in sides and p not in known
@@ -635,6 +630,18 @@ def _conclusion_shape(c: Constraint) -> tuple[tuple[tuple[Eq, bool], ...], tuple
     stuck = any(unknown(p) for eq in c.conclusion for p in reads(eq))
     read_through = (through(side) for eq in c.conclusion for side in functions(eq))
     return enforce, tuple(side for side in read_through if _term_vars(side) <= universals), stuck
+
+
+def _entity_sorted(eq: Eq) -> bool:
+    # type-checked, so the sides are entity-sorted iff the left one is
+    return isinstance(eq.left, Var) or isinstance(eq.left, PathApp) and eq.left.path.attr is None
+
+
+def _holds_everywhere(eq: Eq) -> bool:
+    """An entity-sorted equation whose sides are one term: both evaluate to
+    one element or one virtual element, never UNDEFINED. (An attribute read
+    through an unset key is UNDEFINED, which equals nothing.)"""
+    return eq.left == eq.right and _entity_sorted(eq)
 
 
 def _sides(atom: Atom) -> tuple[tuple[Term, Term], tuple[Term, Term]]:

@@ -10,8 +10,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import SchemaError
 
@@ -73,8 +72,7 @@ def levenshtein(a: str, b: str) -> int:
     return dist
 
 
-@dataclass(frozen=True)
-class FnSig:
+class FnSig(NamedTuple):
     name: str
     arg_types: tuple[BaseType, ...]
     result: BaseType

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.append(str(Path(__file__).parent.parent))  # perfbench, whose row shuffle helpers uses
 
 import helpers  # noqa: E402
 

@@ -114,12 +114,17 @@ from catamerge.typeside import (
     normalize_double,
     resolve_function,
 )
+from perfbench.workloads import shuffle_rows
 
 FIXTURES = FsPath(__file__).parent / "fixtures"
 
 
-def load_fixture(name: str) -> Document:
+def load_fixture(name: str, rows: random.Random | None = None) -> Document:
+    """The parsed fixture; with ``rows``, its row lines shuffled by it as the
+    benchmark's workloads shuffle theirs (``perfbench.workloads.shuffle_rows``)."""
     text = (FIXTURES / name).read_text(encoding="utf-8")
+    if rows is not None:
+        text = shuffle_rows(text, rows)
     env = parse_document(SourceDocument(name, text))
     assert env.ok, "\n".join(str(d) for d in env.diagnostics)
     return env
@@ -131,8 +136,8 @@ def load_text(text: str, name: str = "<inline>") -> Document:
     return env
 
 
-def example1_pipeline() -> tuple[Document, CombinedSchema, Instance]:
-    env = load_fixture("example1.cmg")
+def example1_pipeline(rows: random.Random | None = None) -> tuple[Document, CombinedSchema, Instance]:
+    env = load_fixture("example1.cmg", rows)
     combined = combine_schemas(env.extensions["Combined"])
     pre = sigma_insert(
         combined,
@@ -141,8 +146,8 @@ def example1_pipeline() -> tuple[Document, CombinedSchema, Instance]:
     return env, combined, pre
 
 
-def example2_pipeline() -> tuple[Document, CombinedSchema, Instance]:
-    env = load_fixture("example2.cmg")
+def example2_pipeline(rows: random.Random | None = None) -> tuple[Document, CombinedSchema, Instance]:
+    env = load_fixture("example2.cmg", rows)
     combined = combine_schemas(env.extensions["CombinedThreeWay"])
     pre = sigma_insert(
         combined,
@@ -512,12 +517,15 @@ def plan_defers(inst: Instance, c: Constraint, env: dict) -> bool:
 def oracle_conclusion_shape(c: Constraint) -> tuple[tuple, tuple, bool]:
     """``(enforce, defer, stuck)`` of ``c.plan`` as the per-firing analysis
     finds them: the enforcement order with the enforcement loop's
-    entity-sorted test, the function sides the deferral loop evaluates once
-    every universal is bound, and whether it returns on an unset cell."""
-    enforce = tuple(
-        (eq, isinstance(eq.left, Var) or (isinstance(eq.left, PathApp) and eq.left.path.attr is None))
-        for eq in _enforcement_order(c.conclusion)
-    )
+    entity-sorted test, less the entity-sorted equations whose two sides are
+    one term (they hold everywhere), the function sides the deferral loop
+    evaluates once every universal is bound, and whether it returns on an
+    unset cell."""
+    enforce = []
+    for eq in _enforcement_order(c.conclusion):
+        entity_sorted = isinstance(eq.left, Var) or isinstance(eq.left, PathApp) and eq.left.path.attr is None
+        if not (entity_sorted and eq.left == eq.right):
+            enforce.append((eq, entity_sorted))
     universals = {name for name, _ in c.universals}
     defer, stuck = [], False
     for eq in c.conclusion:
@@ -527,7 +535,7 @@ def oracle_conclusion_shape(c: Constraint) -> tuple[tuple, tuple, bool]:
                 side = _through_existentials(c, side)
                 if _term_vars(side) <= universals:
                     defer.append(side)
-    return enforce, tuple(defer), stuck
+    return tuple(enforce), tuple(defer), stuck
 
 
 def _enforcement_order(conclusion: tuple[Eq, ...]) -> list[Eq]:
@@ -711,6 +719,29 @@ def random_instance(
                 if rng.random() < 0.5:
                     inst.set_attr(elem, attr.name, Const(attr.type, rng.choice(pool)))
     return inst
+
+
+def rows_reversed(inst: Instance) -> Instance:
+    """``inst`` built again with each entity's elements added in reverse:
+    the same classes, then the same foreign keys, constants and null
+    classes, each row in reverse carrier order."""
+    out = new_instance(inst.schema, inst.name)
+    image = {elem: out.add_element(entity, elem.name, fresh=elem.fresh)
+             for entity in inst.schema.entities for elem in reversed(inst.elements(entity))}
+    roots = [root for entity in inst.schema.entities for root in reversed(inst.carrier(entity))]
+    for root in roots:
+        for member in inst.members(root)[1:]:
+            out.merge_elements(image[root], image[member])
+    nulls: dict[NullRef, tuple[ElementId, str]] = {}
+    for root in roots:
+        for name, value in inst.row(root).items():
+            if isinstance(value, ElementId):
+                out.set_fk(image[root], name, image[inst.find(value)])
+            elif isinstance(value := inst.resolve_value(value), NullRef):
+                out.union_attrs(image[root], name, *nulls.setdefault(value, (image[root], name)))
+            else:
+                out.set_attr(image[root], name, value)
+    return out.freeze() if inst.frozen else out
 
 
 def _random_path(rng: random.Random, schema: Schema, root: str, max_len: int = 2):

@@ -19,6 +19,7 @@ from catamerge import (
     fire_once,
     instances_same_data,
     new_instance,
+    print_canonical,
     sigma_insert,
     verify_universality,
 )
@@ -197,33 +198,83 @@ def test_a_side_that_sets_the_other_sides_key_merges_into_it():
 
 
 def test_two_sides_ending_in_one_unset_key_set_it_once():
-    """Both sides of ``y.h = y.h`` end in the one unset ``y.h`` of a fresh
-    ``y``, which gets one fresh witness, defined once. ``x.f = x.f`` holds
-    as it stands, on virtual elements, so a firing for ``x.k = "a"`` sets
-    no key for it."""
+    """Both sides of ``y.h = y.h`` are one entity-sorted term, so the
+    equation holds everywhere: the plan neither checks nor enforces it, and a
+    fresh ``y`` witnesses the rule with its ``y.h`` unset. Both sides of
+    ``y.h.m = y.h.m`` read ``m`` through the one unset ``y.h``, which is
+    UNDEFINED until set, so a fresh witness sets it, once. ``x.f = x.f``
+    holds as it stands, on virtual elements, so a firing for ``x.k = "a"``
+    sets no key for it."""
     env = helpers.load_text("""
 schema S {
   entities X Y Z
   foreign_keys f : X -> Y  h : Y -> Z
-  attributes k : X -> String
+  attributes k : X -> String  m : Z -> String
 }
 instance i : S { entity X { row x { } } }
 extension E { include S  constraints forall x : X -> exists y : Y , y.h = y.h }
 extension F { include S  constraints forall x : X -> x.f = x.f and x.k = "a" }
+extension G { include S  constraints forall x : X -> exists y : Y , y.h.m = y.h.m }
 """)
-    traces = []
-    for name in ("E", "F"):
+    traces, checked = [], []
+    for name in ("E", "F", "G"):
         combined = combine_schemas(env.extensions[name])
         pre = sigma_insert(combined, {"S": env.instances["i"]})
         cs = list(combined.schema.constraints)
+        plan = cs[0].plan
+        checked.append((len(plan.witness_checks), len(plan.enforce)))
         result = chase(pre, cs)
         assert result.saturated and check_model(result.instance, cs).ok
         traces.append(result.trace.render())
+    assert checked == [(0, 0), (1, 1), (1, 1)]
     assert traces == [
+        "round 1: c1 @ x=S.x,y=S_Y!1.0 -> created(S_Y:S_Y!1.0)\n",
+        "round 1: c1 @ x=S.x -> assigned(S.x.k, a)\n",
         "round 1: c1 @ x=S.x,y=S_Y!1.0 -> created(S_Y:S_Y!1.0); created(S_Z:S_Z!1.1); "
         "defined(S_Y!1.0.h, S_Z!1.1)\n",
-        "round 1: c1 @ x=S.x -> assigned(S.x.k, a)\n",
     ]
+
+
+def test_an_equation_that_holds_merges_nothing_when_a_witness_is_minted():
+    """``x.f = x.g`` holds, both keys reaching ``z``, but with ``Y`` empty no
+    ``y`` witnesses the conclusion, so the firing mints one and enforces
+    the equation on one class: no merge."""
+    env = helpers.load_text("""
+schema S {
+  entities X Y Z
+  foreign_keys f : X -> Z  g : X -> Z
+}
+instance i : S { entity Z { row z { } } entity X { row x { f = z g = z } } }
+extension E { include S  constraints forall x : X -> exists y : Y , x.f = x.g }
+""")
+    combined = combine_schemas(env.extensions["E"])
+    pre = sigma_insert(combined, {"S": env.instances["i"]})
+    cs = list(combined.schema.constraints)
+    result = chase(pre, cs)
+    assert result.saturated and check_model(result.instance, cs).ok
+    assert result.trace.render() == "round 1: c1 @ x=S.x,y=S_Y!1.0 -> created(S_Y:S_Y!1.0)\n"
+
+
+def test_an_equation_left_out_of_the_plan_still_counts_as_one_of_several():
+    """The plan leaves ``y.h = y.h`` out of ``enforce``, but the conclusion
+    still has two equations, and it fails only for want of a ``y``. Both
+    sides of ``x.f.g = x.k.g`` are the one unset ``z.g``, so it holds on
+    virtual elements and the firing mints ``y`` and sets no key."""
+    env = helpers.load_text("""
+schema S {
+  entities X Y Z W
+  foreign_keys f : X -> Z  k : X -> Z  g : Z -> W  h : Y -> Z
+}
+instance i : S { entity Z { row z { } } entity X { row x { f = z k = z } } }
+extension E { include S  constraints forall x : X -> exists y : Y , y.h = y.h and x.f.g = x.k.g }
+""")
+    combined = combine_schemas(env.extensions["E"])
+    pre = sigma_insert(combined, {"S": env.instances["i"]})
+    cs = list(combined.schema.constraints)
+    assert len(cs[0].plan.enforce) == 1
+    result = chase(pre, cs)
+    assert result.saturated and check_model(result.instance, cs).ok
+    assert result.trace.render() == "round 1: c1 @ x=S.x,y=S_Y!1.0 -> created(S_Y:S_Y!1.0)\n"
 
 
 def test_an_identity_path_in_a_conclusion_is_its_variable():
@@ -815,6 +866,40 @@ def test_reversed_constraint_order_isomorphic(example1, example2):
         cases = (helpers.random_weakly_acyclic_case(random.Random(seed), constants) for seed in range(200))
         statuses.append(Counter(_order_invariant(pre, cs, _shuffles(rng, cs)) for _, pre, cs in cases))
     assert [set(counts) for counts in statuses] == [{SATURATED, FAILED}, {SATURATED}, {SATURATED, FAILED}]
+
+
+def _outputs(pre: Instance, constraints: list[Constraint]) -> tuple[str, str]:
+    """The chase's trace, and its saturation as ``print_canonical`` writes it
+    (the status when it does not saturate)."""
+    result = helpers.saturate(pre, constraints)
+    return result.trace.render(), print_canonical(result.instance) if result.saturated else result.status
+
+
+def _classes(inst: Instance) -> list[list[str]]:
+    return [[m.name for m in inst.members(root)] for entity in inst.schema.entities
+            for root in inst.carrier(entity)]
+
+
+def test_row_order_changes_no_output_byte(example1, example2):
+    """The trace and the printed saturation do not depend on the order of
+    the input rows: both fixtures with their row lines shuffled under 3
+    seeds, and 200 weakly acyclic cases without and with constants and 200
+    ``random_join_case``s, with each entity's elements added in reverse
+    (``helpers.rows_reversed``, which keeps the classes, foreign keys,
+    constants and null classes)."""
+    for pipeline, (_, combined, pre) in ((helpers.example1_pipeline, example1),
+                                         (helpers.example2_pipeline, example2)):
+        expected = _outputs(pre, list(combined.schema.constraints))
+        for seed in range(3):
+            _, combined, shuffled = pipeline(random.Random(seed))
+            assert _outputs(shuffled, list(combined.schema.constraints)) == expected, seed
+    cases = [(pre, cs) for constants in (False, True) for _, pre, cs in (
+        helpers.random_weakly_acyclic_case(random.Random(seed), constants) for seed in range(200))]
+    cases += [helpers.random_join_case(random.Random(seed)) for seed in range(200)]
+    for k, (pre, cs) in enumerate(cases):
+        reversed_pre = helpers.rows_reversed(pre)
+        assert instances_same_data(reversed_pre, pre) and _classes(reversed_pre) == _classes(pre), k
+        assert _outputs(reversed_pre, cs) == _outputs(pre, cs), k
 
 
 def test_universality_reflexive(example2_saturated):

@@ -274,6 +274,12 @@ def test_max_rounds_below_one_exits_one(tmp_path, capsys, value):
     assert "--max-rounds" in _one_line_error(capsys)
 
 
+def test_max_rounds_not_an_integer_exits_one(tmp_path, capsys):
+    code = main(["integrate", EX1, "--out", str(tmp_path / "o"), "--max-rounds", "ten"])
+    assert code == 1
+    assert "invalid integer 'ten'" in _one_line_error(capsys)
+
+
 def test_out_naming_a_file_exits_one(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("")
