@@ -54,6 +54,7 @@ from .instance import (
     VirtualElem,
     _is_homomorphic,
     _locally_compatible,
+    _signature,
     conclusion_satisfied,
     enumerate_matches,
     eval_term,
@@ -421,7 +422,7 @@ def chase(pre: Instance, constraints: list[Constraint], cfg: Optional[ChaseConfi
         counter = itertools.count()
         changed = False
         pending: dict[int, set[str]] = {}
-        inst.changes = set()
+        inst.changes.clear()
         try:
             for index, c, env in collected:
                 table = record[index]
@@ -438,16 +439,15 @@ def chase(pre: Instance, constraints: list[Constraint], cfg: Optional[ChaseConfi
                     pending.setdefault(index, set()).add(outcome.reason)
         except ConstantClash as clash:
             return ChaseResult(FAILED, None, trace, round_no, clash)
-        changes, inst.changes = inst.changes, None
         if not changed:  # every pending constraint was enumerated this round
             indices = tuple(sorted(pending))
             reasons = tuple((i, r) for i in indices for r in sorted(pending[i]))
             return ChaseResult(SATURATED, inst.freeze(), trace, round_no, pending=indices, reasons=reasons)
-        merged = {mark[1] for mark in changes if mark[0] == MERGED}
+        merged = {mark[1] for mark in inst.changes if mark[0] == MERGED}
         for index, c in ordered:
             if any(step.entity in merged for step in c.plan.premise):
                 record[index] = {tuple(map(inst.find, key)): out for key, out in record[index].items()}
-        stale = pending.keys() | {i for i, _ in ordered if not reads[i].isdisjoint(changes)}
+        stale = pending.keys() | {i for i, _ in ordered if not reads[i].isdisjoint(inst.changes)}
     return ChaseResult(EXHAUSTED, None, trace, cfg.max_rounds)
 
 
@@ -572,7 +572,7 @@ def verify_universality(sat: Instance, alt: Instance) -> UniversalityResult:
     and keeps which foreign keys are set, so its inverse passes too and it
     is an isomorphism. Desk-scale only.
     """
-    if sat.schema.entities != alt.schema.entities:
+    if _signature(sat.schema) != _signature(alt.schema):
         return UniversalityResult(False, "schemas differ")
     mapping: dict[ElementId, ElementId] = {}
     fresh_slots: list[tuple[ElementId, list[ElementId]]] = []

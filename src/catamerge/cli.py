@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NoReturn, Optional
 
@@ -32,20 +31,9 @@ from .printer import (
     result_table_csv,
 )
 from .query import evaluate
-from .schema import ExtensionSpec, Schema
+from .schema import Schema
 
 OK, USAGE, UNSATISFIABLE, EXHAUSTED_CODE = 0, 1, 2, 3
-
-
-@dataclass
-class RunManifest:
-    extension: ExtensionSpec
-    combined: CombinedSchema
-    sources: dict[str, Instance]
-    out_dir: Path
-    max_rounds: int
-    trace: bool = False
-    env: Document = field(default_factory=Document)
 
 
 def _load(files: list[str]) -> Optional[Document]:
@@ -77,7 +65,11 @@ def _max_rounds(text: str) -> int:
     return value
 
 
-def _build_manifest(args: argparse.Namespace) -> Optional[RunManifest]:
+def _prepare(
+    args: argparse.Namespace,
+) -> Optional[tuple[Document, CombinedSchema, dict[str, Instance]]]:
+    """The parsed inputs, the chosen extension glued, and per included
+    schema its source instance; None once an error is reported."""
     env = _load(args.files)
     if env is None or not env.ok:
         return None
@@ -106,15 +98,7 @@ def _build_manifest(args: argparse.Namespace) -> Optional[RunManifest]:
             return None
         sources[schema.name] = matching[0] if matching else new_instance(schema, f"{schema.name}_empty")
 
-    return RunManifest(
-        extension=ext,
-        combined=env.combined(ext.name),
-        sources=sources,
-        out_dir=Path(args.out),
-        trace=getattr(args, "trace", False),
-        max_rounds=args.max_rounds,
-        env=env,
-    )
+    return env, env.combined(ext.name), sources
 
 
 # The pending-match warnings, one per reason, in this order.
@@ -124,17 +108,19 @@ _PENDING_WHY = (
 )
 
 
-def _run_chase(manifest: RunManifest) -> tuple[int, ChaseResult]:
+def _run_chase(
+    args: argparse.Namespace, combined: CombinedSchema, sources: dict[str, Instance]
+) -> tuple[int, ChaseResult]:
     """Insert the sources and chase; returns the exit code with the result.
 
     A clash or an exhausted budget is reported on stderr here; ``trace.log``
     is written, when asked for, whatever the outcome of a chase that ran.
     """
-    pre = sigma_insert(manifest.combined, manifest.sources)
-    cfg = ChaseConfig(max_rounds=manifest.max_rounds)
-    result = chase(pre, list(manifest.combined.schema.constraints), cfg)
-    if manifest.trace:
-        _write(manifest.out_dir / "trace.log", result.trace.render())
+    pre = sigma_insert(combined, sources)
+    cfg = ChaseConfig(max_rounds=args.max_rounds)
+    result = chase(pre, list(combined.schema.constraints), cfg)
+    if getattr(args, "trace", False):
+        _write(args.out / "trace.log", result.trace.render())
     if result.status == FAILED:
         print(f"unsatisfiable: {result.clash}", file=sys.stderr)
         return UNSATISFIABLE, result
@@ -172,15 +158,16 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_integrate(args: argparse.Namespace) -> int:
-    manifest = _build_manifest(args)
-    if manifest is None:
+    prepared = _prepare(args)
+    if prepared is None:
         return USAGE
-    code, result = _run_chase(manifest)
+    _, combined, sources = prepared
+    code, result = _run_chase(args, combined, sources)
     if code != OK:
         return code
     assert result.instance is not None
-    out = manifest.out_dir
-    _write(out / "combined.cmg", print_canonical(manifest.combined))
+    out = args.out
+    _write(out / "combined.cmg", print_canonical(combined))
     _write(out / "saturated.cmg", print_canonical(result.instance))
     for entity, text in instance_csvs(result.instance).items():
         _write(out / f"{entity}.csv", text)
@@ -189,21 +176,22 @@ def cmd_integrate(args: argparse.Namespace) -> int:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    manifest = _build_manifest(args)
-    if manifest is None:
+    prepared = _prepare(args)
+    if prepared is None:
         return USAGE
-    spec = manifest.env.queries.get(args.query)
+    env, combined, sources = prepared
+    spec = env.queries.get(args.query)
     if spec is None:
         print(f"error: unknown query '{args.query}'", file=sys.stderr)
         return USAGE
-    if spec.extension != manifest.extension.name:
+    if spec.extension != combined.extension.name:
         print(
             f"error: query '{spec.name}' targets extension '{spec.extension}', "
-            f"not '{manifest.extension.name}'",
+            f"not '{combined.extension.name}'",
             file=sys.stderr,
         )
         return USAGE
-    code, result = _run_chase(manifest)
+    code, result = _run_chase(args, combined, sources)
     if code != OK:
         return code
     assert result.instance is not None
@@ -212,34 +200,35 @@ def cmd_query(args: argparse.Namespace) -> int:
     except CatamergeError as err:
         print(f"error: query '{spec.name}': {err}", file=sys.stderr)
         return USAGE
-    _write(manifest.out_dir / f"query_{spec.name}.csv", result_table_csv(table))
+    _write(args.out / f"query_{spec.name}.csv", result_table_csv(table))
     sys.stdout.write(aligned_table(table))
     return OK
 
 
 def cmd_roundtrip(args: argparse.Namespace) -> int:
-    manifest = _build_manifest(args)
-    if manifest is None:
+    prepared = _prepare(args)
+    if prepared is None:
         return USAGE
+    _, combined, sources = prepared
     target: Optional[Schema] = None
-    for s in manifest.extension.schemas:
+    for s in combined.extension.schemas:
         if s.name == args.schema:
             target = s
     if target is None:
         print(
             f"error: schema '{args.schema}' is not included in extension "
-            f"'{manifest.extension.name}'",
+            f"'{combined.extension.name}'",
             file=sys.stderr,
         )
         return USAGE
-    code, result = _run_chase(manifest)
+    code, result = _run_chase(args, combined, sources)
     if code != OK:
         return code
     assert result.instance is not None
-    recovered = delta_project(manifest.combined, result.instance, target)
-    report = roundtrip_report(manifest.sources[target.name], recovered)
+    recovered = delta_project(combined, result.instance, target)
+    report = roundtrip_report(sources[target.name], recovered)
     text = report.render()
-    _write(manifest.out_dir / f"roundtrip_{target.name}.txt", text)
+    _write(args.out / f"roundtrip_{target.name}.txt", text)
     sys.stdout.write(text)
     return OK
 
@@ -261,7 +250,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser, with_trace: bool = False) -> None:
         p.add_argument("files", nargs="+", help=".cmg input files")
         p.add_argument("--extension", "-e", help="extension to integrate (default: the only one)")
-        p.add_argument("--out", default="out", help="output directory (default: ./out)")
+        p.add_argument("--out", type=Path, default="out", help="output directory (default: ./out)")
         p.add_argument(
             "--max-rounds",
             type=_max_rounds,

@@ -22,16 +22,16 @@ whose cell is observed, and builds from them a hash index by join key
 value changes or classes merge, so every rule of a chase round, and every
 constraint ``check_model`` checks, shares one index per attribute.
 
-While ``Instance.changes`` holds a set, ``add_element`` and the
-saturation-level mutators add to it a mark for each change that can give a
-premise a new match: ``(CREATED, entity)``, ``(MERGED, entity)``
-(congruence merges included), ``(DEFINED, entity, fk)`` and
-``(NULLS, entity, attr)`` for each position of a null class that is
-anchored or in a union, since the value of each of its cells changes. A
-class may span positions: the root of a union keeps the positions of both
-classes, and a class never in one has the one position of its name. The
-chase collects the marks per round and enumerates a constraint again only
-when its premise reads one (``chase.premise_reads``).
+``add_element`` and the saturation-level mutators add to the set
+``Instance.changes`` a mark for each change that can give a premise a new
+match: ``(CREATED, entity)``, ``(MERGED, entity)`` (congruence merges
+included), ``(DEFINED, entity, fk)`` and ``(NULLS, entity, attr)`` for each
+position of a null class that is anchored or in a union, since the value of
+each of its cells changes. A class may span positions: the root of a union
+keeps the positions of both classes, and a class never in one has the one
+position of its name. The chase empties the set at the start of each round
+and enumerates a constraint again only when its premise reads a mark the
+round left (``chase.premise_reads``).
 """
 
 from __future__ import annotations
@@ -158,8 +158,8 @@ class Instance:
         self._indexes: dict[tuple[str, str], tuple] = {}
         # Provenance of elements copied out of source instances: (schema, row id).
         self.origins: dict[ElementId, tuple[str, str]] = {}
-        # Change marks, while a caller collects them; a copy starts with None.
-        self.changes: Optional[set[tuple]] = None
+        # Change marks since a caller last emptied the set; a copy starts empty.
+        self.changes: set[tuple] = set()
 
     # -- basic structure ----------------------------------------------------
 
@@ -317,8 +317,7 @@ class Instance:
             changed = self._positions(winner) | self._positions(loser)
             self._null_positions.pop(loser, None)
             self._null_positions[winner] = changed
-        if self.changes is not None:
-            self.changes.update((NULLS, entity, name) for entity, name in changed)
+        self.changes.update((NULLS, entity, name) for entity, name in changed)
         self._indexes.clear()
         return True
 
@@ -328,10 +327,6 @@ class Instance:
         its name."""
         kept = self._null_positions.get(root)
         return frozenset(((root.root.entity, root.attr),)) if kept is None else kept
-
-    def _record(self, mark: tuple) -> None:
-        if self.changes is not None:
-            self.changes.add(mark)
 
     # -- builders --------------------------------------------------------------
 
@@ -351,7 +346,7 @@ class Instance:
         elem = ElementId(entity, name, fresh)
         self._elements[entity][name] = elem
         self._carriers.pop(entity, None)
-        self._record((CREATED, entity))
+        self.changes.add((CREATED, entity))
         self._parent[elem] = elem
         self._rows[elem] = {}
         if origin is not None:
@@ -529,7 +524,7 @@ class Instance:
             if self.schema.fk(root.entity, fk_name) is None:  # also an attribute's cell
                 raise InstanceError(f"'{fk_name}' is not a foreign key of entity '{root.entity}'")
             row[fk_name] = tgt
-            self._record((DEFINED, root.entity, fk_name))
+            self.changes.add((DEFINED, root.entity, fk_name))
             return True
         if self.find(current) == tgt:
             return False
@@ -566,7 +561,7 @@ class Instance:
                 )
             winner, loser = (rx, ry) if rx.sort_key() <= ry.sort_key() else (ry, rx)
             report.pairs.append((winner, loser))
-            self._record((MERGED, winner.entity))
+            self.changes.add((MERGED, winner.entity))
             self._carriers.pop(winner.entity, None)
             self._indexes.clear()
             self._parent[loser] = winner
@@ -619,19 +614,12 @@ def eval_path(inst: Instance, elem: ElementId, path: Path) -> Value:
     Returns UNDEFINED as soon as an unset foreign key is hit; an
     unobserved cell reads as itself, as in ``Instance.get_attr``.
     """
-    current = inst.find(elem)
-    if current.entity != path.root:
+    root = inst.find(elem)
+    if root.entity != path.root:
         raise InstanceError(
-            f"path starts at '{path.root}' but element belongs to '{current.entity}'"
+            f"path starts at '{path.root}' but element belongs to '{root.entity}'"
         )
-    for fk_name in path.fks:
-        nxt = inst.get_fk(current, fk_name)
-        if nxt is None:
-            return UNDEFINED
-        current = nxt
-    if path.attr is None:
-        return current
-    return inst.get_attr(current, path.attr)
+    return eval_term(inst, {"x": root}, PathApp("x", path))
 
 
 def eval_term(
@@ -926,11 +914,17 @@ def check_model(inst: Instance, constraints: Iterable[Constraint]) -> Satisfacti
     return report
 
 
+def _signature(schema: Schema) -> tuple:
+    """What two instances must share to be compared: the entities and the
+    members, in declaration order. Constraints are not part of it."""
+    return schema.entities, schema.foreign_keys, schema.attributes
+
+
 def instances_same_data(a: Instance, b: Instance) -> bool:
     """Structural equality of the quotients, up to a renaming of null classes:
-    the same entities, the same export ids, and ``_is_homomorphic`` over the
+    the same signature, the same export ids, and ``_is_homomorphic`` over the
     classes paired by export id."""
-    if a.schema.entities != b.schema.entities:
+    if _signature(a.schema) != _signature(b.schema):
         return False
     mapping: dict[ElementId, ElementId] = {}
     for entity in a.schema.entities:

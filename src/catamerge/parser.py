@@ -20,6 +20,7 @@ from __future__ import annotations
 import bisect
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, NamedTuple, Optional, Union
 
 from .errors import CatamergeError, InstanceError, SchemaError
@@ -60,10 +61,11 @@ _MAX_TERM_DEPTH = 100
 class SourceDocument:
     name: str
     text: str
-    _line_starts: list[int] = field(default_factory=list, repr=False)
 
-    def __post_init__(self) -> None:
-        self._line_starts = [0] + [m.end() for m in re.finditer("\n", self.text)]
+    @cached_property
+    def _line_starts(self) -> list[int]:
+        """Offsets where each line starts; built on the first ``position``."""
+        return [0] + [m.end() for m in re.finditer("\n", self.text)]
 
     def position(self, offset: int) -> tuple[int, int]:
         """1-based (line, column) for a byte offset; always in range."""
@@ -344,9 +346,9 @@ class Document:
     diagnostics: list[Diagnostic] = field(default_factory=list)
     # extensions whose block was reported and refused; a query over one
     # gets no second diagnostic
-    refused_extensions: set[str] = field(default_factory=set)
+    refused_extensions: set[str] = field(init=False, default_factory=set)
     # per extension, its combined schema, glued once (``combined``)
-    glued: dict[str, CombinedSchema] = field(default_factory=dict)
+    glued: dict[str, CombinedSchema] = field(init=False, default_factory=dict)
 
     @property
     def ok(self) -> bool:

@@ -160,27 +160,12 @@ class Schema:
     attributes: tuple[Attribute, ...] = ()
     constraints: tuple[Constraint, ...] = ()
 
-    # Lookup tables; derived, excluded from equality.
-    _fk_index: dict[tuple[str, str], ForeignKey] = field(
-        default_factory=dict, compare=False, repr=False
-    )
-    _attr_index: dict[tuple[str, str], Attribute] = field(
-        default_factory=dict, compare=False, repr=False
-    )
-    _fks_by_entity: dict[str, tuple[ForeignKey, ...]] = field(
-        default_factory=dict, compare=False, repr=False
-    )
-    _attrs_by_entity: dict[str, tuple[Attribute, ...]] = field(
-        default_factory=dict, compare=False, repr=False
-    )
-    # (entity, attribute) -> declaration position
-    attr_rank: dict[tuple[str, str], int] = field(
-        default_factory=dict, compare=False, repr=False
-    )
-
     def __post_init__(self) -> None:
+        # Lookup tables derived from the fields above; not fields themselves,
+        # so they are neither arguments nor part of equality.
         self._fk_index = {(fk.source, fk.name): fk for fk in self.foreign_keys}
         self._attr_index = {(a.source, a.name): a for a in self.attributes}
+        # (entity, attribute) -> declaration position
         self.attr_rank = {key: rank for rank, key in enumerate(self._attr_index)}
         self._fks_by_entity = _by_source(self.foreign_keys)
         self._attrs_by_entity = _by_source(self.attributes)

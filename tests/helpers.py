@@ -1644,7 +1644,8 @@ def random_chase_like(rng: random.Random, pre: Instance) -> Instance:
 
 def oracle_instances_same_data(a: Instance, b: Instance) -> bool:
     """Structural equality of the quotients, up to a renaming of null classes."""
-    if a.schema.entities != b.schema.entities:
+    sa, sb = a.schema, b.schema
+    if (sa.entities, sa.foreign_keys, sa.attributes) != (sb.entities, sb.foreign_keys, sb.attributes):
         return False
     nulls: dict[tuple[int, NullRef], NullRef] = {}
     for entity in a.schema.entities:

@@ -1680,6 +1680,21 @@ def test_premise_reads_only_what_filters_matches(example1, example2):
     assert premise_reads(c, schema) == {(CREATED, "X"), (MERGED, "X")}
 
 
+def test_change_marks_start_empty_and_stay_off_the_chase_input():
+    """A new instance and a copy start with no marks, a builder records
+    one outside a chase too, and a chase marks its own copy only."""
+    schema = Schema("S", ("X", "Y"), (ForeignKey("f", "X", "Y"),))
+    pre = new_instance(schema)
+    assert pre.changes == set()
+    pre.add_element("X", "x1")
+    assert pre.changes == {(CREATED, "X")} and pre.copy().changes == set()
+    x_f = PathApp("x", Path("X", ("f",)))
+    c = Constraint((("x", "X"),), (), (("y", "Y"),), (Eq(x_f, Var("y")),))
+    result = chase(pre, [c])
+    assert result.status == SATURATED and len(result.instance.carrier("Y")) == 1
+    assert pre.changes == {(CREATED, "X")}
+
+
 def test_firing_cut_short_is_fired_again():
     # round 1 fires the tgd with x.c unknown, so y.b = add(y.g.c, 1) waits;
     # x.c is set in round 2, and the tgd must then fire again, on the same y
@@ -1803,6 +1818,26 @@ def test_universality_matches_fresh_elements_by_their_null_classes():
     assert instances_same_data(sat, alt((x1, x2)))
     # both fresh cells share x1's null, and x2's null is on no Y
     assert not verify_universality(sat, alt((x1, x1))).isomorphic
+
+
+def test_comparisons_across_signatures_differ_without_raising():
+    """Instances over schemas whose entities agree but whose members do not
+    are different data, whichever side comes first."""
+    schemas = {
+        "S0": Schema("S0", ("E",)),
+        "S1": Schema("S1", ("E",), (), (Attribute("a", "E", BaseType.INT),)),
+        "S2": Schema("S2", ("E",), (), (Attribute("b", "E", BaseType.INT),)),
+        "S3": Schema("S3", ("E",), (ForeignKey("f", "E", "E"),)),
+    }
+    insts = {}
+    for name, schema in schemas.items():
+        insts[name] = new_instance(schema, name)
+        insts[name].add_element("E", "e1")
+    for x, y in (("S1", "S2"), ("S0", "S1"), ("S3", "S0")):
+        for a, b in ((insts[x], insts[y]), (insts[y], insts[x])):
+            assert not instances_same_data(a, b), (a.name, b.name)
+            assert not helpers.oracle_instances_same_data(a, b), (a.name, b.name)
+            assert verify_universality(a, b).reason == "schemas differ", (a.name, b.name)
 
 
 def _comparison_pairs() -> list[tuple[Instance, Instance]]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -393,6 +394,78 @@ def test_rerun_produces_byte_identical_artifacts(tmp_path):
         assert main(["integrate", EX2, "--out", str(out), "--trace"]) == 0
     for path in sorted(out_a.iterdir()):
         assert (out_b / path.name).read_bytes() == path.read_bytes()
+
+
+# Per command on a fixture: the exit code, the first 16 hex digits of the
+# sha256 of stdout, stderr, and per file the command writes, the sha256 prefix
+# of its bytes. Recorded from the CLI; the output directory reads ``<out>``.
+_CLI_OUTPUTS = {
+    "example1 integrate --trace": (0, "a07db4e917099d81", "", {
+        "BRICK_Meter.csv": "e787060400d823c6",
+        "BRICK_Point.csv": "da594cf9c8195265",
+        "BRICK_SetPoint.csv": "1b00ef2e3a794de3",
+        "BRICK_Zone.csv": "81d178ccd4e01143",
+        "Equipment.csv": "a9d80c0ebb35ab98",
+        "IFC_IfcSensor.csv": "0a89edcd282802cd",
+        "IFC_PropertySet.csv": "20aa19af175fad59",
+        "Location.csv": "086f1b65d6e8eaff",
+        "combined.cmg": "935bf9b634e1b306",
+        "saturated.cmg": "cadf9756c2cf73b3",
+        "trace.log": "106aca4115cac529",
+    }),
+    "example1 roundtrip -s IFC": (0, "840c33577c6dfb06", "", {
+        "roundtrip_IFC.txt": "840c33577c6dfb06",
+    }),
+    "example1 query -q q": (0, "d1fddaf06c190aa1", "", {
+        "query_q.csv": "67f7229f6f32d323",
+    }),
+    "example1 query -q nope": (1, "e3b0c44298fc1c14", "error: unknown query 'nope'\n", {}),
+    "example1 roundtrip -s NOPE": (
+        1, "e3b0c44298fc1c14",
+        "error: schema 'NOPE' is not included in extension 'Combined'\n", {},
+    ),
+    "example2 integrate --trace": (0, "a07db4e917099d81", "", {
+        "BRICK_Meter.csv": "ac0d0898f4ddeeb5",
+        "BRICK_Point.csv": "5d4bd02aca93f0f2",
+        "BRICK_SetPoint.csv": "0bbfd57fcacd8e7f",
+        "BRICK_Zone.csv": "8a85d7d9b97c321f",
+        "Equipment.csv": "c34be06f191833bf",
+        "IFC_IfcSensor.csv": "0a89edcd282802cd",
+        "IFC_PropertySet.csv": "20aa19af175fad59",
+        "Location.csv": "b2060f1faaf0fb12",
+        "REC_Lease.csv": "5048812935e3eae7",
+        "REC_Person.csv": "5731c32e0f330bf0",
+        "combined.cmg": "e174f5278d07092a",
+        "saturated.cmg": "ef5e30a5a6217482",
+        "trace.log": "e8d1d6b3d1aa0b03",
+    }),
+    "example2 roundtrip -s IFC": (0, "39823d0d3a81045f", "", {
+        "roundtrip_IFC.txt": "39823d0d3a81045f",
+    }),
+    "example2 query -q TenantBilling": (0, "346a2d8472d7b6da", "", {
+        "query_TenantBilling.csv": "b3ceee2ebf3cbecc",
+    }),
+    "example2 query -q nope": (1, "e3b0c44298fc1c14", "error: unknown query 'nope'\n", {}),
+    "example2 roundtrip -s NOPE": (
+        1, "e3b0c44298fc1c14",
+        "error: schema 'NOPE' is not included in extension 'CombinedThreeWay'\n", {},
+    ),
+}
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("case", sorted(_CLI_OUTPUTS))
+def test_cli_outputs_are_pinned(tmp_path, capsys, case):
+    """Every byte a command writes, prints and returns on the fixtures."""
+    fixture, command, *flags = case.split()
+    out = tmp_path / "out"
+    code = main([command, str(helpers.FIXTURES / f"{fixture}.cmg"), "--out", str(out), *flags])
+    stdout, stderr = (text.replace(str(out), "<out>") for text in capsys.readouterr())
+    files = {p.name: _digest(p.read_bytes()) for p in sorted(out.iterdir())} if out.exists() else {}
+    assert (code, _digest(stdout.encode()), stderr, files) == _CLI_OUTPUTS[case]
 
 
 def test_inputs_not_mutated(tmp_path):

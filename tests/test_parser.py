@@ -25,7 +25,7 @@ from catamerge import (
 )
 from catamerge import parser as parser_module
 from catamerge.generators import scaled_example1_document
-from catamerge.parser import SourceDocument, parse_document, tokenize
+from catamerge.parser import Document, SourceDocument, parse_document, tokenize
 from catamerge.schema import Cmp, Constraint, Eq, ExtensionSpec, Path, PathApp, Schema
 from catamerge.typeside import BaseType, normalize_double
 
@@ -59,6 +59,18 @@ def test_parse_empty_schema():
     schema, diags = parse_schema(SourceDocument("e.cmg", "schema Empty { }"))
     assert not errors(diags)
     assert schema.entities == ()
+
+
+def test_line_starts_wait_for_a_diagnostic():
+    doc = SourceDocument("ifc.cmg", IFC_TEXT)
+    _, diags = parse_schema(doc)
+    assert not diags and "_line_starts" not in doc.__dict__
+
+
+@pytest.mark.parametrize("state", [{"glued": {}}, {"refused_extensions": set()}])
+def test_document_keeps_its_parser_state_to_itself(state):
+    with pytest.raises(TypeError):
+        Document(**state)
 
 
 def test_dangling_fk_diagnostic_points_at_ghost_token():

@@ -34,9 +34,6 @@ DATACLASSES = {
         "TraceEntry": MUTATED,
         "ChaseTrace": MUTATED,
     },
-    "cli": {
-        "RunManifest": RESULT,
-    },
     "instance": {
         "VirtualElem": PER_MATCH,
         "ConstraintCheck": RESULT,
@@ -49,7 +46,7 @@ DATACLASSES = {
         "RoundTripReport": MUTATED,
     },
     "parser": {
-        "SourceDocument": "computes its line starts when built (__post_init__)",
+        "SourceDocument": "caches its line starts (a cached_property needs __dict__)",
         "Token": "read per token",
         "Document": MUTATED,
     },

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 import re
 
@@ -70,6 +71,23 @@ def test_validate_fk_attr_shared_namespace():
         (Attribute("x", "A", BaseType.STRING),),
     )
     assert not validate_schema(s).ok
+
+
+def test_schema_takes_only_its_data():
+    """The lookup tables are derived from the members: neither fields nor
+    arguments, and a ``replace`` copy builds its own."""
+    assert [f.name for f in dataclasses.fields(Schema)] == [
+        "name", "entities", "foreign_keys", "attributes", "constraints",
+    ]
+    with pytest.raises(TypeError):
+        Schema("S", attr_rank={})
+    fk, attr = ForeignKey("f", "A", "B"), Attribute("a", "A", BaseType.INT)
+    rule = Constraint((("x", "A"),), (), (), (Eq(Var("x"), Var("x")),))
+    copy = dataclasses.replace(Schema("S", ("A", "B"), (fk,), (attr,)), constraints=(rule,))
+    assert (copy.fk("A", "f"), copy.attr("A", "a"), copy.fks_of("A"), copy.attrs_of("A")) == (
+        fk, attr, (fk,), (attr,)
+    )
+    assert copy.attr_rank == {("A", "a"): 0}
 
 
 def test_compose_equipment_location_area(example1):
